@@ -55,7 +55,9 @@ pub(crate) struct Inner {
 ///
 /// Storage and operation time on the slow path are proportional to the number
 /// of **distinct levels currently waited on**, not to the number of waiting
-/// threads; the fast paths cost no storage at all.
+/// threads. The fast paths add no per-level storage; the only fixed cost is
+/// the stats tier's 1 KiB of per-thread tally stripes (none with
+/// `.stats(false)`).
 ///
 /// # Example
 ///

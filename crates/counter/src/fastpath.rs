@@ -17,7 +17,7 @@
 //!   the new value with one CAS: with no waiters registered there is nobody
 //!   to wake, so the Section 7 wait list is never touched.
 //! * Everything else — a check that must suspend, an increment while waiters
-//!   exist, values beyond the 63-bit hint range — funnels into the existing
+//!   exist, values beyond the 62-bit hint range — funnels into the existing
 //!   mutex-protected wait-list slow path.
 //!
 //! # Why a wakeup can never be missed

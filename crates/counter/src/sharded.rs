@@ -92,7 +92,7 @@ use crate::builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink};
 use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
 use crate::fastpath::{FastAdvance, FastIncrement, FastWord};
 use crate::node::WaitNode;
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::{thread_slot, CachePadded, Stats, StatsSnapshot};
 use crate::traits::{
     CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
 };
@@ -100,7 +100,7 @@ use crate::Value;
 use mc_metrics::{Event, Histogram};
 use std::collections::BTreeMap;
 use std::sync::atomic::{
-    fence, AtomicU64, AtomicUsize,
+    fence, AtomicU64,
     Ordering::{AcqRel, Relaxed, SeqCst},
 };
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -130,14 +130,6 @@ const DEFAULT_MAX_BACKLOG: u64 = 1024;
 /// combiner relies on stops holding; an unbounded user value like
 /// `usize::MAX` would break it outright.
 const MAX_BACKLOG_LIMIT: u64 = 1 << 30;
-
-/// One increment stripe, padded to its own cache line so writers on
-/// different shards never invalidate each other.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct Cell {
-    pending: AtomicU64,
-}
 
 type WaitMap = BTreeMap<Value, Arc<WaitNode>>;
 
@@ -181,9 +173,9 @@ struct Inner {
 /// observe a single monotonically published value, waiters suspend on the
 /// Section 7 waitlist, and poisoning behaves identically. The difference is
 /// purely operational: uncontended *and contended* increments are one
-/// `fetch_add` on a private cache line, and the running sum is published
-/// into the packed fast word by a waiter-aware combiner (see the module
-/// docs).
+/// `fetch_add` on a private cache line (plus the stats tally, on the
+/// thread's own stripe), and the running sum is published into the packed
+/// fast word by a waiter-aware combiner (see the module docs).
 ///
 /// Construct via [`ShardedCounter::builder`]; the builder's `shards` knob
 /// sets the stripe count (rounded up to a power of two, default derived from
@@ -191,7 +183,10 @@ struct Inner {
 /// the per-cell unpublished backlog.
 pub struct ShardedCounter {
     fast: FastWord,
-    cells: Box<[Cell]>,
+    /// Per-thread increment stripes of unpublished deltas, each on its own
+    /// cache line so writers on different shards never invalidate each
+    /// other.
+    cells: Box<[CachePadded<AtomicU64>]>,
     /// `cells.len() - 1`; cell count is always a power of two.
     mask: usize,
     /// Adaptive lazy-flush threshold, in `[MIN_FLUSH_THRESHOLD,
@@ -220,18 +215,6 @@ impl std::fmt::Debug for ShardedCounter {
             .field("shards", &self.cells.len())
             .finish()
     }
-}
-
-/// Round-robin allocator for per-thread stripe slots: the first counter a
-/// thread touches assigns it a process-wide slot, reused for every sharded
-/// counter (distinct counters have distinct cell arrays, so sharing the slot
-/// keeps a thread on one line per counter without per-counter registration).
-fn thread_slot() -> usize {
-    static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT_SLOT.fetch_add(1, Relaxed);
-    }
-    SLOT.with(|s| *s)
 }
 
 /// Default stripe count: the machine's parallelism rounded up to a power of
@@ -271,7 +254,7 @@ impl ShardedCounter {
     /// Sum of the not-yet-published per-cell deltas. Diagnostics only: the
     /// snapshot is not atomic across cells.
     pub fn pending(&self) -> Value {
-        self.cells.iter().map(|c| c.pending.load(Relaxed)).sum()
+        self.cells.iter().map(|c| c.load(Relaxed)).sum()
     }
 
     /// The current adaptive flush threshold (diagnostics/tests).
@@ -283,7 +266,7 @@ impl ShardedCounter {
         self.inner.lock().expect("counter lock poisoned")
     }
 
-    fn cell(&self) -> &Cell {
+    fn cell(&self) -> &AtomicU64 {
         &self.cells[thread_slot() & self.mask]
     }
 
@@ -291,7 +274,7 @@ impl ShardedCounter {
     /// deltas are no longer anywhere else); every call site publishes before
     /// returning to the user.
     fn drain_cells(&self) -> Value {
-        self.cells.iter().map(|c| c.pending.swap(0, AcqRel)).sum()
+        self.cells.iter().map(|c| c.swap(0, AcqRel)).sum()
     }
 
     /// Publishes `pending` into the fast word under the lock and sweeps the
@@ -488,8 +471,7 @@ impl MonotonicCounter for ShardedCounter {
         if amount > MAX_FAST_AMOUNT || self.fast.value_hint() >= FAST_REGIME_LIMIT {
             return self.raise(amount);
         }
-        let cell = &self.cell().pending;
-        let pend = cell.fetch_add(amount, AcqRel) + amount;
+        let pend = self.cell().fetch_add(amount, AcqRel) + amount;
         self.stats.record_fast_increment();
         // Dekker handshake with a registering waiter: cell RMW, fence, then
         // the waiters-bit test (the waiter does bit RMW, fence, cell drain).
@@ -759,7 +741,7 @@ impl Buildable for ShardedCounter {
             .unwrap_or(DEFAULT_MAX_BACKLOG);
         ShardedCounter {
             fast: FastWord::new(cfg.initial()),
-            cells: (0..shards).map(|_| Cell::default()).collect(),
+            cells: (0..shards).map(|_| CachePadded::default()).collect(),
             mask: shards - 1,
             flush_threshold: AtomicU64::new(MIN_FLUSH_THRESHOLD),
             max_backlog,
@@ -786,7 +768,7 @@ impl Resettable for ShardedCounter {
         let inner = self.inner.get_mut().expect("counter lock poisoned");
         debug_assert!(inner.waiting.is_empty(), "reset called while threads wait");
         for cell in self.cells.iter_mut() {
-            *cell.pending.get_mut() = 0;
+            *cell.get_mut() = 0;
         }
         inner.wide = 0;
         inner.poisoned = None;
@@ -1015,7 +997,7 @@ mod tests {
         // Park a delta directly in a cell, bypassing the eager flush — the
         // in-flight window between an increment's fetch_add and its
         // waiters-bit test.
-        c.cells[0].pending.fetch_add(1, AcqRel);
+        c.cells[0].fetch_add(1, AcqRel);
         // The huge increment drains and publishes the delta (satisfying the
         // waiter) and then overflows in the same critical section.
         let err = c.try_increment(u64::MAX).unwrap_err();
@@ -1032,7 +1014,7 @@ mod tests {
         let c = ShardedCounter::builder().build();
         c.advance_to(u64::MAX);
         // Simulate the racy incrementer whose gate load predated the jump.
-        c.cells[0].pending.fetch_add(5, AcqRel);
+        c.cells[0].fetch_add(5, AcqRel);
         c.combine();
         assert_eq!(c.debug_value(), u64::MAX);
         c.check(u64::MAX);

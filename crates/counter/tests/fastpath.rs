@@ -10,19 +10,21 @@
 //! 3. **Waiter-free workloads never lock**: `slow_path_entries == 0`.
 //! 4. **Stats are consistent across tiers**: fast hits are included in the
 //!    operation totals, never double-counted.
-//! 5. **Saturated regime stays exact**: above the 63-bit hint cap, values and
+//! 5. **Saturated regime stays exact**: above the 62-bit hint cap, values and
 //!    checks keep exact `u64` semantics.
+//! 6. **Striped tallies stay exact**: concurrent fast-path operations on
+//!    different threads are each counted once.
 
 use mc_counter::{
     AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, ParkingCounter,
     ShardedCounter,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Mirrors `fastpath::FAST_CAP` (private): the packed hint saturates here.
-const FAST_CAP: u64 = (1 << 63) - 1;
+const FAST_CAP: u64 = (1 << 62) - 1;
 
 fn boundary_race<C: MonotonicCounter + Default + 'static>(amounts: Vec<u64>) {
     // One thread performs the increments; one checker waits for exactly the
@@ -108,6 +110,31 @@ fn stats_tiers_are_consistent<C: MonotonicCounter + CounterDiagnostics + Default
     assert!(s.slow_path_entries >= 2, "waiter + sweeping increment: {s}");
 }
 
+fn concurrent_tallies_are_exact<C: MonotonicCounter + CounterDiagnostics + Default>() {
+    const THREADS: u64 = 4;
+    const OPS: u64 = 10_000;
+    let c = C::default();
+    let start = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..OPS {
+                    c.increment(1);
+                    c.check(1);
+                }
+            });
+        }
+    });
+    let s = c.stats();
+    let total = THREADS * OPS;
+    assert_eq!(s.fast_increments, total, "{s}");
+    assert_eq!(s.fast_checks, total, "{s}");
+    assert_eq!(s.increments, total, "{s}");
+    assert_eq!(s.checks, total, "{s}");
+    assert_eq!(s.slow_path_entries, 0, "{s}");
+}
+
 fn saturated_regime_is_exact<C: MonotonicCounter + CounterDiagnostics + Default + 'static>(
     with_value: impl Fn(u64) -> C,
 ) {
@@ -148,6 +175,10 @@ macro_rules! fastpath_battery {
             #[test]
             fn stats_tiers_are_consistent() {
                 super::stats_tiers_are_consistent::<$ty>();
+            }
+            #[test]
+            fn concurrent_tallies_are_exact() {
+                super::concurrent_tallies_are_exact::<$ty>();
             }
             #[test]
             fn saturated_regime_is_exact() {
