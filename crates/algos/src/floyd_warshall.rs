@@ -198,7 +198,7 @@ pub fn with_counter_impl<C: MonotonicCounter + Default>(
 mod tests {
     use super::*;
     use crate::graph::{figure1_edge, figure1_path, random_graph};
-    use mc_counter::{AtomicCounter, NaiveCounter};
+    use mc_counter::{BTreeCounter, NaiveCounter};
 
     fn all_parallel_variants(
         edge: &SquareMatrix,
@@ -268,7 +268,7 @@ mod tests {
     fn counter_variant_is_generic_over_implementations() {
         let edge = random_graph(16, 0.5, 3);
         let want = sequential(&edge);
-        assert_eq!(with_counter_impl::<AtomicCounter>(&edge, 4), want);
+        assert_eq!(with_counter_impl::<BTreeCounter>(&edge, 4), want);
         assert_eq!(with_counter_impl::<NaiveCounter>(&edge, 4), want);
     }
 

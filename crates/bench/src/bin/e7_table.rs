@@ -2,14 +2,15 @@
 //!
 //! The paper implements counters as one lock plus an ordered list of condvar
 //! nodes and argues wakeup work should scale with satisfied *levels*, not
-//! waiting *threads*. This experiment compares five interchangeable
+//! waiting *threads*. This experiment compares interchangeable
 //! implementations on the same workloads:
 //!
 //! * `waitlist` — the paper's sorted linked list (reference);
-//! * `btree` — same algorithm, `BTreeMap` lookup;
+//! * `btree` — same algorithm, `BTreeMap` lookup (the other queue strategy
+//!   of the one `WaitlistCounter`);
 //! * `naive-broadcast` — one condvar, wake **everyone** on every increment;
-//! * `parking_lot` — userspace queues;
-//! * `atomic-fastpath` — lock-free uncontended operations.
+//! * `monitor` — one predicate monitor (Section 8's comparison);
+//! * `spin` — no suspension queue at all.
 //!
 //! Usage: `cargo run --release -p mc-bench --bin e7_table [--quick] [--json]`
 
@@ -17,8 +18,8 @@ use mc_algos::floyd_warshall as fw;
 use mc_algos::graph::dense_graph;
 use mc_bench::{fmt_duration, measure, Report, Table};
 use mc_counter::{
-    AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MonitorCounter, MonotonicCounter,
-    NaiveCounter, ParkingCounter, SpinCounter,
+    BTreeCounter, Counter, CounterDiagnostics, MonitorCounter, MonotonicCounter, NaiveCounter,
+    SpinCounter,
 };
 use std::sync::Arc;
 
@@ -105,18 +106,16 @@ fn main() {
     bench_impl::<Counter>("waitlist (paper §7)", &mut table, quick, &edge);
     bench_impl::<BTreeCounter>("btree", &mut table, quick, &edge);
     bench_impl::<NaiveCounter>("naive-broadcast", &mut table, quick, &edge);
-    bench_impl::<ParkingCounter>("parking_lot", &mut table, quick, &edge);
-    bench_impl::<AtomicCounter>("atomic-fastpath", &mut table, quick, &edge);
     bench_impl::<MonitorCounter>("monitor", &mut table, quick, &edge);
     bench_impl::<SpinCounter>("spin", &mut table, quick, &edge);
     let mut report = Report::new("e7", &args);
     report.table(table);
     report.note(
-        "Shape check: the waitlist/btree/parking/atomic variants issue one broadcast per\n\
-         satisfied level; naive-broadcast issues one per increment and wakes every waiter\n\
-         each time (its broadcast count ~= increments). The packed-word variants\n\
-         (waitlist/btree/parking/atomic) tie on the uncontended column — all four share\n\
-         the same fast path; see e8_table for the fast-vs-mutex-only ablation.",
+        "Shape check: the waitlist and btree queues issue one broadcast per satisfied\n\
+         level; naive-broadcast issues one per increment and wakes every waiter each\n\
+         time (its broadcast count ~= increments). The two queue strategies tie on the\n\
+         uncontended column — they are one counter type with one fast path; see\n\
+         e8_table for the fast-vs-mutex-only ablation.",
     );
     report.finish();
 }

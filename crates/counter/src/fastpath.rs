@@ -28,7 +28,7 @@
 //! read-modify-write operations, so the hardware's per-word coherence order
 //! decides the race — no fence subtleties, no store-buffering reordering
 //! (which would need `SeqCst` if value and flag were separate words, as a
-//! previous revision of `AtomicCounter` did):
+//! previous revision of this crate did):
 //!
 //! * The checker (holding the slow-path mutex) announces itself with
 //!   [`FastWord::register_waiter`] — `fetch_or(W)` — and examines the word

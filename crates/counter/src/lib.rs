@@ -31,11 +31,9 @@
 //! | [`Counter`] | packed-word | sorted singly-linked list of condvar nodes | the paper's Section 7 implementation (including Figure 2's draining nodes), with lock-free uncontended paths layered on top |
 //! | [`BTreeCounter`] | packed-word | `BTreeMap` of condvar nodes | same algorithm, O(log L) level lookup |
 //! | [`NaiveCounter`] | — | one condvar, broadcast on every increment | the strawman the paper improves on: O(threads) wakeups |
-//! | [`ParkingCounter`] | packed-word | `BTreeMap` of `parking_lot` condvar nodes | modern userspace-queue substrate |
-//! | [`AtomicCounter`] | packed-word | `BTreeMap` slow path | the minimal reference for the shared fast-path protocol |
 //! | [`SpinCounter`] | always | none — waiters busy-spin | the no-suspension-queue end of the design space |
 //! | [`MonitorCounter`] | — | one predicate monitor | counters expressed via Section 8's monitor comparison |
-//! | [`ShardedCounter`] | packed-word + striped cells | sorted list of condvar nodes | high-contention extension: increments land in per-thread cells and a combiner publishes into the packed word |
+//! | [`ShardedCounter`] | packed-word + striped cells | `BTreeMap` of condvar nodes | high-contention extension: increments land in per-thread cells and a combiner publishes into the packed word |
 //!
 //! The queue-structured implementations share the key complexity property of
 //! Section 7: storage and wakeup work are proportional to the **number of
@@ -43,10 +41,13 @@
 //! [`NaiveCounter`] and [`MonitorCounter`] are the single-queue baselines
 //! that lack it, and [`SpinCounter`] trades queues for CPU.
 //!
-//! "Packed-word" implementations share one protocol (the private `fastpath`
-//! module): a single `AtomicU64` packs the counter value with a has-waiters
-//! bit, so a `check` whose level is already satisfied is one atomic load and
-//! an `increment` with no registered waiters is one CAS — the mutex and node
+//! [`Counter`] and [`BTreeCounter`] are one generic type,
+//! [`WaitlistCounter`], over the two [`WaitQueue`] strategies, and
+//! [`ShardedCounter`] suspends and wakes through the same slow path. All
+//! three share one "packed-word" protocol (the private `fastpath` module): a
+//! single `AtomicU64` packs the counter value with a has-waiters bit, so a
+//! `check` whose level is already satisfied is one atomic load and an
+//! `increment` with no registered waiters is one CAS — the mutex and node
 //! structure are touched only when a thread actually suspends or must be
 //! woken. [`StatsSnapshot`] exposes per-tier hit counters
 //! (`fast_increments`, `fast_checks`, `slow_path_entries`).
@@ -88,8 +89,7 @@
 //! Every implementation is built through one fluent path, [`CounterBuilder`]
 //! (reachable as `Type::builder()`), which exposes the knobs shared across
 //! implementations: initial value, shard count, capacity, statistics
-//! collection, and [`PoisonPolicy`]. The legacy `new`/`with_value`
-//! constructors remain as deprecated shims.
+//! collection, and [`PoisonPolicy`].
 //!
 //! ## Quickstart
 //!
@@ -111,10 +111,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod atomic;
-mod btree;
 mod builder;
-mod counter;
 mod error;
 mod fastpath;
 mod list;
@@ -124,7 +121,6 @@ mod multi;
 mod naive;
 mod node;
 mod obligation;
-mod parking;
 mod sharded;
 mod spin;
 mod stats;
@@ -132,18 +128,16 @@ mod supervisor;
 pub mod testkit;
 mod trace;
 mod traits;
+mod waitlist;
 
-pub use atomic::AtomicCounter;
-pub use btree::BTreeCounter;
 pub use builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink, PoisonPolicy};
-pub use counter::Counter;
 pub use error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
+pub use list::SortedList;
 pub use metered::{MeteredCounter, SAMPLE_EVERY};
 pub use monitor_impl::MonitorCounter;
 pub use multi::{check_all, CounterSet};
 pub use naive::NaiveCounter;
 pub use obligation::Obligation;
-pub use parking::ParkingCounter;
 pub use sharded::ShardedCounter;
 pub use spin::SpinCounter;
 pub use stats::StatsSnapshot;
@@ -157,6 +151,7 @@ pub use traits::{
     CounterDiagnostics, CounterExt, HealthStatus, MonotonicCounter, Resettable, ResumableCounter,
     WaitingLevel,
 };
+pub use waitlist::{BTreeCounter, Counter, WaitQueue, WaitlistCounter};
 
 /// The integer type used for counter values and levels.
 ///

@@ -1,7 +1,8 @@
 //! The ordered waiting list of the paper's Section 7, ported literally as a
 //! sorted singly-linked list of wait nodes.
 //!
-//! Invariants (the paper's, enforced and property-tested here):
+//! Invariants (the paper's, enforced here and checked by the `WaitQueue`
+//! battery in `waitlist`):
 //!
 //! 1. The list is strictly ordered by ascending level.
 //! 2. Each level appears at most once (all threads waiting on one level share
@@ -10,6 +11,7 @@
 //!    value — `remove_satisfied` is called on every increment.
 
 use crate::node::WaitNode;
+use crate::waitlist::queue::Queue;
 use crate::Value;
 use std::sync::Arc;
 
@@ -18,31 +20,23 @@ struct Link {
     next: Option<Box<Link>>,
 }
 
-/// A sorted singly-linked list of [`WaitNode`]s, one per distinct waited
-/// level, exactly as drawn in the paper's Figure 2.
+/// A sorted singly-linked list of wait nodes, one per distinct waited
+/// level, exactly as drawn in the paper's Figure 2: the
+/// [`WaitQueue`](crate::WaitQueue) of [`Counter`](crate::Counter).
 #[derive(Default)]
-pub(crate) struct SortedList {
+pub struct SortedList {
     head: Option<Box<Link>>,
     len: usize,
 }
 
-impl SortedList {
-    pub(crate) fn new() -> Self {
-        SortedList { head: None, len: 0 }
-    }
+impl Queue for SortedList {
+    const NAMES: [&'static str; 2] = ["waitlist", "waitlist-mutex-only"];
 
-    /// Number of nodes (distinct levels) in the list.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.head.is_none()
-    }
-
-    /// Returns the node for `level`, inserting a fresh one in sorted position
-    /// if none exists. Returns `(node, inserted)`.
-    pub(crate) fn find_or_insert(&mut self, level: Value) -> (Arc<WaitNode>, bool) {
+    fn find_or_insert(&mut self, level: Value) -> (Arc<WaitNode>, bool) {
         // Walk the links until we find the level or the first greater level.
         let mut cursor: &mut Option<Box<Link>> = &mut self.head;
         loop {
@@ -66,10 +60,8 @@ impl SortedList {
         (node, true)
     }
 
-    /// Removes and returns every node whose level is satisfied by `value`
-    /// (level <= value), in ascending level order. Because the list is sorted,
-    /// these are exactly a prefix of the list.
-    pub(crate) fn remove_satisfied(&mut self, value: Value) -> Vec<Arc<WaitNode>> {
+    /// Because the list is sorted, the satisfied nodes are exactly a prefix.
+    fn remove_satisfied(&mut self, value: Value) -> Vec<Arc<WaitNode>> {
         let mut satisfied = Vec::new();
         while let Some(link) = self.head.take() {
             if link.node.level <= value {
@@ -84,10 +76,7 @@ impl SortedList {
         satisfied
     }
 
-    /// Removes the node at exactly `level`, if present. Used when the last
-    /// waiter of a level abandons its wait (timeout) before the level is
-    /// satisfied. Returns the removed node.
-    pub(crate) fn remove_level(&mut self, level: Value) -> Option<Arc<WaitNode>> {
+    fn remove_level(&mut self, level: Value) -> Option<Arc<WaitNode>> {
         let mut cursor: &mut Option<Box<Link>> = &mut self.head;
         loop {
             match cursor {
@@ -105,19 +94,7 @@ impl SortedList {
         }
     }
 
-    /// The levels currently in the list, in order (diagnostics / tests).
-    pub(crate) fn levels(&self) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut cur = &self.head;
-        while let Some(link) = cur {
-            out.push(link.node.level);
-            cur = &link.next;
-        }
-        out
-    }
-
-    /// Snapshot of `(level, waiter_count, set)` per node, in order.
-    pub(crate) fn nodes(&self) -> Vec<Arc<WaitNode>> {
+    fn nodes(&self) -> Vec<Arc<WaitNode>> {
         let mut out = Vec::with_capacity(self.len);
         let mut cur = &self.head;
         while let Some(link) = cur {
@@ -136,118 +113,5 @@ impl Drop for SortedList {
         while let Some(mut link) = cur {
             cur = link.next.take();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn levels_of(list: &SortedList) -> Vec<Value> {
-        list.levels()
-    }
-
-    #[test]
-    fn insert_keeps_sorted_order() {
-        let mut l = SortedList::new();
-        for level in [5u64, 9, 2, 7, 3] {
-            let (_, inserted) = l.find_or_insert(level);
-            assert!(inserted);
-        }
-        assert_eq!(levels_of(&l), vec![2, 3, 5, 7, 9]);
-        assert_eq!(l.len(), 5);
-    }
-
-    #[test]
-    fn duplicate_levels_share_one_node() {
-        let mut l = SortedList::new();
-        let (a, ins_a) = l.find_or_insert(5);
-        let (b, ins_b) = l.find_or_insert(5);
-        assert!(ins_a);
-        assert!(!ins_b);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(l.len(), 1);
-    }
-
-    #[test]
-    fn remove_satisfied_takes_prefix() {
-        let mut l = SortedList::new();
-        for level in [2u64, 5, 7, 9] {
-            l.find_or_insert(level);
-        }
-        let out = l.remove_satisfied(6);
-        let got: Vec<_> = out.iter().map(|n| n.level).collect();
-        assert_eq!(got, vec![2, 5]);
-        assert_eq!(levels_of(&l), vec![7, 9]);
-    }
-
-    #[test]
-    fn remove_satisfied_exact_boundary_is_inclusive() {
-        let mut l = SortedList::new();
-        l.find_or_insert(7);
-        let out = l.remove_satisfied(7);
-        assert_eq!(out.len(), 1);
-        assert!(l.is_empty());
-    }
-
-    #[test]
-    fn remove_satisfied_below_all_levels_is_noop() {
-        let mut l = SortedList::new();
-        l.find_or_insert(10);
-        let out = l.remove_satisfied(9);
-        assert!(out.is_empty());
-        assert_eq!(l.len(), 1);
-    }
-
-    #[test]
-    fn remove_satisfied_on_empty_list() {
-        let mut l = SortedList::new();
-        assert!(l.remove_satisfied(u64::MAX).is_empty());
-    }
-
-    #[test]
-    fn insert_at_head_middle_and_tail() {
-        let mut l = SortedList::new();
-        l.find_or_insert(5);
-        l.find_or_insert(1); // head
-        l.find_or_insert(9); // tail
-        l.find_or_insert(3); // middle
-        assert_eq!(levels_of(&l), vec![1, 3, 5, 9]);
-    }
-
-    #[test]
-    fn long_list_drops_without_stack_overflow() {
-        let mut l = SortedList::new();
-        // Insert in descending order: each insert lands at the head in O(1),
-        // so this builds a 200k-link chain quickly.
-        for level in (1..=200_000u64).rev() {
-            l.find_or_insert(level);
-        }
-        assert_eq!(l.len(), 200_000);
-        drop(l); // must not overflow the stack
-    }
-
-    #[test]
-    fn remove_level_head_middle_tail_and_missing() {
-        let mut l = SortedList::new();
-        for level in [1u64, 3, 5, 7] {
-            l.find_or_insert(level);
-        }
-        assert_eq!(l.remove_level(1).map(|n| n.level), Some(1)); // head
-        assert_eq!(l.remove_level(5).map(|n| n.level), Some(5)); // middle
-        assert_eq!(l.remove_level(7).map(|n| n.level), Some(7)); // tail
-        assert!(l.remove_level(42).is_none());
-        assert_eq!(levels_of(&l), vec![3]);
-    }
-
-    #[test]
-    fn nodes_returns_every_node_in_order() {
-        let mut l = SortedList::new();
-        for level in [4u64, 2, 8] {
-            l.find_or_insert(level);
-        }
-        let nodes = l.nodes();
-        let got: Vec<_> = nodes.iter().map(|n| n.level).collect();
-        assert_eq!(got, vec![2, 4, 8]);
     }
 }

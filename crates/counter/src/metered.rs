@@ -228,18 +228,6 @@ impl<C: Buildable> MeteredCounter<C> {
     pub fn builder() -> CounterBuilder<Self> {
         CounterBuilder::new()
     }
-
-    /// Creates an uninstrumented pass-through wrapper.
-    #[deprecated(note = "use CounterBuilder: `MeteredCounter::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates an uninstrumented pass-through wrapper starting at `value`.
-    #[deprecated(note = "use CounterBuilder: `MeteredCounter::builder().initial(value).build()`")]
-    pub fn with_value(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
 }
 
 impl<C: MonotonicCounter> MonotonicCounter for MeteredCounter<C> {

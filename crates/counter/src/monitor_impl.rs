@@ -55,18 +55,6 @@ impl MonitorCounter {
         CounterBuilder::new()
     }
 
-    /// Creates a counter with value zero.
-    #[deprecated(note = "use CounterBuilder: `MonitorCounter::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a counter starting at `value`.
-    #[deprecated(note = "use CounterBuilder: `MonitorCounter::builder().initial(value).build()`")]
-    pub fn with_value(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
-
     /// Monitor-style update: mutate under the lock, then signal all waiters
     /// so they re-evaluate their predicates.
     fn update(

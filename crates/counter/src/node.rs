@@ -14,8 +14,11 @@ use std::sync::Condvar;
 /// counter's mutex; the atomics exist solely so the node can be shared through
 /// `Arc` without `unsafe`, and relaxed ordering suffices because the mutex
 /// provides all necessary synchronization.
+///
+/// Public only so the `BTreeMap` queue type can be named in
+/// [`BTreeCounter`](crate::BTreeCounter); the module is private.
 #[derive(Debug)]
-pub(crate) struct WaitNode {
+pub struct WaitNode {
     /// The level threads at this node are waiting for. Immutable.
     pub(crate) level: Value,
     /// Number of threads currently registered at this node. The thread that

@@ -16,11 +16,12 @@
 //!   check(level) ───► one Acquire load of the published word
 //! ```
 //!
-//! The *published* value lives in the same [`FastWord`] the other
-//! implementations use, so the read side is completely unchanged: a satisfied
+//! The *published* value lives in the packed word of an inner
+//! [`BTreeCounter`], so the read side is completely unchanged: a satisfied
 //! `check` is still a single `Acquire` load, and the suspend/wake slow path is
-//! the Section 7 waitlist (one node per distinct level, satisfied nodes swept
-//! on publication). Only the write side changes: an increment lands in a
+//! that counter's Section 7 waitlist (one node per distinct level, satisfied
+//! nodes swept on publication), entered through the same sweep, suspend and
+//! poison steps. Only the write side changes: an increment lands in a
 //! striped cell and becomes *visible to checks* when a combiner publishes the
 //! accumulated deltas into the word.
 //!
@@ -89,21 +90,21 @@
 //! failing.
 
 use crate::builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink};
-use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
+use crate::error::{CheckError, CounterOverflowError, FailureInfo};
 use crate::fastpath::{FastAdvance, FastIncrement, FastWord};
 use crate::node::WaitNode;
-use crate::stats::{thread_slot, CachePadded, Stats, StatsSnapshot};
+use crate::stats::{thread_slot, CachePadded, StatsSnapshot};
 use crate::traits::{
     CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
 };
+use crate::waitlist::{BTreeCounter, Inner, WaitMap};
 use crate::Value;
 use mc_metrics::{Event, Histogram};
-use std::collections::BTreeMap;
 use std::sync::atomic::{
     fence, AtomicU64,
     Ordering::{AcqRel, Relaxed, SeqCst},
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Largest amount the cells-only fast tier accepts; bigger increments take
@@ -131,8 +132,6 @@ const DEFAULT_MAX_BACKLOG: u64 = 1024;
 /// `usize::MAX` would break it outright.
 const MAX_BACKLOG_LIMIT: u64 = 1 << 30;
 
-type WaitMap = BTreeMap<Value, Arc<WaitNode>>;
-
 /// Combiner observability, attached when the builder carries a
 /// [`MetricsSink`]. Records *why* the combiner published (a waiter forced an
 /// eager flush vs. a cell crossed the lazy threshold) and how much backlog
@@ -158,14 +157,6 @@ impl CombinerMetrics {
     }
 }
 
-struct Inner {
-    /// Exact value once the packed hint saturates; see [`crate::fastpath`].
-    wide: Value,
-    waiting: WaitMap,
-    /// The first poisoning cause, if any. Set at most once.
-    poisoned: Option<FailureInfo>,
-}
-
 /// A monotonic counter whose increments are striped across cache-line-padded
 /// per-thread cells, for write-heavy contention.
 ///
@@ -182,7 +173,9 @@ struct Inner {
 /// [`std::thread::available_parallelism`]) and its `capacity` knob bounds
 /// the per-cell unpublished backlog.
 pub struct ShardedCounter {
-    fast: FastWord,
+    /// The published value, its waitlist and the stats: a counter whose
+    /// increments all arrive through the combiner.
+    core: BTreeCounter,
     /// Per-thread increment stripes of unpublished deltas, each on its own
     /// cache line so writers on different shards never invalidate each
     /// other.
@@ -195,9 +188,6 @@ pub struct ShardedCounter {
     flush_threshold: AtomicU64,
     /// Upper bound for `flush_threshold` (the builder's `capacity`).
     max_backlog: u64,
-    inner: Mutex<Inner>,
-    stats: Stats,
-    poison_enabled: bool,
     metrics: Option<CombinerMetrics>,
 }
 
@@ -210,7 +200,7 @@ impl Default for ShardedCounter {
 impl std::fmt::Debug for ShardedCounter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCounter")
-            .field("published", &self.fast.value_hint())
+            .field("published", &self.fast().value_hint())
             .field("pending", &self.pending())
             .field("shards", &self.cells.len())
             .finish()
@@ -234,18 +224,6 @@ impl ShardedCounter {
         CounterBuilder::new()
     }
 
-    /// Creates a counter with value zero and the default shard count.
-    #[deprecated(note = "use CounterBuilder: `ShardedCounter::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a counter starting at `value` with the default shard count.
-    #[deprecated(note = "use CounterBuilder: `ShardedCounter::builder().initial(value).build()`")]
-    pub fn with_value(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
-
     /// The number of increment stripes (always a power of two).
     pub fn shard_count(&self) -> usize {
         self.cells.len()
@@ -262,8 +240,9 @@ impl ShardedCounter {
         self.flush_threshold.load(Relaxed)
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().expect("counter lock poisoned")
+    /// The packed word checks read: the published value.
+    fn fast(&self) -> &FastWord {
+        &self.core.fast
     }
 
     fn cell(&self) -> &AtomicU64 {
@@ -290,9 +269,14 @@ impl ShardedCounter {
     /// caller's node insertion, where clearing would let increments go lazy
     /// under a live waiter. Call sites where no registration is in flight
     /// clear the bit themselves.
-    fn publish_locked(&self, inner: &mut Inner, pending: Value) -> (Value, Vec<Arc<WaitNode>>) {
+    fn publish_locked(
+        &self,
+        inner: &mut Inner<WaitMap>,
+        pending: Value,
+    ) -> (Value, Vec<Arc<WaitNode>>) {
+        let fast = self.fast();
         if pending == 0 {
-            return (self.fast.locked_value(inner.wide), Vec::new());
+            return (fast.locked_value(inner.wide), Vec::new());
         }
         // Deltas are parked only while the published value is inside the
         // fast regime, but the gate load in `try_increment` races concurrent
@@ -303,19 +287,13 @@ impl ShardedCounter {
         // jump — where it fits below the jump target and is subsumed by it —
         // is a valid history: saturate at `u64::MAX`, the counter's terminal
         // value, rather than panic in whichever thread flushes next.
-        let new_value = match self.fast.locked_add(&mut inner.wide, pending) {
+        let new_value = match fast.locked_add(&mut inner.wide, pending) {
             Ok(value) => value,
-            Err(_) => self
-                .fast
+            Err(_) => fast
                 .locked_advance(&mut inner.wide, Value::MAX)
                 .unwrap_or(Value::MAX),
         };
-        let satisfied = Self::remove_satisfied(&mut inner.waiting, new_value);
-        for node in &satisfied {
-            node.signal();
-            self.stats.record_notify();
-        }
-        (new_value, satisfied)
+        (new_value, self.core.sweep(inner, new_value))
     }
 
     /// Drains the cells and publishes, taking the lock only when waiters (or
@@ -326,24 +304,15 @@ impl ShardedCounter {
         if pending == 0 {
             return;
         }
-        match self.fast.try_increment(pending) {
+        match self.fast().try_increment(pending) {
             FastIncrement::Done => {}
             // Waiters registered or hint saturated: publish under the lock
             // so the sweep runs (`publish_locked` absorbs the saturation
             // corner, so no error can surface here).
             FastIncrement::Contended | FastIncrement::Overflow(_) => {
-                let satisfied = {
-                    let mut inner = self.lock();
-                    self.stats.record_slow_entry();
-                    let satisfied = self.publish_locked(&mut inner, pending).1;
-                    if inner.waiting.is_empty() {
-                        self.fast.clear_waiters();
-                    }
-                    satisfied
-                };
-                for node in satisfied {
-                    node.cv.notify_all();
-                }
+                let mut inner = self.core.enter();
+                let satisfied = self.publish_locked(&mut inner, pending).1;
+                self.core.release(inner, satisfied);
             }
         }
     }
@@ -353,19 +322,10 @@ impl ShardedCounter {
     /// so drain and publish under the lock, waking whoever the new value
     /// satisfies.
     fn flush_for_waiters(&self) {
-        let satisfied = {
-            let mut inner = self.lock();
-            self.stats.record_slow_entry();
-            let pending = self.drain_cells();
-            let satisfied = self.publish_locked(&mut inner, pending).1;
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            satisfied
-        };
-        for node in satisfied {
-            node.cv.notify_all();
-        }
+        let mut inner = self.core.enter();
+        let pending = self.drain_cells();
+        let satisfied = self.publish_locked(&mut inner, pending).1;
+        self.core.release(inner, satisfied);
     }
 
     /// Grows the adaptive threshold after a flush no waiter was hurt by.
@@ -385,64 +345,30 @@ impl ShardedCounter {
         self.flush_threshold.store(MIN_FLUSH_THRESHOLD, Relaxed);
     }
 
-    fn remove_satisfied(waiting: &mut WaitMap, value: Value) -> Vec<Arc<WaitNode>> {
-        match value.checked_add(1) {
-            Some(next) => {
-                let rest = waiting.split_off(&next);
-                std::mem::replace(waiting, rest).into_values().collect()
-            }
-            None => std::mem::take(waiting).into_values().collect(),
-        }
-    }
-
     /// Slow path of `increment`: drain, publish pending, then apply `amount`
     /// with exact overflow checking, sweeping and waking as one atomic step
     /// under the lock.
     fn raise(&self, amount: Value) -> Result<(), CounterOverflowError> {
-        let satisfied = {
-            let mut inner = self.lock();
-            self.stats.record_slow_entry();
-            let pending = self.drain_cells();
-            let mut satisfied = self.publish_locked(&mut inner, pending).1;
-            // The pending publication may have signalled waiters (already
-            // removed from the map), so the overflow arm must still notify
-            // them — an early `?` here would strand them in `Condvar::wait`.
-            let new_value = match self.fast.locked_add(&mut inner.wide, amount) {
-                Ok(value) => value,
-                Err(e) => {
-                    if inner.waiting.is_empty() {
-                        self.fast.clear_waiters();
-                    }
-                    drop(inner);
-                    for node in satisfied {
-                        node.cv.notify_all();
-                    }
-                    return Err(e);
-                }
-            };
-            self.stats.record_increment();
-            let mut more = Self::remove_satisfied(&mut inner.waiting, new_value);
-            for node in &more {
-                node.signal();
-                self.stats.record_notify();
-            }
-            satisfied.append(&mut more);
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            satisfied
-        };
-        for node in satisfied {
-            node.cv.notify_all();
+        let mut inner = self.core.enter();
+        let pending = self.drain_cells();
+        let mut satisfied = self.publish_locked(&mut inner, pending).1;
+        // The pending publication may have signalled waiters (already
+        // removed from the map), so the overflow arm must still notify
+        // them — an early `?` here would strand them in `Condvar::wait`.
+        let result = self.fast().locked_add(&mut inner.wide, amount);
+        if let Ok(new_value) = result {
+            self.core.stats.record_increment();
+            satisfied.append(&mut self.core.sweep(&mut inner, new_value));
         }
-        Ok(())
+        self.core.release(inner, satisfied);
+        result.map(drop)
     }
 
     /// Registers the waiter bit, drains the cells (the fence pair with the
     /// increment fast path — see the module docs), publishes, and returns
     /// the resulting value. Lock held.
-    fn register_and_drain(&self, inner: &mut Inner) -> Value {
-        let registered = self.fast.register_waiter(inner.wide);
+    fn register_and_drain(&self, inner: &mut Inner<WaitMap>) -> Value {
+        let registered = self.fast().register_waiter(inner.wide);
         fence(SeqCst);
         let pending = self.drain_cells();
         if pending == 0 {
@@ -456,6 +382,30 @@ impl ShardedCounter {
         }
         value
     }
+
+    /// Tiers 1 and 2 of a wait: one load of the published word, then a
+    /// self-service combine and a second load, so a logically reached value
+    /// never suspends its observer. Lock-free while no waiters are
+    /// registered.
+    fn self_served(&self, level: Value) -> bool {
+        let fast = self.fast();
+        if !fast.is_satisfied(level) {
+            self.combine();
+            if !fast.is_satisfied(level) {
+                return false;
+            }
+        }
+        self.core.stats.record_fast_check();
+        true
+    }
+
+    /// Tier 3 of a wait: the Section 7 waitlist.
+    fn suspend(&self, level: Value, deadline: Option<Instant>) -> Result<(), CheckError> {
+        self.tighten_threshold();
+        let mut inner = self.core.enter();
+        let value = self.register_and_drain(&mut inner);
+        self.core.suspend(inner, level, value, deadline)
+    }
 }
 
 impl MonotonicCounter for ShardedCounter {
@@ -468,21 +418,22 @@ impl MonotonicCounter for ShardedCounter {
         // Fast-regime gate: one read-mostly load. Outside it (huge amounts,
         // waiters already known, values near saturation) take the exact
         // locked path directly instead of parking the delta.
-        if amount > MAX_FAST_AMOUNT || self.fast.value_hint() >= FAST_REGIME_LIMIT {
+        let fast = self.fast();
+        if amount > MAX_FAST_AMOUNT || fast.value_hint() >= FAST_REGIME_LIMIT {
             return self.raise(amount);
         }
         let pend = self.cell().fetch_add(amount, AcqRel) + amount;
-        self.stats.record_fast_increment();
+        self.core.stats.record_fast_increment();
         // Dekker handshake with a registering waiter: cell RMW, fence, then
         // the waiters-bit test (the waiter does bit RMW, fence, cell drain).
         fence(SeqCst);
-        if self.fast.value_hint() >= FAST_REGIME_LIMIT {
+        if fast.value_hint() >= FAST_REGIME_LIMIT {
             // A concurrent advance/raise jumped the published value past the
             // regime gate while we parked. Flush through the lock right away
             // so the delta is folded in (or saturated, see `publish_locked`)
             // instead of lingering in a cell outside the bounded regime.
             self.flush_for_waiters();
-        } else if self.fast.has_waiters() {
+        } else if fast.has_waiters() {
             if let Some(m) = &self.metrics {
                 m.eager_publishes.incr();
             }
@@ -500,231 +451,57 @@ impl MonotonicCounter for ShardedCounter {
 
     fn advance_to(&self, target: Value) {
         // Published ≥ target ⇒ the true value is too: nothing to do.
-        if self.fast.is_satisfied(target) {
+        let fast = self.fast();
+        if fast.is_satisfied(target) {
             return;
         }
         // Self-service combine: the logical value may already satisfy the
         // target even though the published word lags.
         self.combine();
-        match self.fast.try_advance(target) {
+        match fast.try_advance(target) {
             FastAdvance::Raised => {
-                self.stats.record_fast_increment();
+                self.core.stats.record_fast_increment();
                 return;
             }
             FastAdvance::NoOp => return,
             FastAdvance::Contended => {}
         }
-        let satisfied = {
-            let mut inner = self.lock();
-            self.stats.record_slow_entry();
-            let pending = self.drain_cells();
-            let mut satisfied = self.publish_locked(&mut inner, pending).1;
-            let Some(new_value) = self.fast.locked_advance(&mut inner.wide, target) else {
-                if inner.waiting.is_empty() {
-                    self.fast.clear_waiters();
-                }
-                for node in satisfied {
-                    node.cv.notify_all();
-                }
-                return;
-            };
-            self.stats.record_increment();
-            let mut more = Self::remove_satisfied(&mut inner.waiting, new_value);
-            for node in &more {
-                node.signal();
-                self.stats.record_notify();
-            }
-            satisfied.append(&mut more);
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            satisfied
-        };
-        for node in satisfied {
-            node.cv.notify_all();
+        let mut inner = self.core.enter();
+        let pending = self.drain_cells();
+        let mut satisfied = self.publish_locked(&mut inner, pending).1;
+        if let Some(new_value) = fast.locked_advance(&mut inner.wide, target) {
+            self.core.stats.record_increment();
+            satisfied.append(&mut self.core.sweep(&mut inner, new_value));
         }
+        self.core.release(inner, satisfied);
     }
 
     fn wait(&self, level: Value) -> Result<(), CheckError> {
-        // Tier 1: one Acquire load of the published word (identical to every
-        // other packed-word implementation — sharding does not touch this).
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
+        if self.self_served(level) {
             return Ok(());
         }
-        // Tier 2: self-service combine — publish the cells and re-test, so a
-        // logically reached value never suspends its observer. Lock-free
-        // while no waiters are registered.
-        self.combine();
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
-            return Ok(());
-        }
-        // Tier 3: the Section 7 waitlist.
-        self.tighten_threshold();
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        let value = self.register_and_drain(&mut inner);
-        if value >= level {
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            self.stats.record_check_immediate();
-            return Ok(());
-        }
-        if let Some(info) = &inner.poisoned {
-            let info = info.clone();
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            return Err(CheckError::Poisoned(info));
-        }
-        let mut inserted = false;
-        let node = Arc::clone(inner.waiting.entry(level).or_insert_with(|| {
-            inserted = true;
-            Arc::new(WaitNode::new(level))
-        }));
-        if inserted {
-            self.stats.record_node_created();
-        }
-        node.add_waiter();
-        self.stats.record_check_suspended();
-        while !node.is_set() && !node.is_poisoned() {
-            inner = node
-                .cv
-                .wait(inner)
-                .expect("counter lock poisoned while waiting");
-        }
-        let poisoned = node.is_poisoned();
-        self.stats.record_waiter_resumed();
-        if node.remove_waiter() {
-            self.stats.record_node_freed();
-        }
-        if poisoned {
-            let info = inner
-                .poisoned
-                .clone()
-                .expect("poisoned wait node without a recorded cause");
-            return Err(CheckError::Poisoned(info));
-        }
-        Ok(())
+        self.suspend(level, None)
     }
 
     fn wait_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckError> {
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
+        if self.self_served(level) {
             return Ok(());
         }
-        self.combine();
-        if self.fast.is_satisfied(level) {
-            self.stats.record_fast_check();
-            return Ok(());
-        }
-        let deadline = Instant::now() + timeout;
-        self.tighten_threshold();
-        let mut inner = self.lock();
-        self.stats.record_slow_entry();
-        let value = self.register_and_drain(&mut inner);
-        if value >= level {
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            self.stats.record_check_immediate();
-            return Ok(());
-        }
-        if let Some(info) = &inner.poisoned {
-            let info = info.clone();
-            if inner.waiting.is_empty() {
-                self.fast.clear_waiters();
-            }
-            return Err(CheckError::Poisoned(info));
-        }
-        let mut inserted = false;
-        let node = Arc::clone(inner.waiting.entry(level).or_insert_with(|| {
-            inserted = true;
-            Arc::new(WaitNode::new(level))
-        }));
-        if inserted {
-            self.stats.record_node_created();
-        }
-        node.add_waiter();
-        self.stats.record_check_suspended();
-        loop {
-            // Satisfied first, then poisoned, then the deadline — the same
-            // precedence as every other implementation.
-            if node.is_set() {
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    self.stats.record_node_freed();
-                }
-                return Ok(());
-            }
-            if node.is_poisoned() {
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    self.stats.record_node_freed();
-                }
-                let info = inner
-                    .poisoned
-                    .clone()
-                    .expect("poisoned wait node without a recorded cause");
-                return Err(CheckError::Poisoned(info));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.stats.record_waiter_resumed();
-                if node.remove_waiter() {
-                    inner.waiting.remove(&level);
-                    self.stats.record_node_freed();
-                    if inner.waiting.is_empty() {
-                        self.fast.clear_waiters();
-                    }
-                }
-                return Err(CheckError::Timeout(CheckTimeoutError { level }));
-            }
-            let (guard, _) = node
-                .cv
-                .wait_timeout(inner, deadline - now)
-                .expect("counter lock poisoned while waiting");
-            inner = guard;
-        }
+        self.suspend(level, Some(Instant::now() + timeout))
     }
 
     fn poison(&self, info: FailureInfo) {
-        if !self.poison_enabled {
-            return;
-        }
-        let swept = {
-            let mut inner = self.lock();
-            if inner.poisoned.is_some() {
-                return;
-            }
-            // Publish pending deltas first: waiters whose levels the true
-            // value already satisfies wake successfully (satisfied-first
-            // semantics), only genuinely unsatisfiable ones are poisoned.
+        // Publish pending deltas first: waiters whose levels the true value
+        // already satisfies wake successfully (satisfied-first semantics),
+        // only genuinely unsatisfiable ones are poisoned.
+        self.core.poison_with(info, |inner| {
             let pending = self.drain_cells();
-            let mut swept = self.publish_locked(&mut inner, pending).1;
-            self.fast.set_poison();
-            inner.poisoned = Some(info);
-            let rest = Self::remove_satisfied(&mut inner.waiting, Value::MAX);
-            for node in &rest {
-                node.poison();
-                self.stats.record_notify();
-            }
-            swept.extend(rest);
-            self.fast.clear_waiters();
-            swept
-        };
-        for node in swept {
-            node.cv.notify_all();
-        }
+            self.publish_locked(inner, pending).1
+        });
     }
 
     fn poison_info(&self) -> Option<FailureInfo> {
-        if !self.fast.is_poisoned() {
-            return None;
-        }
-        self.lock().poisoned.clone()
+        self.core.poison_info()
     }
 }
 
@@ -740,18 +517,11 @@ impl Buildable for ShardedCounter {
             .map(|c| (c as u64).clamp(MIN_FLUSH_THRESHOLD, MAX_BACKLOG_LIMIT))
             .unwrap_or(DEFAULT_MAX_BACKLOG);
         ShardedCounter {
-            fast: FastWord::new(cfg.initial()),
+            core: BTreeCounter::from_config(cfg),
             cells: (0..shards).map(|_| CachePadded::default()).collect(),
             mask: shards - 1,
             flush_threshold: AtomicU64::new(MIN_FLUSH_THRESHOLD),
             max_backlog,
-            inner: Mutex::new(Inner {
-                wide: cfg.initial(),
-                waiting: BTreeMap::new(),
-                poisoned: None,
-            }),
-            stats: Stats::with_enabled(cfg.stats_enabled()),
-            poison_enabled: cfg.poison_propagates(),
             metrics: cfg.metrics().map(CombinerMetrics::attach),
         }
     }
@@ -765,14 +535,10 @@ impl ResumableCounter for ShardedCounter {
 
 impl Resettable for ShardedCounter {
     fn reset(&mut self) {
-        let inner = self.inner.get_mut().expect("counter lock poisoned");
-        debug_assert!(inner.waiting.is_empty(), "reset called while threads wait");
+        self.core.reset();
         for cell in self.cells.iter_mut() {
             *cell.get_mut() = 0;
         }
-        inner.wide = 0;
-        inner.poisoned = None;
-        self.fast.reset(0);
         *self.flush_threshold.get_mut() = MIN_FLUSH_THRESHOLD;
     }
 }
@@ -781,17 +547,11 @@ impl CounterDiagnostics for ShardedCounter {
     fn debug_value(&self) -> Value {
         // Published plus unpublished. Racy across cells (diagnostics only),
         // exact whenever the counter is quiescent.
-        let hint = self.fast.value_hint();
-        let published = if hint < crate::fastpath::FAST_CAP {
-            hint
-        } else {
-            self.lock().wide
-        };
-        published + self.pending()
+        self.core.debug_value() + self.pending()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.core.stats()
     }
 
     fn impl_name(&self) -> &'static str {
@@ -799,14 +559,7 @@ impl CounterDiagnostics for ShardedCounter {
     }
 
     fn waiters(&self) -> Vec<WaitingLevel> {
-        self.lock()
-            .waiting
-            .values()
-            .map(|n| WaitingLevel {
-                level: n.level,
-                threads: n.waiter_count(),
-            })
-            .collect()
+        self.core.waiters()
     }
 }
 

@@ -331,9 +331,7 @@ mod tests {
     #[test]
     fn every_implementation_coerces_to_dyn_counter() {
         exercise_erased(crate::Counter::default());
-        exercise_erased(crate::AtomicCounter::default());
         exercise_erased(crate::BTreeCounter::default());
-        exercise_erased(crate::ParkingCounter::default());
         exercise_erased(crate::NaiveCounter::default());
         exercise_erased(crate::SpinCounter::default());
         exercise_erased(crate::MonitorCounter::default());

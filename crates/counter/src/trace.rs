@@ -18,12 +18,12 @@
 //! nondeterministic.
 
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
-use crate::counter::{Counter, Inner};
 use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
 use crate::stats::StatsSnapshot;
 use crate::traits::{
     CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
 };
+use crate::waitlist::{Counter, Inner, WaitQueue};
 use crate::Value;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -104,7 +104,7 @@ impl TraceLog {
 /// Builds a snapshot from a counter's locked state. The value is passed
 /// separately because `Inner` only stores the exact value in the saturated
 /// regime; the caller decodes it from the packed word under the lock.
-pub(crate) fn snapshot_of(inner: &Inner, value: Value) -> CounterSnapshot {
+pub(crate) fn snapshot_of<Q: WaitQueue>(inner: &Inner<Q>, value: Value) -> CounterSnapshot {
     let mut nodes: Vec<NodeSnapshot> = inner
         .waiting
         .nodes()
@@ -147,20 +147,6 @@ impl TracingCounter {
     /// the construction state (Figure 2 (a)).
     pub fn builder() -> CounterBuilder<Self> {
         CounterBuilder::new()
-    }
-
-    /// Creates a traced counter; the log starts with the construction state
-    /// (Figure 2 (a)).
-    #[deprecated(note = "use CounterBuilder: `TracingCounter::builder().build()`")]
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a traced counter starting at `value`; the log's construction
-    /// state records that value.
-    #[deprecated(note = "use CounterBuilder: `TracingCounter::builder().initial(value).build()`")]
-    pub fn with_value(value: Value) -> Self {
-        Self::builder().initial(value).build()
     }
 
     /// The sequence of structure snapshots recorded so far, oldest first.

@@ -1,0 +1,1267 @@
+//! [`WaitlistCounter`]: the paper's Section 7 implementation, with the
+//! packed-word fast path layered on top, written once over a choice of
+//! [`WaitQueue`].
+//!
+//! One mutex protects (wide value, ordered waiting queue); each distinct
+//! waited level owns one node with a condition variable; `increment` detaches
+//! the satisfied prefix of the queue, signals it, and broadcasts; woken
+//! threads drain their node and the last one releases it. The two-tier fast
+//! path (see [`crate::fastpath`]) lets an already-satisfied `check` return
+//! after one atomic load and a waiter-free `increment` complete with one CAS,
+//! so the mutex is only ever taken when a thread actually suspends or must be
+//! woken.
+//!
+//! The queue is the only part that varies, and experiment E7 ablates it:
+//! [`Counter`] keeps the paper's sorted linked list ([`SortedList`]) and
+//! [`BTreeCounter`] a `BTreeMap` with O(log L) level lookup. The slow-path
+//! steps here (sweep, suspend, poison) also serve
+//! [`crate::ShardedCounter`], whose combiner publishes into a
+//! [`BTreeCounter`]'s word and waitlist.
+
+use crate::builder::{BuildConfig, Buildable, CounterBuilder};
+use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
+use crate::fastpath::{FastAdvance, FastIncrement, FastWord, FAST_CAP};
+use crate::list::SortedList;
+use crate::node::WaitNode;
+use crate::stats::{Stats, StatsSnapshot};
+use crate::trace::{snapshot_of, TraceLog};
+use crate::traits::{
+    CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
+};
+use crate::Value;
+use queue::Queue;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// The `BTreeMap` queue strategy.
+pub(crate) type WaitMap = BTreeMap<Value, Arc<WaitNode>>;
+
+/// The paper's Section 7 counter: the sorted-list instantiation of
+/// [`WaitlistCounter`].
+///
+/// # Example
+///
+/// ```
+/// use mc_counter::{Counter, MonotonicCounter};
+/// let c = Counter::builder().build();
+/// c.increment(5);
+/// c.check(5); // already satisfied: returns immediately
+/// ```
+pub type Counter = WaitlistCounter<SortedList>;
+
+/// The Section 7 algorithm with the ordered waiting queue stored in a
+/// `BTreeMap` instead of the paper's linked list: level lookup on the slow
+/// path is O(log L) rather than O(L). Semantically interchangeable with
+/// [`Counter`].
+pub type BTreeCounter = WaitlistCounter<WaitMap>;
+
+pub(crate) mod queue {
+    use crate::node::WaitNode;
+    use crate::Value;
+    use std::sync::Arc;
+
+    /// The operations a [`WaitlistCounter`](super::WaitlistCounter) needs
+    /// from its waiting queue. Kept in a crate-private module so
+    /// [`WaitQueue`](super::WaitQueue) stays sealed.
+    ///
+    /// Invariants (the paper's): nodes are ordered by ascending level, each
+    /// level appears at most once (all threads waiting on one level share
+    /// one node), and the queue never holds a level the counter value
+    /// satisfies.
+    pub trait Queue: Default + Send + 'static {
+        /// `impl_name` of the counter on this queue: fast path on, off.
+        const NAMES: [&'static str; 2];
+
+        /// Number of nodes (distinct levels).
+        fn len(&self) -> usize;
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        /// The node for `level`, inserted if absent: `(node, inserted)`.
+        fn find_or_insert(&mut self, level: Value) -> (Arc<WaitNode>, bool);
+
+        /// Removes and returns every node with level <= `value`, ascending.
+        fn remove_satisfied(&mut self, value: Value) -> Vec<Arc<WaitNode>>;
+
+        /// Removes the node at exactly `level`, if present (the last waiter
+        /// of an unsatisfied level timed out).
+        fn remove_level(&mut self, level: Value) -> Option<Arc<WaitNode>>;
+
+        /// Every node, in ascending level order (diagnostics).
+        fn nodes(&self) -> Vec<Arc<WaitNode>>;
+    }
+}
+
+/// The waiting structure a [`WaitlistCounter`] suspends threads on: one wait
+/// node per distinct waited level, in ascending level order.
+///
+/// Sealed. It is implemented by [`SortedList`], the paper's sorted linked
+/// list (Figure 2), and by `BTreeMap`, the two queue strategies experiment
+/// E7 ablates.
+pub trait WaitQueue: Queue {}
+
+impl WaitQueue for SortedList {}
+impl WaitQueue for WaitMap {}
+
+impl Queue for WaitMap {
+    const NAMES: [&'static str; 2] = ["btree", "btree-mutex-only"];
+
+    fn len(&self) -> usize {
+        BTreeMap::len(self)
+    }
+
+    fn find_or_insert(&mut self, level: Value) -> (Arc<WaitNode>, bool) {
+        let mut inserted = false;
+        let node = self.entry(level).or_insert_with(|| {
+            inserted = true;
+            Arc::new(WaitNode::new(level))
+        });
+        (Arc::clone(node), inserted)
+    }
+
+    fn remove_satisfied(&mut self, value: Value) -> Vec<Arc<WaitNode>> {
+        match value.checked_add(1) {
+            Some(next) => {
+                let rest = self.split_off(&next);
+                std::mem::replace(self, rest).into_values().collect()
+            }
+            // value == u64::MAX satisfies every possible level.
+            None => std::mem::take(self).into_values().collect(),
+        }
+    }
+
+    fn remove_level(&mut self, level: Value) -> Option<Arc<WaitNode>> {
+        self.remove(&level)
+    }
+
+    fn nodes(&self) -> Vec<Arc<WaitNode>> {
+        self.values().cloned().collect()
+    }
+}
+
+pub(crate) struct Inner<Q> {
+    /// The exact value once the packed hint has saturated at
+    /// [`FAST_CAP`]; stale (and unused) below that. See the `fastpath`
+    /// module docs.
+    pub(crate) wide: Value,
+    /// Nodes for levels still unsatisfied. Never contains a level <= value.
+    pub(crate) waiting: Q,
+    /// Nodes whose level has been satisfied but whose waiters have not all
+    /// resumed yet — these are the "set" nodes still drawn in the waiting
+    /// structure of Figure 2 (e) and (f). The last waiter to resume removes
+    /// its node from here. Poisoned nodes drain through here too.
+    pub(crate) draining: Vec<Arc<WaitNode>>,
+    /// The first poisoning cause, if any. Set at most once.
+    pub(crate) poisoned: Option<FailureInfo>,
+}
+
+/// A monotonic counter: a packed-word fast path over one lock plus an
+/// ordered queue `Q` of condition-variable nodes, the structure of the
+/// paper's Section 7 and Figure 2. Use it as [`Counter`] or
+/// [`BTreeCounter`].
+///
+/// * `check` with a satisfied level returns after a single atomic load.
+/// * `increment` with no registered waiters is a single CAS.
+/// * `check` with an unsatisfied level finds-or-inserts the node for that
+///   level and suspends on its condition variable; all threads waiting on the
+///   same level share one node.
+/// * `increment` while waiters exist takes the lock, bumps the value and
+///   removes every node whose level the new value satisfies from the queue,
+///   sets its signal flag, and broadcasts.
+///
+/// Storage and operation time on the slow path are proportional to the number
+/// of **distinct levels currently waited on**, not to the number of waiting
+/// threads. The fast paths add no per-level storage; the only fixed cost is
+/// the stats tier's 1 KiB of per-thread tally stripes (none with
+/// `.stats(false)`).
+pub struct WaitlistCounter<Q: WaitQueue> {
+    pub(crate) fast: FastWord,
+    /// `false` disables the lock-free tier so every operation takes the
+    /// mutex — the ablation baseline for experiment E8 and the mode used
+    /// while tracing (every transition must be recorded under the lock).
+    fast_enabled: bool,
+    inner: Mutex<Inner<Q>>,
+    pub(crate) stats: Stats,
+    /// `false` turns `poison` into a no-op ([`PoisonPolicy::Ignore`]).
+    ///
+    /// [`PoisonPolicy::Ignore`]: crate::PoisonPolicy::Ignore
+    poison_enabled: bool,
+    /// When present (via [`crate::TracingCounter`]), a structure snapshot is
+    /// appended at every transition, under the lock.
+    trace: Option<Arc<TraceLog>>,
+}
+
+impl<Q: WaitQueue> Default for WaitlistCounter<Q> {
+    fn default() -> Self {
+        Self::builder().build()
+    }
+}
+
+impl<Q: WaitQueue> Buildable for WaitlistCounter<Q> {
+    fn from_config(cfg: &BuildConfig) -> Self {
+        WaitlistCounter {
+            fast: FastWord::new(cfg.initial()),
+            fast_enabled: true,
+            inner: Mutex::new(Inner {
+                wide: cfg.initial(),
+                waiting: Q::default(),
+                draining: Vec::new(),
+                poisoned: None,
+            }),
+            stats: Stats::with_enabled(cfg.stats_enabled()),
+            poison_enabled: cfg.poison_propagates(),
+            trace: None,
+        }
+    }
+}
+
+impl<Q: WaitQueue> std::fmt::Debug for WaitlistCounter<Q> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inner = self.lock();
+        f.debug_struct("WaitlistCounter")
+            .field("value", &self.fast.locked_value(inner.wide))
+            .field("waiting_levels", &levels(&inner.waiting))
+            .field("draining", &inner.draining.len())
+            .finish()
+    }
+}
+
+fn levels(queue: &impl Queue) -> Vec<Value> {
+    queue.nodes().iter().map(|n| n.level).collect()
+}
+
+impl<Q: WaitQueue> WaitlistCounter<Q> {
+    /// Starts building a counter: set the knobs, then
+    /// [`build`](CounterBuilder::build).
+    pub fn builder() -> CounterBuilder<Self> {
+        CounterBuilder::new()
+    }
+
+    /// Creates a counter with the fast path disabled: every operation takes
+    /// the mutex, exactly the seed Section 7 implementation. This is the
+    /// ablation baseline the E8 experiment compares the fast path against.
+    pub fn mutex_only() -> Self {
+        WaitlistCounter {
+            fast_enabled: false,
+            ..Self::builder().build()
+        }
+    }
+
+    /// Creates a counter that records structure snapshots into the returned
+    /// log (used by [`crate::TracingCounter`]). Tracing needs every value
+    /// transition to appear in the log, so the fast path (which bypasses the
+    /// lock, and therefore the log) is disabled.
+    pub(crate) fn new_traced(cfg: &BuildConfig) -> (Self, Arc<TraceLog>) {
+        let log = Arc::new(TraceLog::default());
+        let counter = WaitlistCounter {
+            trace: Some(Arc::clone(&log)),
+            fast_enabled: false,
+            ..Self::from_config(cfg)
+        };
+        counter.record(&counter.lock());
+        (counter, log)
+    }
+
+    /// Appends the current structure to the trace log, if tracing.
+    fn record(&self, inner: &Inner<Q>) {
+        if let Some(log) = &self.trace {
+            log.push(snapshot_of(inner, self.fast.locked_value(inner.wide)));
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner<Q>> {
+        // Lock poisoning can only arise from a panic inside these short
+        // critical sections, which would indicate a bug in this crate, not in
+        // user code; propagating the panic is the correct response.
+        self.inner.lock().expect("counter lock poisoned")
+    }
+
+    /// Takes the lock for a slow-path step and counts the entry.
+    pub(crate) fn enter(&self) -> MutexGuard<'_, Inner<Q>> {
+        let inner = self.lock();
+        self.stats.record_slow_entry();
+        inner
+    }
+
+    /// Detaches every waiting node `value` satisfies, signals it, and moves
+    /// it to the draining list. Returns the nodes for [`release`] to wake.
+    /// Leaves the waiters bit alone: the caller may be registering a waiter.
+    ///
+    /// [`release`]: Self::release
+    pub(crate) fn sweep(&self, inner: &mut Inner<Q>, value: Value) -> Vec<Arc<WaitNode>> {
+        let satisfied = inner.waiting.remove_satisfied(value);
+        for node in &satisfied {
+            node.signal();
+            inner.draining.push(Arc::clone(node));
+            self.stats.record_notify();
+        }
+        satisfied
+    }
+
+    /// Ends a slow-path step that changed the value or poisoned: clears the
+    /// waiters bit if no level is left waiting, records the trace, unlocks,
+    /// and only then broadcasts to the swept nodes. Their flag is already
+    /// set under the lock, so a waiter that re-checks before the notify
+    /// arrives simply leaves its wait loop; nobody can miss the wakeup.
+    pub(crate) fn release(&self, inner: MutexGuard<'_, Inner<Q>>, woken: Vec<Arc<WaitNode>>) {
+        if inner.waiting.is_empty() {
+            self.fast.clear_waiters();
+        }
+        self.record(&inner);
+        drop(inner);
+        for node in woken {
+            node.cv.notify_all();
+        }
+    }
+
+    /// Core of the slow-path `increment`/`try_increment`. Cold, like
+    /// [`wait_until`](Self::wait_until), so the fast path stays small where
+    /// it is inlined.
+    #[cold]
+    fn raise(&self, amount: Value) -> Result<(), CounterOverflowError> {
+        let mut inner = self.enter();
+        let new_value = self.fast.locked_add(&mut inner.wide, amount)?;
+        self.stats.record_increment();
+        let satisfied = self.sweep(&mut inner, new_value);
+        self.release(inner, satisfied);
+        Ok(())
+    }
+
+    /// The one suspension path. Called with the lock held and the waiters
+    /// bit registered; `value` is the counter value the registration
+    /// observed. Returns at once if `value` reaches `level` and fails if the
+    /// counter is poisoned; otherwise joins the node for `level` and sleeps
+    /// on its condition variable until the level is satisfied, the counter
+    /// is poisoned, or `deadline` passes. A `None` deadline never reads the
+    /// clock.
+    pub(crate) fn suspend(
+        &self,
+        mut inner: MutexGuard<'_, Inner<Q>>,
+        level: Value,
+        value: Value,
+        deadline: Option<Instant>,
+    ) -> Result<(), CheckError> {
+        if value >= level {
+            if inner.waiting.is_empty() {
+                self.fast.clear_waiters();
+            }
+            self.stats.record_check_immediate();
+            return Ok(());
+        }
+        // A wait that would suspend on a poisoned counter fails immediately:
+        // the increments it depends on are owed by a thread that is gone.
+        if let Some(info) = &inner.poisoned {
+            let info = info.clone();
+            if inner.waiting.is_empty() {
+                self.fast.clear_waiters();
+            }
+            return Err(CheckError::Poisoned(info));
+        }
+        let (node, inserted) = inner.waiting.find_or_insert(level);
+        if inserted {
+            self.stats.record_node_created();
+        }
+        node.add_waiter();
+        self.stats.record_check_suspended();
+        self.record(&inner);
+        // Satisfied and poisoned exclude each other (both sweeps take the
+        // node off the waiting queue), and either one ends the wait before
+        // the deadline is consulted: a poisoned node already left the queue,
+        // so the timeout removal below must not run for it.
+        while !node.is_set() && !node.is_poisoned() {
+            inner = match deadline {
+                None => node
+                    .cv
+                    .wait(inner)
+                    .expect("counter lock poisoned while waiting"),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        // Abandon the wait. If we are the last waiter at
+                        // this level and the level was never satisfied, the
+                        // node must leave the waiting queue, or a future
+                        // increment would signal a dead node (harmless)
+                        // while the queue length misreports storage.
+                        self.stats.record_waiter_resumed();
+                        if node.remove_waiter() {
+                            inner.waiting.remove_level(level);
+                            self.stats.record_node_freed();
+                            if inner.waiting.is_empty() {
+                                self.fast.clear_waiters();
+                            }
+                        }
+                        self.record(&inner);
+                        return Err(CheckError::Timeout(CheckTimeoutError { level }));
+                    }
+                    node.cv
+                        .wait_timeout(inner, deadline - now)
+                        .expect("counter lock poisoned while waiting")
+                        .0
+                }
+            };
+        }
+        // Deregister; the last waiter removes the node from the draining
+        // list.
+        self.stats.record_waiter_resumed();
+        if node.remove_waiter() {
+            inner.draining.retain(|n| !Arc::ptr_eq(n, &node));
+            self.stats.record_node_freed();
+        }
+        self.record(&inner);
+        if node.is_poisoned() {
+            let info = inner
+                .poisoned
+                .clone()
+                .expect("poisoned wait node without a recorded cause");
+            return Err(CheckError::Poisoned(info));
+        }
+        Ok(())
+    }
+
+    /// The slow-path wait: register as a waiter, then [`suspend`].
+    ///
+    /// [`suspend`]: Self::suspend
+    #[cold]
+    fn wait_until(&self, level: Value, deadline: Option<Instant>) -> Result<(), CheckError> {
+        let inner = self.enter();
+        // Announce intent to wait *before* re-reading the value: the
+        // register RMW and fast-path increment CASes hit the same word, so
+        // whichever is ordered later sees the other (no missed wakeup; see
+        // the fastpath module docs).
+        let value = self.fast.register_waiter(inner.wide);
+        self.suspend(inner, level, value, deadline)
+    }
+
+    /// Poisons the counter unless already poisoned or the policy ignores
+    /// poison. `publish` runs first under the lock and returns nodes it has
+    /// already swept, so a caller holding unpublished increments can let
+    /// the levels they satisfy succeed before the rest fail.
+    pub(crate) fn poison_with(
+        &self,
+        info: FailureInfo,
+        publish: impl FnOnce(&mut Inner<Q>) -> Vec<Arc<WaitNode>>,
+    ) {
+        if !self.poison_enabled {
+            return;
+        }
+        let mut inner = self.lock();
+        if inner.poisoned.is_some() {
+            return; // the first failure is the cause; later ones are noise
+        }
+        let mut swept = publish(&mut inner);
+        self.fast.set_poison();
+        inner.poisoned = Some(info);
+        // Sweep *every* waiting node (u64::MAX satisfies all levels): each
+        // is marked poisoned instead of set and drains through the same
+        // last-waiter-frees protocol as a satisfied node.
+        for node in inner.waiting.remove_satisfied(Value::MAX) {
+            node.poison();
+            inner.draining.push(Arc::clone(&node));
+            self.stats.record_notify();
+            swept.push(node);
+        }
+        self.release(inner, swept);
+    }
+
+    /// Levels currently waited on, in ascending order (diagnostics/tests).
+    pub fn waiting_levels(&self) -> Vec<Value> {
+        levels(&self.lock().waiting)
+    }
+
+    /// Number of live wait nodes: unsatisfied levels plus satisfied levels
+    /// still draining (diagnostics/tests, Section 7 storage measurements).
+    pub fn live_nodes(&self) -> usize {
+        let inner = self.lock();
+        inner.waiting.len() + inner.draining.len()
+    }
+
+    pub(crate) fn with_inner<R>(&self, f: impl FnOnce(&Inner<Q>, Value) -> R) -> R {
+        let inner = self.lock();
+        let value = self.fast.locked_value(inner.wide);
+        f(&inner, value)
+    }
+}
+
+impl<Q: WaitQueue> MonotonicCounter for WaitlistCounter<Q> {
+    fn increment(&self, amount: Value) {
+        if self.fast_enabled {
+            match self.fast.try_increment(amount) {
+                FastIncrement::Done => {
+                    self.stats.record_fast_increment();
+                    return;
+                }
+                FastIncrement::Overflow(e) => panic!("monotonic counter overflow: {e}"),
+                FastIncrement::Contended => {}
+            }
+        }
+        self.raise(amount)
+            .unwrap_or_else(|e| panic!("monotonic counter overflow: {e}"));
+    }
+
+    fn try_increment(&self, amount: Value) -> Result<(), CounterOverflowError> {
+        if self.fast_enabled {
+            match self.fast.try_increment(amount) {
+                FastIncrement::Done => {
+                    self.stats.record_fast_increment();
+                    return Ok(());
+                }
+                FastIncrement::Overflow(e) => return Err(e),
+                FastIncrement::Contended => {}
+            }
+        }
+        self.raise(amount)
+    }
+
+    fn advance_to(&self, target: Value) {
+        if self.fast_enabled {
+            match self.fast.try_advance(target) {
+                FastAdvance::Raised => {
+                    self.stats.record_fast_increment();
+                    return;
+                }
+                FastAdvance::NoOp => return,
+                FastAdvance::Contended => {}
+            }
+        }
+        let mut inner = self.enter();
+        let Some(new_value) = self.fast.locked_advance(&mut inner.wide, target) else {
+            return;
+        };
+        self.stats.record_increment();
+        let satisfied = self.sweep(&mut inner, new_value);
+        self.release(inner, satisfied);
+    }
+
+    fn wait(&self, level: Value) -> Result<(), CheckError> {
+        if self.fast_enabled && self.fast.is_satisfied(level) {
+            self.stats.record_fast_check();
+            return Ok(());
+        }
+        self.wait_until(level, None)
+    }
+
+    fn wait_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckError> {
+        if self.fast_enabled && self.fast.is_satisfied(level) {
+            self.stats.record_fast_check();
+            return Ok(());
+        }
+        self.wait_until(level, Some(Instant::now() + timeout))
+    }
+
+    fn poison(&self, info: FailureInfo) {
+        self.poison_with(info, |_| Vec::new());
+    }
+
+    fn poison_info(&self) -> Option<FailureInfo> {
+        // The packed word's poison bit is set under the same lock that
+        // publishes the cause, so a clear bit means "not poisoned" without
+        // taking the lock.
+        if !self.fast.is_poisoned() {
+            return None;
+        }
+        self.lock().poisoned.clone()
+    }
+}
+
+impl<Q: WaitQueue> ResumableCounter for WaitlistCounter<Q> {
+    fn resume_from(value: Value) -> Self {
+        Self::builder().initial(value).build()
+    }
+}
+
+impl<Q: WaitQueue> Resettable for WaitlistCounter<Q> {
+    fn reset(&mut self) {
+        let inner = self.inner.get_mut().expect("counter lock poisoned");
+        debug_assert!(
+            inner.waiting.is_empty() && inner.draining.is_empty(),
+            "reset called while threads wait on the counter"
+        );
+        inner.wide = 0;
+        inner.poisoned = None;
+        self.fast.reset(0);
+    }
+}
+
+impl<Q: WaitQueue> CounterDiagnostics for WaitlistCounter<Q> {
+    fn debug_value(&self) -> Value {
+        // Below FAST_CAP the hint is exact, so no lock is needed; above it
+        // the exact value lives in `wide` under the lock.
+        let hint = self.fast.value_hint();
+        if hint < FAST_CAP {
+            hint
+        } else {
+            self.lock().wide
+        }
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        self.stats.snapshot()
+    }
+
+    fn impl_name(&self) -> &'static str {
+        Q::NAMES[usize::from(!self.fast_enabled)]
+    }
+
+    fn waiters(&self) -> Vec<WaitingLevel> {
+        self.lock()
+            .waiting
+            .nodes()
+            .iter()
+            .map(|n| WaitingLevel {
+                level: n.level,
+                threads: n.waiter_count(),
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread;
+
+    // The `WaitQueue` battery: each strategy must keep the paper's
+    // invariants on its own, before any counter uses it.
+
+    fn queue_of<Q: WaitQueue>(levels: &[Value]) -> Q {
+        let mut q = Q::default();
+        for &level in levels {
+            assert!(q.find_or_insert(level).1, "level {level} inserted twice");
+        }
+        q
+    }
+
+    fn levels_of(nodes: &[Arc<WaitNode>]) -> Vec<Value> {
+        nodes.iter().map(|n| n.level).collect()
+    }
+
+    fn queue_same_level_shares_one_node<Q: WaitQueue>() {
+        let mut q = Q::default();
+        let (a, inserted_a) = q.find_or_insert(5);
+        let (b, inserted_b) = q.find_or_insert(5);
+        assert!(inserted_a);
+        assert!(!inserted_b);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(q.len(), 1);
+    }
+
+    fn queue_iterates_in_ascending_level_order<Q: WaitQueue>() {
+        // Insertions land at the head, the middle and the tail.
+        let q: Q = queue_of(&[5, 9, 2, 7, 3, 1, 11]);
+        assert_eq!(levels_of(&q.nodes()), vec![1, 2, 3, 5, 7, 9, 11]);
+        assert_eq!(q.len(), 7);
+        assert!(Q::default().nodes().is_empty());
+    }
+
+    fn queue_remove_satisfied_is_inclusive_at_the_boundary<Q: WaitQueue>() {
+        let mut q: Q = queue_of(&[1, 5, 6, 7, 9]);
+        assert!(q.remove_satisfied(0).is_empty(), "below every level");
+        assert_eq!(levels_of(&q.remove_satisfied(6)), vec![1, 5, 6]);
+        assert_eq!(levels_of(&q.nodes()), vec![7, 9]);
+        assert_eq!(levels_of(&q.remove_satisfied(7)), vec![7]);
+        assert_eq!(q.len(), 1);
+    }
+
+    fn queue_remove_satisfied_at_u64_max_removes_everything<Q: WaitQueue>() {
+        let mut q: Q = queue_of(&[3, 8, u64::MAX]);
+        assert_eq!(
+            levels_of(&q.remove_satisfied(u64::MAX)),
+            vec![3, 8, u64::MAX]
+        );
+        assert!(q.is_empty());
+        assert!(q.remove_satisfied(u64::MAX).is_empty(), "empty queue");
+    }
+
+    fn queue_remove_level_at_head_middle_tail_and_missing<Q: WaitQueue>() {
+        let mut q: Q = queue_of(&[1, 3, 5, 7]);
+        assert_eq!(q.remove_level(1).map(|n| n.level), Some(1)); // head
+        assert_eq!(q.remove_level(5).map(|n| n.level), Some(5)); // middle
+        assert_eq!(q.remove_level(7).map(|n| n.level), Some(7)); // tail
+        assert!(q.remove_level(42).is_none()); // missing
+        assert_eq!(levels_of(&q.nodes()), vec![3]);
+        assert_eq!(q.len(), 1);
+    }
+
+    fn queue_long_queue_drops_without_stack_overflow<Q: WaitQueue>() {
+        let mut q = Q::default();
+        // Descending levels: each insert lands at the head of a list in
+        // O(1), so this builds a 200k-link chain quickly.
+        for level in (1..=200_000u64).rev() {
+            q.find_or_insert(level);
+        }
+        assert_eq!(q.len(), 200_000);
+        drop(q); // must not overflow the stack
+    }
+
+    // The counter battery.
+
+    const SHORT: Duration = Duration::from_millis(50);
+    const LONG: Duration = Duration::from_secs(10);
+
+    fn new_counter_is_zero<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        assert_eq!(c.debug_value(), 0);
+        assert_eq!(c.live_nodes(), 0);
+    }
+
+    fn with_value_starts_nonzero<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::builder().initial(17).build();
+        assert_eq!(c.debug_value(), 17);
+        c.check(17); // immediately satisfied
+        c.increment(3);
+        assert_eq!(c.debug_value(), 20);
+    }
+
+    fn check_zero_never_suspends<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.check(0);
+        assert_eq!(c.stats().immediate_checks, 1);
+    }
+
+    fn increment_accumulates<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.increment(3);
+        c.increment(0);
+        c.increment(4);
+        assert_eq!(c.debug_value(), 7);
+        assert_eq!(c.stats().increments, 3);
+    }
+
+    fn check_satisfied_level_is_immediate<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.increment(10);
+        c.check(10);
+        c.check(1);
+        let s = c.stats();
+        assert_eq!(s.immediate_checks, 2);
+        assert_eq!(s.suspensions, 0);
+        assert_eq!(s.nodes_created, 0);
+    }
+
+    fn waiter_free_workload_never_takes_the_lock<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        for i in 0..100u64 {
+            c.increment(1);
+            c.check(i / 2);
+        }
+        c.advance_to(500);
+        let s = c.stats();
+        assert_eq!(s.slow_path_entries, 0, "no waiter ever existed");
+        assert_eq!(s.fast_increments, 101);
+        assert_eq!(s.fast_checks, 100);
+        assert_eq!(s.increments, 101);
+        assert_eq!(s.checks, 100);
+    }
+
+    fn mutex_only_counter_reports_slow_entries<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::mutex_only();
+        c.increment(2);
+        c.check(1);
+        let s = c.stats();
+        assert_eq!(s.fast_increments, 0);
+        assert_eq!(s.fast_checks, 0);
+        assert_eq!(s.slow_path_entries, 2);
+        assert_eq!(c.debug_value(), 2);
+        assert!(c.impl_name().ends_with("-mutex-only"));
+    }
+
+    fn single_waiter_wakes_at_exact_level<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let c2 = Arc::clone(&c);
+        let h = thread::spawn(move || c2.check(5));
+        // Raise to just below the level: waiter must stay suspended.
+        c.increment(4);
+        thread::sleep(SHORT);
+        assert!(!h.is_finished(), "waiter woke below its level");
+        c.increment(1);
+        h.join().unwrap();
+        assert_eq!(c.live_nodes(), 0);
+    }
+
+    fn one_increment_wakes_multiple_levels<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let mut handles = Vec::new();
+        for level in [2u64, 4, 6] {
+            let c = Arc::clone(&c);
+            handles.push(thread::spawn(move || c.check(level)));
+        }
+        // Wait until all three nodes exist.
+        while c.live_nodes() < 3 {
+            thread::yield_now();
+        }
+        assert_eq!(c.waiting_levels(), vec![2, 4, 6]);
+        c.increment(6); // satisfies all three distinct levels at once
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.live_nodes(), 0);
+        assert_eq!(c.stats().nodes_created, 3);
+        assert_eq!(c.stats().nodes_freed, 3);
+    }
+
+    fn threads_on_same_level_share_one_node<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let mut handles = Vec::new();
+        for _ in 0..8 {
+            let c = Arc::clone(&c);
+            handles.push(thread::spawn(move || c.check(3)));
+        }
+        while c.stats().live_waiters < 8 {
+            thread::yield_now();
+        }
+        // Eight waiters, one distinct level => exactly one node.
+        assert_eq!(c.live_nodes(), 1);
+        assert_eq!(c.stats().nodes_created, 1);
+        c.increment(3);
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.live_nodes(), 0);
+        assert_eq!(
+            c.stats().notifies,
+            1,
+            "one broadcast wakes all same-level waiters"
+        );
+    }
+
+    fn partial_increment_wakes_only_satisfied_levels<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let low = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || c.check(2))
+        };
+        let high = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || c.check(100))
+        };
+        while c.live_nodes() < 2 {
+            thread::yield_now();
+        }
+        c.increment(50);
+        low.join().unwrap();
+        thread::sleep(SHORT);
+        assert!(!high.is_finished(), "level-100 waiter woke at value 50");
+        assert_eq!(c.waiting_levels(), vec![100]);
+        c.increment(50);
+        high.join().unwrap();
+    }
+
+    fn waiters_bit_clears_after_sweep<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let c2 = Arc::clone(&c);
+        let h = thread::spawn(move || c2.check(5));
+        while c.live_nodes() == 0 {
+            thread::yield_now();
+        }
+        assert!(c.fast.has_waiters(), "registered waiter must set the bit");
+        c.increment(5);
+        h.join().unwrap();
+        assert!(
+            !c.fast.has_waiters(),
+            "bit must clear when the wait list empties"
+        );
+        // And increments take the fast path again.
+        let fast_before = c.stats().fast_increments;
+        c.increment(1);
+        assert_eq!(c.stats().fast_increments, fast_before + 1);
+    }
+
+    fn waiters_bit_clears_when_last_timed_waiter_abandons<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        assert!(c.check_timeout(9, SHORT).is_err());
+        assert!(!c.fast.has_waiters(), "abandoned waiter left the bit set");
+        let fast_before = c.stats().fast_increments;
+        c.increment(1);
+        assert_eq!(c.stats().fast_increments, fast_before + 1);
+    }
+
+    fn check_timeout_ok_when_already_satisfied<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.increment(1);
+        assert_eq!(c.check_timeout(1, SHORT), Ok(()));
+    }
+
+    fn check_timeout_expires_and_cleans_up_node<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        let err = c.check_timeout(5, SHORT).unwrap_err();
+        assert_eq!(err.level, 5);
+        assert_eq!(c.live_nodes(), 0, "abandoned node must be removed");
+        assert_eq!(c.waiting_levels(), Vec::<u64>::new());
+    }
+
+    fn check_timeout_succeeds_when_increment_arrives_in_time<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let c2 = Arc::clone(&c);
+        let h = thread::spawn(move || c2.check_timeout(3, LONG));
+        while c.live_nodes() == 0 {
+            thread::yield_now();
+        }
+        c.increment(3);
+        assert_eq!(h.join().unwrap(), Ok(()));
+    }
+
+    fn timed_out_waiter_does_not_strand_others_at_same_level<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let c1 = Arc::clone(&c);
+        let patient = thread::spawn(move || c1.check(4));
+        while c.live_nodes() == 0 {
+            thread::yield_now();
+        }
+        // A second waiter at the same level times out and abandons.
+        assert!(c.check_timeout(4, SHORT).is_err());
+        assert_eq!(
+            c.live_nodes(),
+            1,
+            "node must survive while a waiter remains"
+        );
+        assert!(
+            c.fast.has_waiters(),
+            "bit must survive while a waiter remains"
+        );
+        c.increment(4);
+        patient.join().unwrap();
+        assert_eq!(c.live_nodes(), 0);
+    }
+
+    fn try_increment_overflow_leaves_counter_usable<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.increment(u64::MAX - 1);
+        let err = c.try_increment(2).unwrap_err();
+        assert_eq!(err.value, u64::MAX - 1);
+        assert_eq!(err.amount, 2);
+        assert_eq!(c.debug_value(), u64::MAX - 1);
+        // Still usable to the limit.
+        c.try_increment(1).unwrap();
+        assert_eq!(c.debug_value(), u64::MAX);
+    }
+
+    fn increment_overflow_panics<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.increment(u64::MAX);
+        c.increment(1);
+    }
+
+    fn check_at_u64_max_level_is_satisfiable<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let c2 = Arc::clone(&c);
+        let h = thread::spawn(move || c2.check(u64::MAX));
+        while c.live_nodes() == 0 {
+            thread::yield_now();
+        }
+        c.increment(u64::MAX);
+        h.join().unwrap();
+    }
+
+    fn values_beyond_the_hint_cap_stay_exact<Q: WaitQueue>() {
+        // Crossing FAST_CAP moves the exact value under the lock; arithmetic
+        // and checks must remain exact u64 semantics throughout.
+        let c = WaitlistCounter::<Q>::default();
+        c.increment(FAST_CAP - 1);
+        assert_eq!(c.debug_value(), FAST_CAP - 1);
+        c.increment(2); // crosses the cap
+        assert_eq!(c.debug_value(), FAST_CAP + 1);
+        c.increment(1);
+        assert_eq!(c.debug_value(), FAST_CAP + 2);
+        c.check(FAST_CAP + 2);
+        c.advance_to(u64::MAX);
+        assert_eq!(c.debug_value(), u64::MAX);
+        assert!(c.try_increment(1).is_err());
+    }
+
+    fn reset_restores_zero<Q: WaitQueue>() {
+        let mut c = WaitlistCounter::<Q>::default();
+        c.increment(9);
+        c.reset();
+        assert_eq!(c.debug_value(), 0);
+        // Reusable after reset, as in the paper's phase-reuse motivation.
+        c.increment(2);
+        c.check(2);
+    }
+
+    fn waker_order_is_fifo_per_level_completion<Q: WaitQueue>() {
+        // All waiters at distinct ascending levels; a sequence of unit
+        // increments must release them in level order.
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let mut handles = Vec::new();
+        for level in 1..=6u64 {
+            let c = Arc::clone(&c);
+            let order = Arc::clone(&order);
+            handles.push(thread::spawn(move || {
+                c.check(level);
+                // The level can only be recorded after being satisfied;
+                // recording under a lock gives a consistent order of the
+                // *minimum* satisfied level at each point.
+                order.lock().unwrap().push(level);
+            }));
+        }
+        while c.live_nodes() < 6 {
+            thread::yield_now();
+        }
+        for _ in 0..6 {
+            c.increment(1);
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let recorded = order.lock().unwrap().clone();
+        let mut sorted = recorded.clone();
+        sorted.sort_unstable();
+        assert_eq!(recorded.len(), 6);
+        assert_eq!(sorted, (1..=6).collect::<Vec<_>>());
+    }
+
+    fn stress_many_threads_many_levels<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let resumed = Arc::new(AtomicUsize::new(0));
+        let threads = 32;
+        let mut handles = Vec::new();
+        for i in 0..threads {
+            let c = Arc::clone(&c);
+            let resumed = Arc::clone(&resumed);
+            handles.push(thread::spawn(move || {
+                c.check((i % 8 + 1) as u64 * 10);
+                resumed.fetch_add(1, Ordering::Relaxed);
+            }));
+        }
+        while c.stats().live_waiters < threads as u64 {
+            thread::yield_now();
+        }
+        // 8 distinct levels for 32 threads: Section 7 storage property.
+        assert_eq!(c.live_nodes(), 8);
+        for _ in 0..80 {
+            c.increment(1);
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(resumed.load(Ordering::Relaxed), threads);
+        assert_eq!(c.live_nodes(), 0);
+        let s = c.stats();
+        assert_eq!(s.nodes_created, 8);
+        assert_eq!(s.nodes_freed, 8);
+        assert_eq!(s.max_live_waiters, threads as u64);
+        assert_eq!(s.max_live_nodes, 8);
+    }
+
+    fn debug_format_shows_structure<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.increment(3);
+        let s = format!("{c:?}");
+        assert!(s.contains("value: 3"), "got {s}");
+    }
+
+    fn poison_wakes_blocked_waiters_with_the_cause<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let mut handles = Vec::new();
+        for level in [5u64, 9] {
+            let c = Arc::clone(&c);
+            handles.push(thread::spawn(move || c.wait(level)));
+        }
+        while c.live_nodes() < 2 {
+            thread::yield_now();
+        }
+        c.poison(FailureInfo::new("producer died"));
+        for h in handles {
+            let err = h.join().unwrap().unwrap_err();
+            assert_eq!(err.failure().unwrap().message(), "producer died");
+        }
+        assert_eq!(c.live_nodes(), 0, "poisoned nodes must drain and free");
+        let s = c.stats();
+        assert_eq!(s.nodes_created, s.nodes_freed);
+    }
+
+    fn wait_on_poisoned_counter_fails_without_suspending<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.poison(FailureInfo::new("boom"));
+        let err = c.wait(1).unwrap_err();
+        assert!(matches!(err, CheckError::Poisoned(_)));
+        let err = c.wait_timeout(1, LONG).unwrap_err();
+        assert!(
+            matches!(err, CheckError::Poisoned(_)),
+            "poison must win over timeout"
+        );
+        assert_eq!(c.live_nodes(), 0);
+    }
+
+    fn satisfied_levels_succeed_even_when_poisoned<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.increment(5);
+        c.poison(FailureInfo::new("boom"));
+        assert!(c.wait(5).is_ok());
+        assert!(c.wait_timeout(3, SHORT).is_ok());
+        c.check(0); // must not panic: level 0 owes nothing
+    }
+
+    fn increments_still_apply_after_poison<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.poison(FailureInfo::new("boom"));
+        c.increment(4);
+        assert_eq!(c.debug_value(), 4);
+        assert!(c.wait(4).is_ok(), "newly satisfied level succeeds");
+        assert!(c.wait(5).is_err(), "would-block wait still fails");
+    }
+
+    fn first_poison_wins<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.poison(FailureInfo::new("first"));
+        c.poison(FailureInfo::new("second"));
+        assert_eq!(c.poison_info().unwrap().message(), "first");
+    }
+
+    fn poison_info_is_none_until_poisoned<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        assert!(c.poison_info().is_none());
+        c.poison(FailureInfo::new("x").with_level(3));
+        let info = c.poison_info().unwrap();
+        assert_eq!(info.level(), Some(3));
+    }
+
+    fn check_panics_on_poisoned_counter<Q: WaitQueue>() {
+        let c = WaitlistCounter::<Q>::default();
+        c.poison(FailureInfo::new("dead increment owner"));
+        c.check(1);
+    }
+
+    fn poisoned_timed_waiter_reports_poison_not_timeout<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let c2 = Arc::clone(&c);
+        let h = thread::spawn(move || c2.wait_timeout(7, LONG));
+        while c.live_nodes() == 0 {
+            thread::yield_now();
+        }
+        c.poison(FailureInfo::new("late failure"));
+        let err = h.join().unwrap().unwrap_err();
+        assert!(matches!(err, CheckError::Poisoned(_)));
+        assert_eq!(c.live_nodes(), 0);
+    }
+
+    fn poison_clears_waiters_bit_so_fast_increments_resume<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let c2 = Arc::clone(&c);
+        let h = thread::spawn(move || c2.wait(5));
+        while c.live_nodes() == 0 {
+            thread::yield_now();
+        }
+        assert!(c.fast.has_waiters());
+        c.poison(FailureInfo::new("x"));
+        h.join().unwrap().unwrap_err();
+        assert!(!c.fast.has_waiters());
+        let fast_before = c.stats().fast_increments;
+        c.increment(1);
+        assert_eq!(
+            c.stats().fast_increments,
+            fast_before + 1,
+            "increments with only the poison bit set stay on the fast path"
+        );
+    }
+
+    fn reset_clears_poison<Q: WaitQueue>() {
+        let mut c = WaitlistCounter::<Q>::default();
+        c.poison(FailureInfo::new("old phase"));
+        c.reset();
+        assert!(c.poison_info().is_none());
+        c.increment(1);
+        // A would-block wait now times out (the fresh phase is merely
+        // unsatisfied), instead of reporting the stale poisoning.
+        assert!(matches!(
+            c.wait_timeout(2, SHORT),
+            Err(CheckError::Timeout(_))
+        ));
+    }
+
+    fn waiters_reports_levels_and_thread_counts<Q: WaitQueue>() {
+        let c = Arc::new(WaitlistCounter::<Q>::default());
+        let mut handles = Vec::new();
+        for level in [3u64, 3, 8] {
+            let c = Arc::clone(&c);
+            handles.push(thread::spawn(move || c.check(level)));
+        }
+        while c.stats().live_waiters < 3 {
+            thread::yield_now();
+        }
+        let w = c.waiters();
+        assert_eq!(w.len(), 2);
+        assert_eq!(
+            w[0],
+            WaitingLevel {
+                level: 3,
+                threads: 2
+            }
+        );
+        assert_eq!(
+            w[1],
+            WaitingLevel {
+                level: 8,
+                threads: 1
+            }
+        );
+        c.increment(8);
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(c.waiters().is_empty());
+    }
+
+    /// Instantiates each generic test once per queue strategy, so every
+    /// case runs against both the sorted list and the `BTreeMap`.
+    macro_rules! for_each_queue {
+        ($($(#[$attr:meta])* $name:ident,)*) => {
+            mod list {
+                $( #[test] $(#[$attr])* fn $name() { super::$name::<super::SortedList>() } )*
+            }
+            mod btree {
+                $( #[test] $(#[$attr])* fn $name() { super::$name::<super::WaitMap>() } )*
+            }
+        };
+    }
+
+    for_each_queue! {
+        queue_same_level_shares_one_node,
+        queue_iterates_in_ascending_level_order,
+        queue_remove_satisfied_is_inclusive_at_the_boundary,
+        queue_remove_satisfied_at_u64_max_removes_everything,
+        queue_remove_level_at_head_middle_tail_and_missing,
+        queue_long_queue_drops_without_stack_overflow,
+        new_counter_is_zero,
+        with_value_starts_nonzero,
+        check_zero_never_suspends,
+        increment_accumulates,
+        check_satisfied_level_is_immediate,
+        waiter_free_workload_never_takes_the_lock,
+        mutex_only_counter_reports_slow_entries,
+        single_waiter_wakes_at_exact_level,
+        one_increment_wakes_multiple_levels,
+        threads_on_same_level_share_one_node,
+        partial_increment_wakes_only_satisfied_levels,
+        waiters_bit_clears_after_sweep,
+        waiters_bit_clears_when_last_timed_waiter_abandons,
+        check_timeout_ok_when_already_satisfied,
+        check_timeout_expires_and_cleans_up_node,
+        check_timeout_succeeds_when_increment_arrives_in_time,
+        timed_out_waiter_does_not_strand_others_at_same_level,
+        try_increment_overflow_leaves_counter_usable,
+        #[should_panic(expected = "overflow")] increment_overflow_panics,
+        check_at_u64_max_level_is_satisfiable,
+        values_beyond_the_hint_cap_stay_exact,
+        reset_restores_zero,
+        waker_order_is_fifo_per_level_completion,
+        stress_many_threads_many_levels,
+        debug_format_shows_structure,
+        poison_wakes_blocked_waiters_with_the_cause,
+        wait_on_poisoned_counter_fails_without_suspending,
+        satisfied_levels_succeed_even_when_poisoned,
+        increments_still_apply_after_poison,
+        first_poison_wins,
+        poison_info_is_none_until_poisoned,
+        #[should_panic(expected = "monotonic counter poisoned")] check_panics_on_poisoned_counter,
+        poisoned_timed_waiter_reports_poison_not_timeout,
+        poison_clears_waiters_bit_so_fast_increments_resume,
+        reset_clears_poison,
+        waiters_reports_levels_and_thread_counts,
+    }
+}

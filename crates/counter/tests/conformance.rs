@@ -3,9 +3,9 @@
 //! per implementation so a failure names the offender.
 
 use mc_counter::{
-    AtomicCounter, BTreeCounter, CheckError, Counter, CounterDiagnostics, FailureInfo,
-    MeteredCounter, MonitorCounter, MonotonicCounter, NaiveCounter, ParkingCounter, Resettable,
-    ShardedCounter, SpinCounter, TracingCounter,
+    BTreeCounter, CheckError, Counter, CounterDiagnostics, FailureInfo, MeteredCounter,
+    MonitorCounter, MonotonicCounter, NaiveCounter, Resettable, ShardedCounter, SpinCounter,
+    TracingCounter,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -422,16 +422,6 @@ macro_rules! conformance {
                 c.increment(3);
                 assert_eq!(c.debug_value(), 20);
             }
-            // The deprecated shims must keep forwarding to the builder with
-            // identical behavior for as long as they exist.
-            #[test]
-            #[allow(deprecated)]
-            fn deprecated_constructors_match_builder() {
-                assert_eq!(<$ty>::new().debug_value(), <$ty>::default().debug_value());
-                let legacy = <$ty>::with_value(17);
-                let built = <$ty>::builder().initial(17).build();
-                assert_eq!(legacy.debug_value(), built.debug_value());
-            }
             // Near `u64::MAX` the packed-word hint saturates, so
             // implementations fall back to their slow paths; timeouts must
             // remain precise and satisfied checks live in that regime too.
@@ -460,8 +450,6 @@ macro_rules! conformance {
 conformance!(waitlist, Counter);
 conformance!(btree, BTreeCounter);
 conformance!(naive, NaiveCounter);
-conformance!(parking, ParkingCounter);
-conformance!(atomic, AtomicCounter);
 conformance!(traced, TracingCounter);
 conformance!(spin, SpinCounter);
 conformance!(monitor, MonitorCounter);

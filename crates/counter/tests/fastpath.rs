@@ -15,10 +15,7 @@
 //! 6. **Striped tallies stay exact**: concurrent fast-path operations on
 //!    different threads are each counted once.
 
-use mc_counter::{
-    AtomicCounter, BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, ParkingCounter,
-    ShardedCounter,
-};
+use mc_counter::{BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, ShardedCounter};
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -201,8 +198,6 @@ macro_rules! fastpath_battery {
 
 fastpath_battery!(waitlist, Counter);
 fastpath_battery!(btree, BTreeCounter);
-fastpath_battery!(parking, ParkingCounter);
-fastpath_battery!(atomic, AtomicCounter);
 fastpath_battery!(sharded, ShardedCounter);
 
 /// The ablation counter must do the same work entirely under the mutex.

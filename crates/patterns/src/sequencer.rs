@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn works_with_alternative_counter_impls() {
-        let seq: Sequencer<mc_counter::ParkingCounter> = Sequencer::with_counter();
+        let seq: Sequencer<mc_counter::BTreeCounter> = Sequencer::with_counter();
         seq.execute(0, || ());
         seq.execute(1, || ());
         assert_eq!(seq.current(), 2);
