@@ -22,6 +22,15 @@
 //! implementation (e.g. `shards` on a mutex-only counter) are documented as
 //! ignored rather than rejected, so generic code can configure a
 //! `CounterBuilder<C>` without knowing `C`.
+//!
+//! | knob | default | consulted by |
+//! |---|---|---|
+//! | [`initial`](CounterBuilder::initial) | 0 | every implementation |
+//! | [`stats`](CounterBuilder::stats) | on | every implementation |
+//! | [`poison_policy`](CounterBuilder::poison_policy) | propagate | every implementation |
+//! | [`shards`](CounterBuilder::shards), [`capacity`](CounterBuilder::capacity) | implementation-chosen | sharded implementations |
+//! | [`metrics`](CounterBuilder::metrics) | none | [`MeteredCounter`](crate::MeteredCounter), [`ShardedCounter`](crate::ShardedCounter) |
+//! | [`spin_before_suspend`](CounterBuilder::spin_before_suspend) | off | [`WaitlistCounter`](crate::WaitlistCounter) ([`Counter`](crate::Counter), [`BTreeCounter`](crate::BTreeCounter)); every other implementation ignores it |
 
 use crate::Value;
 use mc_metrics::{Event, Histogram, Registry};
@@ -107,6 +116,7 @@ pub struct BuildConfig {
     stats: bool,
     poison: PoisonPolicy,
     metrics: Option<MetricsSink>,
+    spin_before_suspend: bool,
 }
 
 impl Default for BuildConfig {
@@ -118,6 +128,7 @@ impl Default for BuildConfig {
             stats: true,
             poison: PoisonPolicy::Propagate,
             metrics: None,
+            spin_before_suspend: false,
         }
     }
 }
@@ -155,6 +166,12 @@ impl BuildConfig {
     /// instrumentation points ignore it.
     pub fn metrics(&self) -> Option<&MetricsSink> {
         self.metrics.as_ref()
+    }
+
+    /// Whether a waiter should briefly poll before suspending (default
+    /// false; see [`CounterBuilder::spin_before_suspend`]).
+    pub fn spin_before_suspend(&self) -> bool {
+        self.spin_before_suspend
     }
 
     /// Convenience: whether explicit `poison` calls take effect. True for
@@ -251,6 +268,31 @@ impl<C: Buildable> CounterBuilder<C> {
     /// publications and flush backlog. Plain implementations ignore it.
     pub fn metrics(mut self, registry: &Arc<Registry>, prefix: impl Into<String>) -> Self {
         self.cfg.metrics = Some(MetricsSink::new(Arc::clone(registry), prefix));
+        self
+    }
+
+    /// Lets a waiter that is next in line (its level is at most one above
+    /// the current value) poll the counter briefly before it suspends
+    /// (default off). A hand-off whose increment arrives within the poll
+    /// budget then costs no lock, wait node or futex sleep, and the
+    /// incrementer, finding no waiter registered, takes its one-CAS fast
+    /// path.
+    ///
+    /// Meant for hand-off patterns such as `mc_patterns::Sequencer`, where
+    /// the next ticket's thread is almost always waiting already. Where
+    /// waiters usually wait longer than the poll budget, the polling only
+    /// takes CPU time from the threads that would increment, so the option
+    /// is per counter.
+    ///
+    /// [`build`](Self::build) decides once, on the building thread:
+    /// spinning is enabled only if [`std::thread::available_parallelism`]
+    /// reports more than one CPU there, since a lone CPU cannot run the
+    /// incrementer while the waiter polls. Build the counter before pinning
+    /// the threads that use it. Only
+    /// [`WaitlistCounter`](crate::WaitlistCounter) with its fast path
+    /// enabled consults the option; every other implementation ignores it.
+    pub fn spin_before_suspend(mut self, enabled: bool) -> Self {
+        self.cfg.spin_before_suspend = enabled;
         self
     }
 

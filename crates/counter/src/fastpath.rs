@@ -45,6 +45,11 @@
 //! Either way the wakeup is delivered. `AcqRel`/`Acquire` orderings suffice
 //! because every decision reads the result of an RMW on the single word.
 //!
+//! A waiter that polls the word before it suspends
+//! ([`FastWord::poll`], on counters built with `spin_before_suspend`) only
+//! reads it, before registering: a level the poll sees satisfied stays
+//! satisfied, and a waiter that gives up registers exactly as above.
+//!
 //! # The poison bit
 //!
 //! Bit 1 mirrors the slow path's poisoned state (set under the lock, never
@@ -112,6 +117,17 @@ pub(crate) enum FastAdvance {
     Contended,
 }
 
+/// What one poll of the word tells a waiter spinning before it suspends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Poll {
+    /// The hint reaches the level: the wait is over.
+    Satisfied,
+    /// The level is unsatisfied and the counter is poisoned.
+    Poisoned,
+    /// Neither yet.
+    Pending,
+}
+
 /// The packed `(value_hint, has_waiters)` word. See the module docs for the
 /// protocol.
 #[derive(Debug)]
@@ -152,6 +168,22 @@ impl FastWord {
     /// or not, so the satisfied-check hot path costs no extra atomics.
     pub(crate) fn is_satisfied(&self, level: Value) -> bool {
         self.value_hint() >= level
+    }
+
+    /// One poll for a spinning waiter: a single `Acquire` load, read like
+    /// [`is_satisfied`](Self::is_satisfied) (a satisfied level wins over
+    /// the poison bit), so a `Satisfied` result carries the same
+    /// happens-before edge from the increments as a fast check. Only reads:
+    /// the waiter has not registered, so incrementers stay on their CAS.
+    pub(crate) fn poll(&self, level: Value) -> Poll {
+        let word = self.packed.load(Acquire);
+        if word >> SHIFT >= level {
+            Poll::Satisfied
+        } else if word & POISON_BIT != 0 {
+            Poll::Poisoned
+        } else {
+            Poll::Pending
+        }
     }
 
     /// Whether the waiters bit is currently set. One `Acquire` load; the
@@ -435,6 +467,28 @@ mod tests {
         assert!(matches!(w.try_advance(u64::MAX), FastAdvance::Contended));
         w.register_waiter(0);
         assert!(matches!(w.try_advance(100), FastAdvance::Contended));
+    }
+
+    #[test]
+    fn poll_prefers_satisfied_over_poison() {
+        let w = FastWord::new(4);
+        assert_eq!(w.poll(5), Poll::Pending);
+        w.set_poison();
+        assert_eq!(w.poll(5), Poll::Poisoned);
+        assert_eq!(
+            w.poll(4),
+            Poll::Satisfied,
+            "a satisfied level stays satisfied"
+        );
+        w.register_waiter(0);
+        assert!(matches!(w.try_advance(9), FastAdvance::Contended));
+        let mut wide = 0;
+        w.locked_advance(&mut wide, 5);
+        assert_eq!(
+            w.poll(5),
+            Poll::Satisfied,
+            "flag bits do not hide the value"
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! | `checks` | event | at `publish_stats`, from the inner stats tier |
 //! | `fast_increments` | event | at `publish_stats`, from the inner stats tier |
 //! | `fast_checks` | event | at `publish_stats`, from the inner stats tier |
+//! | `spin_checks` | event | at `publish_stats`, from the inner stats tier |
 //! | `slow_path_entries` | event | at `publish_stats`, from the inner stats tier |
 //! | `advances` | event | inline, per `advance_to` call |
 //! | `waits` | event | inline, per `wait` / `wait_timeout` call |
@@ -89,6 +90,7 @@ struct Instruments {
     checks: Arc<Event>,
     fast_increments: Arc<Event>,
     fast_checks: Arc<Event>,
+    spin_checks: Arc<Event>,
     waits: Arc<Event>,
     wait_timeouts: Arc<Event>,
     poisons: Arc<Event>,
@@ -108,6 +110,7 @@ impl Instruments {
             checks: sink.event("checks"),
             fast_increments: sink.event("fast_increments"),
             fast_checks: sink.event("fast_checks"),
+            spin_checks: sink.event("spin_checks"),
             waits: sink.event("waits"),
             wait_timeouts: sink.event("wait_timeouts"),
             poisons: sink.event("poisons"),
@@ -182,7 +185,7 @@ impl<C> MeteredCounter<C> {
 impl<C: CounterDiagnostics> MeteredCounter<C> {
     /// Delta-publishes the inner counter's [`StatsSnapshot`]-derived metrics
     /// (`increments`, `checks`, `fast_increments`, `fast_checks`,
-    /// `slow_path_entries`) into the registry: each call adds only what
+    /// `spin_checks`, `slow_path_entries`) into the registry: each call adds only what
     /// accrued since the previous call, so periodic publication from a
     /// scrape loop never double-counts. This is how the hot-path counts
     /// reach the registry at all — the operations themselves write nothing
@@ -201,6 +204,8 @@ impl<C: CounterDiagnostics> MeteredCounter<C> {
             .add(now.fast_increments.saturating_sub(last.fast_increments));
         m.fast_checks
             .add(now.fast_checks.saturating_sub(last.fast_checks));
+        m.spin_checks
+            .add(now.spin_checks.saturating_sub(last.spin_checks));
         m.slow_path_entries
             .add(now.slow_path_entries.saturating_sub(last.slow_path_entries));
         *last = now;
@@ -501,6 +506,41 @@ mod tests {
         c.publish_stats();
         c.publish_stats(); // second publish adds nothing new
         assert_eq!(registry.event("m.slow_path_entries").get(), entries);
+    }
+
+    /// Reports a fixed snapshot, so a publish test needs no racing threads.
+    struct FixedStats(StatsSnapshot);
+
+    impl CounterDiagnostics for FixedStats {
+        fn debug_value(&self) -> Value {
+            0
+        }
+
+        fn stats(&self) -> StatsSnapshot {
+            self.0
+        }
+
+        fn impl_name(&self) -> &'static str {
+            "fixed"
+        }
+    }
+
+    #[test]
+    fn publish_stats_bridges_spin_checks() {
+        let registry = Arc::new(Registry::new());
+        let sink = MetricsSink::new(Arc::clone(&registry), "s");
+        let snap = StatsSnapshot {
+            checks: 5,
+            immediate_checks: 5,
+            spin_checks: 3,
+            ..StatsSnapshot::default()
+        };
+        let c = MeteredCounter::wrap(FixedStats(snap), Some(&sink));
+        c.publish_stats();
+        c.publish_stats(); // nothing new accrued
+        assert_eq!(registry.event("s.spin_checks").get(), 3);
+        assert_eq!(registry.event("s.checks").get(), 5);
+        assert_eq!(registry.event("s.fast_checks").get(), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::stats::{Stats, StatsSnapshot};
 use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter};
 use crate::Value;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct State {
     value: Value,
@@ -119,33 +119,25 @@ impl MonotonicCounter for NaiveCounter {
     }
 
     fn wait_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().expect("counter lock poisoned");
+        let state = self.state.lock().expect("counter lock poisoned");
         self.stats.record_slow_entry();
         if state.value >= level {
             self.stats.record_check_immediate();
             return Ok(());
         }
         self.stats.record_check_suspended();
-        while state.value < level {
-            if let Some(info) = &state.poisoned {
-                let info = info.clone();
-                self.stats.record_waiter_resumed();
-                return Err(CheckError::Poisoned(info));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.stats.record_waiter_resumed();
-                return Err(CheckError::Timeout(CheckTimeoutError { level }));
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(state, deadline - now)
-                .expect("counter lock poisoned while waiting");
-            state = guard;
-        }
+        let (state, _) = self
+            .cv
+            .wait_timeout_while(state, timeout, |s| s.value < level && s.poisoned.is_none())
+            .expect("counter lock poisoned while waiting");
         self.stats.record_waiter_resumed();
-        Ok(())
+        if state.value >= level {
+            Ok(())
+        } else if let Some(info) = &state.poisoned {
+            Err(CheckError::Poisoned(info.clone()))
+        } else {
+            Err(CheckError::Timeout(CheckTimeoutError { level }))
+        }
     }
 
     fn poison(&self, info: FailureInfo) {

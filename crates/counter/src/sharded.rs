@@ -487,7 +487,7 @@ impl MonotonicCounter for ShardedCounter {
         if self.self_served(level) {
             return Ok(());
         }
-        self.suspend(level, Some(Instant::now() + timeout))
+        self.suspend(level, Instant::now().checked_add(timeout))
     }
 
     fn poison(&self, info: FailureInfo) {

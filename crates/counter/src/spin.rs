@@ -121,14 +121,15 @@ impl MonotonicCounter for SpinCounter {
             return Ok(());
         }
         self.stats.record_check_suspended();
-        let deadline = Instant::now() + timeout;
+        // A timeout too long to represent is no deadline at all.
+        let deadline = Instant::now().checked_add(timeout);
         let mut spins = 0u32;
         while self.value.load(SeqCst) < level {
             if self.poisoned.load(SeqCst) {
                 self.stats.record_waiter_resumed();
                 return Err(CheckError::Poisoned(self.cause()));
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 self.stats.record_waiter_resumed();
                 return Err(CheckError::Timeout(CheckTimeoutError { level }));
             }

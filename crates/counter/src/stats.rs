@@ -65,6 +65,7 @@ pub(crate) fn thread_slot() -> usize {
 struct FastTallies {
     increments: AtomicU64,
     checks: AtomicU64,
+    spin_checks: AtomicU64,
 }
 
 /// Internal statistics accumulator shared by all counter implementations.
@@ -74,11 +75,12 @@ struct FastTallies {
 /// aggregate numbers.
 ///
 /// Slow-path and fast-path operations bump *separate* counters and the
-/// totals are derived at snapshot time. The two fast-path tallies are
-/// striped: a fast increment or satisfied check is one `fetch_add` on the
-/// calling thread's own 128-byte stripe, so lock-free operations on
-/// different threads share no stats line, and [`snapshot`](Self::snapshot)
-/// sums the stripes, so the counts stay exact. The stripes cost a fixed
+/// totals are derived at snapshot time. The three lock-free tallies are
+/// striped: a fast increment, satisfied check or spin-satisfied check is
+/// one `fetch_add` on the calling thread's own 128-byte stripe, so
+/// lock-free operations on different threads share no stats line, and
+/// [`snapshot`](Self::snapshot) sums the stripes, so the counts stay
+/// exact. The stripes cost a fixed
 /// 1 KiB per enabled counter. The E8 tables measure the fast path with
 /// stats enabled.
 #[derive(Debug)]
@@ -223,6 +225,19 @@ impl Stats {
         }
     }
 
+    /// A `check` that missed the fast tier but saw its level satisfied
+    /// while polling before suspending, without the lock.
+    ///
+    /// One `fetch_add` on the caller's stripe, like a fast check, because it
+    /// sits on the hand-off path that spinning exists to shorten: a shared
+    /// tally there costs about a fifth of the gain. The snapshot folds it
+    /// into `checks` and `immediate_checks`, not into `fast_checks`.
+    pub(crate) fn record_spin_check(&self) {
+        if let Some(t) = self.stripe() {
+            t.spin_checks.fetch_add(1, Relaxed);
+        }
+    }
+
     /// Any operation that acquired the slow-path mutex.
     pub(crate) fn record_slow_entry(&self) {
         if self.disabled() {
@@ -248,6 +263,7 @@ impl Stats {
         for t in self.tallies() {
             t.increments.store(0, Relaxed);
             t.checks.store(0, Relaxed);
+            t.spin_checks.store(0, Relaxed);
         }
         self.slow_path_entries.store(0, Relaxed);
     }
@@ -255,10 +271,12 @@ impl Stats {
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let fast_increments = self.tallies().map(|t| t.increments.load(Relaxed)).sum();
         let fast_checks = self.tallies().map(|t| t.checks.load(Relaxed)).sum();
+        let spin_checks = self.tallies().map(|t| t.spin_checks.load(Relaxed)).sum();
+        let lock_free_checks = fast_checks + spin_checks;
         StatsSnapshot {
             increments: self.slow_increments.load(Relaxed) + fast_increments,
-            checks: self.slow_checks.load(Relaxed) + fast_checks,
-            immediate_checks: self.slow_immediate_checks.load(Relaxed) + fast_checks,
+            checks: self.slow_checks.load(Relaxed) + lock_free_checks,
+            immediate_checks: self.slow_immediate_checks.load(Relaxed) + lock_free_checks,
             suspensions: self.suspensions.load(Relaxed),
             nodes_created: self.nodes_created.load(Relaxed),
             nodes_freed: self.nodes_freed.load(Relaxed),
@@ -269,6 +287,7 @@ impl Stats {
             notifies: self.notifies.load(Relaxed),
             fast_increments,
             fast_checks,
+            spin_checks,
             slow_path_entries: self.slow_path_entries.load(Relaxed),
             io_retries: 0,
         }
@@ -313,6 +332,13 @@ pub struct StatsSnapshot {
     /// `check` operations satisfied by a single atomic load, without the
     /// lock. Always `<= immediate_checks`.
     pub fast_checks: u64,
+    /// `check` operations that missed the fast tier but saw their level
+    /// satisfied while polling before suspending
+    /// ([`CounterBuilder::spin_before_suspend`](crate::CounterBuilder::spin_before_suspend)),
+    /// without the lock. Counted in `checks` and `immediate_checks`, never
+    /// in `fast_checks` or `suspensions`. Zero for counters that do not
+    /// spin.
+    pub spin_checks: u64,
     /// Operations (of any kind) that acquired the slow-path mutex. A
     /// waiter-free workload on a fast-path counter reports **zero** here —
     /// the acceptance criterion of the E8 experiment.
@@ -329,7 +355,7 @@ impl std::fmt::Display for StatsSnapshot {
             f,
             "inc {} | chk {} ({} immediate, {} suspended) | nodes {}/{} live/max \
              (created {}, freed {}) | waiters {}/{} live/max | broadcasts {} | \
-             fast {} inc / {} chk | slow entries {} | io retries {}",
+             fast {} inc / {} chk | spin {} chk | slow entries {} | io retries {}",
             self.increments,
             self.checks,
             self.immediate_checks,
@@ -343,6 +369,7 @@ impl std::fmt::Display for StatsSnapshot {
             self.notifies,
             self.fast_increments,
             self.fast_checks,
+            self.spin_checks,
             self.slow_path_entries,
             self.io_retries
         )
@@ -411,6 +438,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let s = Stats::with_enabled(true);
+        s.record_spin_check();
         s.record_increment();
         s.record_node_created();
         s.record_check_suspended();
@@ -433,6 +461,19 @@ mod tests {
         assert_eq!(snap.fast_checks, 1);
         assert_eq!(snap.immediate_checks, 1, "fast checks are immediate");
         assert_eq!(snap.slow_path_entries, 1);
+    }
+
+    #[test]
+    fn spin_checks_are_immediate_but_not_fast() {
+        let s = Stats::with_enabled(true);
+        s.record_spin_check();
+        s.record_fast_check();
+        let snap = s.snapshot();
+        assert_eq!(snap.spin_checks, 1);
+        assert_eq!(snap.fast_checks, 1);
+        assert_eq!((snap.checks, snap.immediate_checks), (2, 2));
+        assert_eq!((snap.suspensions, snap.slow_path_entries), (0, 0));
+        assert!(snap.to_string().contains("spin 1 chk"), "{snap}");
     }
 
     #[test]
@@ -479,6 +520,7 @@ mod tests {
         assert!(s.stripes.is_none());
         s.record_fast_increment();
         s.record_fast_check();
+        s.record_spin_check();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 

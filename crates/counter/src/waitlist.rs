@@ -9,7 +9,11 @@
 //! path (see [`crate::fastpath`]) lets an already-satisfied `check` return
 //! after one atomic load and a waiter-free `increment` complete with one CAS,
 //! so the mutex is only ever taken when a thread actually suspends or must be
-//! woken.
+//! woken. A counter built with
+//! [`spin_before_suspend`](CounterBuilder::spin_before_suspend) also lets a
+//! waiter that is next in line poll the word for up to [`SPIN_BUDGET`]
+//! before it takes the mutex, so a quick hand-off skips the slow path on
+//! both sides.
 //!
 //! The queue is the only part that varies, and experiment E7 ablates it:
 //! [`Counter`] keeps the paper's sorted linked list ([`SortedList`]) and
@@ -20,7 +24,7 @@
 
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
 use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
-use crate::fastpath::{FastAdvance, FastIncrement, FastWord, FAST_CAP};
+use crate::fastpath::{FastAdvance, FastIncrement, FastWord, Poll, FAST_CAP};
 use crate::list::SortedList;
 use crate::node::WaitNode;
 use crate::stats::{Stats, StatsSnapshot};
@@ -31,8 +35,25 @@ use crate::traits::{
 use crate::Value;
 use queue::Queue;
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// How long a waiter that is next in line polls before it suspends, on a
+/// counter built with
+/// [`spin_before_suspend`](CounterBuilder::spin_before_suspend). About three
+/// futex wake-to-run hand-offs on a 2-vCPU host (6.4–7.5 µs each at the
+/// median), so a waiter whose increment is slower loses little by having
+/// polled.
+pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(20);
+
+/// The build-time spin decision: spinning was requested and there is a
+/// second CPU to run the incrementer while the waiter polls. `cpus` is
+/// called only when spinning is requested, since counting CPUs costs tens
+/// of microseconds.
+fn spin_enabled(requested: bool, cpus: impl FnOnce() -> usize) -> bool {
+    requested && cpus() > 1
+}
 
 /// The `BTreeMap` queue strategy.
 pub(crate) type WaitMap = BTreeMap<Value, Arc<WaitNode>>;
@@ -167,7 +188,10 @@ pub(crate) struct Inner<Q> {
 /// * `increment` with no registered waiters is a single CAS.
 /// * `check` with an unsatisfied level finds-or-inserts the node for that
 ///   level and suspends on its condition variable; all threads waiting on the
-///   same level share one node.
+///   same level share one node. With
+///   [`spin_before_suspend`](CounterBuilder::spin_before_suspend), a waiter
+///   whose level is at most one above the value first polls the word for up
+///   to 20 µs.
 /// * `increment` while waiters exist takes the lock, bumps the value and
 ///   removes every node whose level the new value satisfies from the queue,
 ///   sets its signal flag, and broadcasts.
@@ -189,6 +213,10 @@ pub struct WaitlistCounter<Q: WaitQueue> {
     ///
     /// [`PoisonPolicy::Ignore`]: crate::PoisonPolicy::Ignore
     poison_enabled: bool,
+    /// Spinning was requested and the building thread saw more than one
+    /// CPU ([`spin_enabled`]). Read only by the cold
+    /// [`wait_until`](Self::wait_until).
+    spin: bool,
     /// When present (via [`crate::TracingCounter`]), a structure snapshot is
     /// appended at every transition, under the lock.
     trace: Option<Arc<TraceLog>>,
@@ -213,6 +241,11 @@ impl<Q: WaitQueue> Buildable for WaitlistCounter<Q> {
             }),
             stats: Stats::with_enabled(cfg.stats_enabled()),
             poison_enabled: cfg.poison_propagates(),
+            // Decided here, on the building thread: a waiter pinned to one
+            // CPU would count one and never spin.
+            spin: spin_enabled(cfg.spin_before_suspend(), || {
+                std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+            }),
             trace: None,
         }
     }
@@ -421,11 +454,17 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         Ok(())
     }
 
-    /// The slow-path wait: register as a waiter, then [`suspend`].
+    /// The slow-path wait: on a spinning counter, first
+    /// [`spin_until`](Self::spin_until); then register as a waiter and
+    /// [`suspend`].
     ///
     /// [`suspend`]: Self::suspend
     #[cold]
     fn wait_until(&self, level: Value, deadline: Option<Instant>) -> Result<(), CheckError> {
+        if self.spin && self.fast_enabled && self.spin_until(level, deadline) {
+            self.stats.record_spin_check();
+            return Ok(());
+        }
         let inner = self.enter();
         // Announce intent to wait *before* re-reading the value: the
         // register RMW and fast-path increment CASes hit the same word, so
@@ -433,6 +472,35 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         // the fastpath module docs).
         let value = self.fast.register_waiter(inner.wide);
         self.suspend(inner, level, value, deadline)
+    }
+
+    /// Polls the packed word while the waiter is next in line (`level` at
+    /// most one above the exact value), for at most [`SPIN_BUDGET`] and
+    /// never past `deadline`. True when the level was seen satisfied. False
+    /// at once for a waiter further behind, and as soon as the poison bit
+    /// is set, leaving the verdict to the slow path.
+    ///
+    /// The poll only reads the word, before the waiter registers, so the
+    /// missed-wakeup argument of the `fastpath` module is untouched: a level
+    /// the poll saw satisfied stays satisfied, and a waiter that stops
+    /// polling registers exactly as it would have without polling.
+    fn spin_until(&self, level: Value, deadline: Option<Instant>) -> bool {
+        let hint = self.fast.value_hint();
+        // A saturated hint never moves again, so only exact values are
+        // worth polling.
+        if hint >= FAST_CAP || hint + 1 < level {
+            return false;
+        }
+        let budget_end = Instant::now() + SPIN_BUDGET;
+        let end = deadline.map_or(budget_end, |d| d.min(budget_end));
+        loop {
+            match self.fast.poll(level) {
+                Poll::Satisfied => return true,
+                Poll::Poisoned => return false,
+                Poll::Pending if Instant::now() >= end => return false,
+                Poll::Pending => std::hint::spin_loop(),
+            }
+        }
     }
 
     /// Poisons the counter unless already poisoned or the policy ignores
@@ -548,7 +616,8 @@ impl<Q: WaitQueue> MonotonicCounter for WaitlistCounter<Q> {
             self.stats.record_fast_check();
             return Ok(());
         }
-        self.wait_until(level, Some(Instant::now() + timeout))
+        // A timeout too long to represent is no deadline at all.
+        self.wait_until(level, Instant::now().checked_add(timeout))
     }
 
     fn poison(&self, info: FailureInfo) {
@@ -621,7 +690,7 @@ impl<Q: WaitQueue> CounterDiagnostics for WaitlistCounter<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread;
 
     // The `WaitQueue` battery: each strategy must keep the paper's
@@ -1207,6 +1276,160 @@ mod tests {
         assert!(c.waiters().is_empty());
     }
 
+    // The spin-before-suspend battery.
+
+    /// A counter built to spin, or `None`, with a note, on a host whose
+    /// building thread sees one CPU: spinning is then off by design and
+    /// the spin cases have nothing to test.
+    fn spinning<Q: WaitQueue>() -> Option<WaitlistCounter<Q>> {
+        let c = WaitlistCounter::<Q>::builder()
+            .spin_before_suspend(true)
+            .build();
+        if c.spin {
+            return Some(c);
+        }
+        let cpus = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(cpus, 1, "spinning requested with {cpus} CPUs but off");
+        eprintln!("skipped: one CPU available, so the counter does not spin");
+        None
+    }
+
+    /// Lead time from the waiter's announcement to the waker's action:
+    /// long enough for the waiter to miss the fast check, short against
+    /// [`SPIN_BUDGET`].
+    const LEAD: Duration = Duration::from_micros(5);
+
+    /// One race: a waiter announces itself and waits on `level`; `LEAD`
+    /// later this thread runs `wake`. Returns the wait's result.
+    fn race<Q: WaitQueue>(
+        c: &WaitlistCounter<Q>,
+        level: Value,
+        wake: impl FnOnce(&WaitlistCounter<Q>),
+    ) -> Result<(), CheckError> {
+        let announced = AtomicBool::new(false);
+        thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                announced.store(true, Ordering::Release);
+                c.wait(level)
+            });
+            while !announced.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            let t0 = Instant::now();
+            while t0.elapsed() < LEAD {
+                std::hint::spin_loop();
+            }
+            wake(c);
+            waiter.join().unwrap()
+        })
+    }
+
+    /// How long a case that needs the waiter caught spinning keeps racing:
+    /// a waiter or waker that loses its CPU to another test misses the
+    /// budget, and that round proves nothing.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// Rounds of [`race`] for a case whose outcome must hold every time.
+    const ROUNDS: usize = 200;
+
+    fn spin_satisfied_check_skips_the_slow_path<Q: WaitQueue>() {
+        let t0 = Instant::now();
+        while t0.elapsed() < PATIENCE {
+            let Some(c) = spinning::<Q>() else { return };
+            race(&c, 1, |c| c.increment(1)).unwrap();
+            let s = c.stats();
+            if s.spin_checks == 0 {
+                continue; // the waiter missed the budget or the race
+            }
+            assert_eq!(s.spin_checks, 1, "{s}");
+            assert_eq!((s.checks, s.immediate_checks), (1, 1), "{s}");
+            assert_eq!(s.fast_checks, 0, "{s}");
+            assert_eq!(s.suspensions, 0, "{s}");
+            assert_eq!(s.nodes_created, 0, "{s}");
+            assert_eq!(s.slow_path_entries, 0, "no lock on either side: {s}");
+            assert_eq!(s.fast_increments, 1, "{s}");
+            return;
+        }
+        panic!("no waiter saw its level satisfied while spinning in {PATIENCE:?}");
+    }
+
+    fn late_increment_finds_the_waiter_suspended<Q: WaitQueue>() {
+        let Some(c) = spinning::<Q>() else { return };
+        let c = Arc::new(c);
+        let c2 = Arc::clone(&c);
+        let h = thread::spawn(move || c2.check(1));
+        thread::sleep(SHORT);
+        while c.stats().live_waiters == 0 {
+            thread::yield_now();
+        }
+        c.increment(1);
+        h.join().unwrap();
+        let s = c.stats();
+        assert_eq!(s.suspensions, 1, "{s}");
+        assert_eq!(s.spin_checks, 0, "{s}");
+        assert_eq!(c.live_nodes(), 0);
+    }
+
+    fn poison_during_the_spin_fails_the_wait<Q: WaitQueue>() {
+        let t0 = Instant::now();
+        while t0.elapsed() < PATIENCE {
+            let Some(c) = spinning::<Q>() else { return };
+            let r = race(&c, 1, |c| c.poison(FailureInfo::new("gone")));
+            assert!(matches!(r, Err(CheckError::Poisoned(_))), "{r:?}");
+            let s = c.stats();
+            assert_eq!(s.spin_checks, 0, "{s}");
+            assert_eq!(c.live_nodes(), 0);
+            if s.suspensions == 0 {
+                return; // the poison bit ended the poll before suspending
+            }
+        }
+        panic!("every waiter suspended before the poison in {PATIENCE:?}");
+    }
+
+    fn timeout_shorter_than_the_budget_is_honoured<Q: WaitQueue>() {
+        let Some(c) = spinning::<Q>() else { return };
+        let timeout = SPIN_BUDGET / 4;
+        let t0 = Instant::now();
+        let r = c.wait_timeout(1, timeout);
+        let elapsed = t0.elapsed();
+        assert!(matches!(r, Err(CheckError::Timeout(_))), "{r:?}");
+        assert!(
+            elapsed >= timeout,
+            "timed out after {elapsed:?} < {timeout:?}"
+        );
+        assert_eq!(c.stats().spin_checks, 0);
+        assert_eq!(c.live_nodes(), 0);
+    }
+
+    fn waiter_two_levels_ahead_does_not_spin<Q: WaitQueue>() {
+        for _ in 0..ROUNDS {
+            let Some(c) = spinning::<Q>() else { return };
+            race(&c, 2, |c| c.increment(2)).unwrap();
+            assert_eq!(c.stats().spin_checks, 0, "{}", c.stats());
+        }
+    }
+
+    fn counter_without_the_option_never_spins<Q: WaitQueue>() {
+        for _ in 0..ROUNDS {
+            let c = WaitlistCounter::<Q>::default();
+            assert!(!c.spin);
+            race(&c, 1, |c| c.increment(1)).unwrap();
+            assert_eq!(c.stats().spin_checks, 0, "{}", c.stats());
+        }
+    }
+
+    fn spin_needs_a_second_cpu_at_build_time<Q: WaitQueue>() {
+        assert!(!spin_enabled(true, || 1));
+        assert!(spin_enabled(true, || 2));
+        assert!(!spin_enabled(false, || unreachable!("CPUs counted")));
+        let cpus = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let c = WaitlistCounter::<Q>::builder()
+            .spin_before_suspend(true)
+            .build();
+        assert_eq!(c.spin, cpus > 1);
+        assert!(!WaitlistCounter::<Q>::mutex_only().spin);
+    }
+
     /// Instantiates each generic test once per queue strategy, so every
     /// case runs against both the sorted list and the `BTreeMap`.
     macro_rules! for_each_queue {
@@ -1263,5 +1486,12 @@ mod tests {
         poison_clears_waiters_bit_so_fast_increments_resume,
         reset_clears_poison,
         waiters_reports_levels_and_thread_counts,
+        spin_satisfied_check_skips_the_slow_path,
+        late_increment_finds_the_waiter_suspended,
+        poison_during_the_spin_fails_the_wait,
+        timeout_shorter_than_the_budget_is_honoured,
+        waiter_two_levels_ahead_does_not_spin,
+        counter_without_the_option_never_spins,
+        spin_needs_a_second_cpu_at_build_time,
     }
 }

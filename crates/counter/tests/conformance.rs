@@ -248,6 +248,28 @@ fn timed_wait_with_poison_bit_set_stays_live<C: Conformant>() {
     );
 }
 
+/// A timeout too long to add to the current instant means no deadline: a
+/// timed wait must not panic on it, returns at once when it need not
+/// block, and otherwise waits like an untimed wait.
+fn unrepresentable_timeout_is_no_deadline<C: Conformant + 'static>() {
+    let c = Arc::new(C::default());
+    c.increment(2);
+    assert!(c.wait_timeout(2, Duration::MAX).is_ok());
+    assert!(c.check_timeout(1, Duration::MAX).is_ok());
+    let c2 = Arc::clone(&c);
+    let waiter = std::thread::spawn(move || c2.wait_timeout(3, Duration::MAX));
+    while c.stats().live_waiters == 0 {
+        std::thread::yield_now();
+    }
+    c.increment(1);
+    assert!(waiter.join().unwrap().is_ok());
+    c.poison(FailureInfo::new("owner gone"));
+    match c.wait_timeout(5, Duration::MAX) {
+        Err(CheckError::Poisoned(info)) => assert_eq!(info.message(), "owner gone"),
+        other => panic!("expected Poisoned, got {other:?}"),
+    }
+}
+
 /// Deadline-drift pin: a timed wait hit by a storm of sub-level increments
 /// (each one a spurious-style wakeup for the waiter — single-queue
 /// implementations broadcast on every increment) must still time out close
@@ -389,6 +411,10 @@ macro_rules! conformance {
             #[test]
             fn timed_wait_with_poison_bit_set_stays_live() {
                 super::timed_wait_with_poison_bit_set_stays_live::<$ty>();
+            }
+            #[test]
+            fn unrepresentable_timeout_is_no_deadline() {
+                super::unrepresentable_timeout_is_no_deadline::<$ty>();
             }
             #[test]
             fn timed_wait_does_not_drift_under_wakeup_storm() {

@@ -13,7 +13,8 @@
 //! 5. **Saturated regime stays exact**: above the 62-bit hint cap, values and
 //!    checks keep exact `u64` semantics.
 //! 6. **Striped tallies stay exact**: concurrent fast-path operations on
-//!    different threads are each counted once.
+//!    different threads are each counted once, and so are the checks that
+//!    a spinning counter satisfies while polling before suspending.
 
 use mc_counter::{BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, ShardedCounter};
 use proptest::prelude::*;
@@ -132,6 +133,52 @@ fn concurrent_tallies_are_exact<C: MonotonicCounter + CounterDiagnostics + Defau
     assert_eq!(s.slow_path_entries, 0, "{s}");
 }
 
+/// The spinning variant of [`concurrent_tallies_are_exact`]: two threads
+/// alternate tickets on a counter built with `spin_before_suspend`, so each
+/// waits next in line and checks land on every tier, each thread's on its
+/// own stripe. Every check or increment that missed its lock-free tier
+/// entered the slow path exactly once, so the striped `spin_checks` must
+/// balance `slow_path_entries` exactly. When the two threads cannot run at
+/// once (other tests hold the CPUs), every poll runs out and the round
+/// proves nothing, so rounds repeat until one spin-satisfied check lands.
+fn concurrent_spin_tallies_are_exact<C: MonotonicCounter + CounterDiagnostics + Sync>(
+    build: impl Fn() -> C,
+) {
+    const THREADS: u64 = 2;
+    const TICKETS: u64 = 10_000;
+    const ATTEMPTS: usize = 20;
+    for _ in 0..ATTEMPTS {
+        let c = build();
+        let start = Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for k in 0..THREADS {
+                let (c, start) = (&c, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for ticket in (k..TICKETS).step_by(THREADS as usize) {
+                        c.check(ticket);
+                        c.increment(1);
+                    }
+                });
+            }
+        });
+        let s = c.stats();
+        assert_eq!((s.checks, s.increments), (TICKETS, TICKETS), "{s}");
+        assert_eq!(s.immediate_checks + s.suspensions, s.checks, "{s}");
+        let slow_checks = s.checks - s.fast_checks - s.spin_checks;
+        let slow_increments = s.increments - s.fast_increments;
+        assert_eq!(s.slow_path_entries, slow_checks + slow_increments, "{s}");
+        if s.spin_checks > 0 {
+            return;
+        }
+    }
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(
+        cpus, 1,
+        "no check was satisfied while spinning in {ATTEMPTS} runs"
+    );
+}
+
 fn saturated_regime_is_exact<C: MonotonicCounter + CounterDiagnostics + Default + 'static>(
     with_value: impl Fn(u64) -> C,
 ) {
@@ -199,6 +246,16 @@ macro_rules! fastpath_battery {
 fastpath_battery!(waitlist, Counter);
 fastpath_battery!(btree, BTreeCounter);
 fastpath_battery!(sharded, ShardedCounter);
+
+#[test]
+fn waitlist_spin_tallies_are_exact() {
+    concurrent_spin_tallies_are_exact(|| Counter::builder().spin_before_suspend(true).build());
+}
+
+#[test]
+fn btree_spin_tallies_are_exact() {
+    concurrent_spin_tallies_are_exact(|| BTreeCounter::builder().spin_before_suspend(true).build());
+}
 
 /// The ablation counter must do the same work entirely under the mutex.
 #[test]

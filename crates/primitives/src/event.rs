@@ -6,7 +6,7 @@
 //! faithful baseline.
 
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A one-way, manual-reset boolean flag with a suspension queue.
 ///
@@ -72,20 +72,12 @@ impl Event {
     /// Like [`check`](Event::check) but gives up after `timeout`; returns
     /// `true` if the event was set in time.
     pub fn check_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut set = self.set.lock().expect("event lock poisoned");
-        while !*set {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(set, deadline - now)
-                .expect("event lock poisoned");
-            set = guard;
-        }
-        true
+        let set = self.set.lock().expect("event lock poisoned");
+        let (set, _) = self
+            .cv
+            .wait_timeout_while(set, timeout, |set| !*set)
+            .expect("event lock poisoned");
+        *set
     }
 
     /// Whether the event is currently set (diagnostics/tests only — racing a
@@ -152,6 +144,7 @@ mod tests {
         let e = Event::new();
         e.set();
         assert!(e.check_timeout(Duration::from_millis(20)));
+        assert!(e.check_timeout(Duration::MAX), "no deadline, no panic");
     }
 
     #[test]

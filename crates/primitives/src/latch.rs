@@ -8,7 +8,7 @@
 //! embodiment.
 
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A one-shot latch initialized with a count; [`wait`](Latch::wait) suspends
 /// until the count reaches zero.
@@ -62,20 +62,12 @@ impl Latch {
     /// Like [`wait`](Latch::wait) but gives up after `timeout`; returns
     /// `true` if the latch opened in time.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut count = self.count.lock().expect("latch lock poisoned");
-        while *count > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(count, deadline - now)
-                .expect("latch lock poisoned");
-            count = guard;
-        }
-        true
+        let count = self.count.lock().expect("latch lock poisoned");
+        let (count, _) = self
+            .cv
+            .wait_timeout_while(count, timeout, |count| *count > 0)
+            .expect("latch lock poisoned");
+        *count == 0
     }
 
     /// Remaining count (diagnostics/tests only).
@@ -121,6 +113,7 @@ mod tests {
     fn wait_timeout_succeeds_on_open_latch() {
         let l = Latch::new(0);
         assert!(l.wait_timeout(Duration::from_millis(20)));
+        assert!(l.wait_timeout(Duration::MAX), "no deadline, no panic");
     }
 
     #[test]

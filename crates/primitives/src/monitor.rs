@@ -7,7 +7,7 @@
 //! `f` atomically, and signals other waiters.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A predicate-based monitor protecting a value of type `T`.
 ///
@@ -77,18 +77,12 @@ impl<T> Monitor<T> {
         pred: impl Fn(&T) -> bool,
         f: impl FnOnce(&mut T) -> R,
     ) -> Option<R> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        while !pred(&state) {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(state, deadline - now)
-                .expect("monitor lock poisoned");
-            state = guard;
+        let (mut state, wait) = self
+            .cv
+            .wait_timeout_while(self.lock(), timeout, |state| !pred(state))
+            .expect("monitor lock poisoned");
+        if wait.timed_out() {
+            return None;
         }
         let r = f(&mut state);
         drop(state);
@@ -138,6 +132,7 @@ mod tests {
             m.when_timeout(Duration::from_millis(20), |v| *v, |_| 1),
             Some(1)
         );
+        assert_eq!(m.when_timeout(Duration::MAX, |v| *v, |_| 2), Some(2));
     }
 
     #[test]

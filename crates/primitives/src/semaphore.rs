@@ -6,7 +6,7 @@
 //! demonstrate both sides of that comparison.
 
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A counting semaphore with [`acquire`](Semaphore::acquire) (P) and
 /// [`release`](Semaphore::release) (V) operations.
@@ -59,18 +59,13 @@ impl Semaphore {
     /// Like [`acquire`](Semaphore::acquire) but gives up after `timeout`;
     /// returns `true` on success.
     pub fn acquire_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut permits = self.permits.lock().expect("semaphore lock poisoned");
-        while *permits == 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(permits, deadline - now)
-                .expect("semaphore lock poisoned");
-            permits = guard;
+        let permits = self.permits.lock().expect("semaphore lock poisoned");
+        let (mut permits, wait) = self
+            .cv
+            .wait_timeout_while(permits, timeout, |permits| *permits == 0)
+            .expect("semaphore lock poisoned");
+        if wait.timed_out() {
+            return false;
         }
         *permits -= 1;
         true
@@ -118,6 +113,12 @@ mod tests {
         let s = Semaphore::new(1);
         assert!(s.try_acquire());
         assert!(!s.try_acquire());
+    }
+
+    #[test]
+    fn acquire_timeout_without_a_deadline_takes_a_free_permit() {
+        let s = Semaphore::new(1);
+        assert!(s.acquire_timeout(Duration::MAX), "no deadline, no panic");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! supports many levels — this type exists to make that comparison concrete.
 
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A variable that can be assigned exactly once; readers suspend until it is.
 ///
@@ -71,20 +71,12 @@ impl<T> SingleAssignment<T> {
 
     /// Like [`with`](SingleAssignment::with) but gives up after `timeout`.
     pub fn with_timeout<R>(&self, timeout: Duration, f: impl FnOnce(&T) -> R) -> Option<R> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.slot.lock().expect("single-assignment lock poisoned");
-        while slot.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(slot, deadline - now)
-                .expect("single-assignment lock poisoned");
-            slot = guard;
-        }
-        Some(f(slot.as_ref().expect("slot checked non-empty")))
+        let slot = self.slot.lock().expect("single-assignment lock poisoned");
+        let (slot, _) = self
+            .cv
+            .wait_timeout_while(slot, timeout, |slot| slot.is_none())
+            .expect("single-assignment lock poisoned");
+        slot.as_ref().map(f)
     }
 }
 
@@ -134,6 +126,7 @@ mod tests {
         v.set(vec![1, 2, 3]).unwrap();
         let sum = v.with(|xs| xs.iter().sum::<u32>());
         assert_eq!(sum, 6);
+        assert_eq!(v.with_timeout(Duration::MAX, Vec::len), Some(3));
     }
 
     #[test]
