@@ -91,7 +91,11 @@ fn main() {
         "E5b: uncontended Increment cost vs resident wait-list length",
         &["resident levels", "time per increment(0) probe"],
     );
-    let sweep: &[usize] = if quick { &[0, 64] } else { &[0, 16, 256, 1024] };
+    let sweep: &[usize] = if quick {
+        &[0, 1, 64]
+    } else {
+        &[0, 1, 16, 256, 1024]
+    };
     for &l in sweep {
         let c = Arc::new(Counter::default());
         let mut handles = Vec::new();

@@ -8,8 +8,8 @@
 //! * `waitlist` — the paper's sorted linked list (reference);
 //! * `btree` — same algorithm, `BTreeMap` lookup (the other queue strategy
 //!   of the one `WaitlistCounter`);
-//! * `naive-broadcast` — one condvar, wake **everyone** on every increment;
-//! * `monitor` — one predicate monitor (Section 8's comparison);
+//! * `naive-broadcast` — one condvar, wake **everyone** on every increment
+//!   (a counter written as a Section 8 predicate monitor is exactly this);
 //! * `spin` — no suspension queue at all.
 //!
 //! Usage: `cargo run --release -p mc-bench --bin e7_table [--quick] [--json]`
@@ -18,8 +18,7 @@ use mc_algos::floyd_warshall as fw;
 use mc_algos::graph::dense_graph;
 use mc_bench::{fmt_duration, measure, Report, Table};
 use mc_counter::{
-    BTreeCounter, Counter, CounterDiagnostics, MonitorCounter, MonotonicCounter, NaiveCounter,
-    SpinCounter,
+    BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter, SpinCounter,
 };
 use std::sync::Arc;
 
@@ -106,7 +105,6 @@ fn main() {
     bench_impl::<Counter>("waitlist (paper §7)", &mut table, quick, &edge);
     bench_impl::<BTreeCounter>("btree", &mut table, quick, &edge);
     bench_impl::<NaiveCounter>("naive-broadcast", &mut table, quick, &edge);
-    bench_impl::<MonitorCounter>("monitor", &mut table, quick, &edge);
     bench_impl::<SpinCounter>("spin", &mut table, quick, &edge);
     let mut report = Report::new("e7", &args);
     report.table(table);

@@ -16,8 +16,8 @@
 
 use mc_bench::{measure, Report, Table};
 use mc_counter::{
-    BTreeCounter, Counter, CounterDiagnostics, MeteredCounter, MonitorCounter, MonotonicCounter,
-    NaiveCounter, SpinCounter,
+    BTreeCounter, Counter, CounterDiagnostics, MeteredCounter, MonotonicCounter, NaiveCounter,
+    SpinCounter,
 };
 use mc_metrics::Registry;
 use std::sync::Arc;
@@ -152,13 +152,6 @@ fn main() {
     bench_impl::<NaiveCounter>(
         "naive-broadcast",
         &NaiveCounter::default,
-        &mut table,
-        quick,
-        Some(&base),
-    );
-    bench_impl::<MonitorCounter>(
-        "monitor",
-        &MonitorCounter::default,
         &mut table,
         quick,
         Some(&base),

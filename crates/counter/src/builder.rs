@@ -12,8 +12,7 @@
 //! c.check(10);
 //!
 //! let s = ShardedCounter::builder()
-//!     .shards(8)       // increment stripes (sharded counters only)
-//!     .capacity(256)   // max unpublished backlog per stripe
+//!     .shards(8) // increment stripes (sharded counters only)
 //!     .build();
 //! s.increment(1);
 //! ```
@@ -26,11 +25,11 @@
 //! | knob | default | consulted by |
 //! |---|---|---|
 //! | [`initial`](CounterBuilder::initial) | 0 | every implementation |
-//! | [`stats`](CounterBuilder::stats) | on | every implementation |
-//! | [`poison_policy`](CounterBuilder::poison_policy) | propagate | every implementation |
-//! | [`shards`](CounterBuilder::shards), [`capacity`](CounterBuilder::capacity) | implementation-chosen | sharded implementations |
+//! | [`shards`](CounterBuilder::shards) | implementation-chosen | [`ShardedCounter`](crate::ShardedCounter) |
 //! | [`metrics`](CounterBuilder::metrics) | none | [`MeteredCounter`](crate::MeteredCounter), [`ShardedCounter`](crate::ShardedCounter) |
 //! | [`spin_before_suspend`](CounterBuilder::spin_before_suspend) | off | [`WaitlistCounter`](crate::WaitlistCounter) ([`Counter`](crate::Counter), [`BTreeCounter`](crate::BTreeCounter)); every other implementation ignores it |
+//!
+//! Statistics are always collected and `poison` always propagates.
 
 use crate::Value;
 use mc_metrics::{Event, Histogram, Registry};
@@ -81,25 +80,21 @@ impl MetricsSink {
     }
 }
 
-/// What [`MonotonicCounter::poison`](crate::MonotonicCounter::poison) does.
+/// What a durable counter (`mc-durable`'s `DurableCounter`) does when its
+/// write-ahead log still fails after the retry budget is spent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoisonPolicy {
-    /// Record the failure and wake all blocked waiters with
-    /// [`CheckError::Poisoned`](crate::CheckError::Poisoned) — the default,
-    /// and the PR-2 failure-propagation semantics.
+    /// Poison the counter with the IO error as the cause: every blocked
+    /// waiter wakes with [`CheckError::Poisoned`](crate::CheckError::Poisoned)
+    /// and every later wait that would block fails the same way.
     #[default]
     Propagate,
-    /// Ignore `poison` calls entirely: waits keep blocking until satisfied.
-    /// For harnesses that inject failures elsewhere and want the counter
-    /// itself inert.
-    Ignore,
-    /// Degrade instead of poisoning when the counter's *backing resource*
-    /// fails (the durability layer's WAL): the counter keeps serving from
-    /// the in-memory fast path, reports `Degraded` health, and self-heals
-    /// when the resource recovers. Explicit `poison` calls still propagate
-    /// exactly as under [`Propagate`] — the policy only reroutes *internal*
-    /// resource failures. Purely in-memory counters have no backing resource
-    /// to degrade on, so for them this behaves identically to `Propagate`.
+    /// Degrade instead: the counter keeps serving from memory, reports
+    /// `Degraded` health, and self-heals when the log recovers. Explicit
+    /// `poison` calls still propagate exactly as under [`Propagate`]; the
+    /// policy only reroutes the log's failures.
+    ///
+    /// [`Propagate`]: PoisonPolicy::Propagate
     Degrade,
 }
 
@@ -108,29 +103,12 @@ pub enum PoisonPolicy {
 ///
 /// Public so external implementations of [`Buildable`] can read the knobs;
 /// constructed only through the builder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BuildConfig {
     initial: Value,
     shards: Option<usize>,
-    capacity: Option<usize>,
-    stats: bool,
-    poison: PoisonPolicy,
     metrics: Option<MetricsSink>,
     spin_before_suspend: bool,
-}
-
-impl Default for BuildConfig {
-    fn default() -> Self {
-        BuildConfig {
-            initial: 0,
-            shards: None,
-            capacity: None,
-            stats: true,
-            poison: PoisonPolicy::Propagate,
-            metrics: None,
-            spin_before_suspend: false,
-        }
-    }
 }
 
 impl BuildConfig {
@@ -145,22 +123,6 @@ impl BuildConfig {
         self.shards
     }
 
-    /// Requested capacity bound, if set. For sharded implementations this
-    /// bounds the unpublished per-stripe backlog; others ignore it.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Whether statistics collection is on (default true).
-    pub fn stats_enabled(&self) -> bool {
-        self.stats
-    }
-
-    /// The poison policy (default [`PoisonPolicy::Propagate`]).
-    pub fn poison_policy(&self) -> PoisonPolicy {
-        self.poison
-    }
-
     /// The metrics sink, if instrumentation was requested
     /// ([`CounterBuilder::metrics`]). Implementations without
     /// instrumentation points ignore it.
@@ -173,22 +135,14 @@ impl BuildConfig {
     pub fn spin_before_suspend(&self) -> bool {
         self.spin_before_suspend
     }
-
-    /// Convenience: whether explicit `poison` calls take effect. True for
-    /// [`PoisonPolicy::Propagate`] and [`PoisonPolicy::Degrade`] (which only
-    /// reroutes internal resource failures), false for
-    /// [`PoisonPolicy::Ignore`].
-    pub fn poison_propagates(&self) -> bool {
-        self.poison != PoisonPolicy::Ignore
-    }
 }
 
 /// Implemented by every counter that can be constructed from a
 /// [`BuildConfig`] — the hook [`CounterBuilder::build`] calls.
 pub trait Buildable: Sized {
     /// Constructs the counter from the resolved knob set. Implementations
-    /// must honor `initial`, `stats_enabled` and `poison_policy`, and may
-    /// ignore knobs that do not apply to their design (documenting so).
+    /// must honor `initial`, and may ignore knobs that do not apply to their
+    /// design (documenting so).
     fn from_config(cfg: &BuildConfig) -> Self;
 }
 
@@ -210,8 +164,8 @@ impl<C: Buildable> Default for CounterBuilder<C> {
 }
 
 impl<C: Buildable> CounterBuilder<C> {
-    /// A builder with all knobs at their defaults: initial value 0, stats
-    /// on, poisoning propagates, implementation-chosen shards/capacity.
+    /// A builder with all knobs at their defaults: initial value 0,
+    /// implementation-chosen shards, no metrics, no spinning.
     pub fn new() -> Self {
         CounterBuilder {
             cfg: BuildConfig::default(),
@@ -231,31 +185,6 @@ impl<C: Buildable> CounterBuilder<C> {
     /// implementations.
     pub fn shards(mut self, shards: usize) -> Self {
         self.cfg.shards = Some(shards);
-        self
-    }
-
-    /// Capacity bound. For sharded implementations: the maximum unpublished
-    /// backlog a stripe may accumulate before a flush is forced, clamped to
-    /// `[8, 2^30]` — the upper bound keeps pending sums far below the range
-    /// where publication arithmetic could overflow. Ignored by
-    /// implementations without internal buffering.
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        self.cfg.capacity = Some(capacity);
-        self
-    }
-
-    /// Turns statistics collection on or off (default on). With stats off,
-    /// [`CounterDiagnostics::stats`](crate::CounterDiagnostics::stats)
-    /// reports zeros — including `live_waiters`, which tests often poll — so
-    /// leave stats on anywhere diagnostics matter.
-    pub fn stats(mut self, enabled: bool) -> Self {
-        self.cfg.stats = enabled;
-        self
-    }
-
-    /// Sets the poison policy (default [`PoisonPolicy::Propagate`]).
-    pub fn poison_policy(mut self, policy: PoisonPolicy) -> Self {
-        self.cfg.poison = policy;
         self
     }
 
@@ -306,8 +235,8 @@ impl<C: Buildable> CounterBuilder<C> {
 mod tests {
     use super::*;
     use crate::{
-        BTreeCounter, Counter, CounterDiagnostics, FailureInfo, MonitorCounter, MonotonicCounter,
-        NaiveCounter, ShardedCounter, SpinCounter, TracingCounter,
+        BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter, ShardedCounter,
+        SpinCounter, TracingCounter,
     };
 
     fn exercise<C: Buildable + MonotonicCounter + CounterDiagnostics>() {
@@ -324,32 +253,7 @@ mod tests {
         exercise::<NaiveCounter>();
         exercise::<TracingCounter>();
         exercise::<SpinCounter>();
-        exercise::<MonitorCounter>();
         exercise::<ShardedCounter>();
-    }
-
-    #[test]
-    fn stats_off_reports_zeros() {
-        let c = Counter::builder().stats(false).build();
-        c.increment(3);
-        c.check(1);
-        let s = c.stats();
-        assert_eq!(s.increments, 0);
-        assert_eq!(s.checks, 0);
-        assert_eq!(s.slow_path_entries, 0);
-    }
-
-    #[test]
-    fn poison_ignore_keeps_waits_alive() {
-        let c = Counter::builder()
-            .poison_policy(PoisonPolicy::Ignore)
-            .build();
-        c.poison(FailureInfo::new("ignored"));
-        assert!(c.poison_info().is_none());
-        // A satisfied wait still works; an unsatisfied one would block, so
-        // only probe the satisfied side here.
-        c.increment(1);
-        assert_eq!(c.wait(1), Ok(()));
     }
 
     #[test]

@@ -30,16 +30,15 @@
 //! |------|-----------|----------------|----------------|
 //! | [`Counter`] | packed-word | sorted singly-linked list of condvar nodes | the paper's Section 7 implementation (including Figure 2's draining nodes), with lock-free uncontended paths layered on top |
 //! | [`BTreeCounter`] | packed-word | `BTreeMap` of condvar nodes | same algorithm, O(log L) level lookup |
-//! | [`NaiveCounter`] | — | one condvar, broadcast on every increment | the strawman the paper improves on: O(threads) wakeups |
+//! | [`NaiveCounter`] | — | one condvar, broadcast on every increment | the strawman the paper improves on: O(threads) wakeups; also a counter written as Section 8's predicate monitor |
 //! | [`SpinCounter`] | always | none — waiters busy-spin | the no-suspension-queue end of the design space |
-//! | [`MonitorCounter`] | — | one predicate monitor | counters expressed via Section 8's monitor comparison |
 //! | [`ShardedCounter`] | packed-word + striped cells | `BTreeMap` of condvar nodes | high-contention extension: increments land in per-thread cells and a combiner publishes into the packed word |
 //!
 //! The queue-structured implementations share the key complexity property of
 //! Section 7: storage and wakeup work are proportional to the **number of
 //! distinct levels being waited on**, not to the number of waiting threads.
-//! [`NaiveCounter`] and [`MonitorCounter`] are the single-queue baselines
-//! that lack it, and [`SpinCounter`] trades queues for CPU.
+//! [`NaiveCounter`] is the single-queue baseline that lacks it, and
+//! [`SpinCounter`] trades queues for CPU.
 //!
 //! [`Counter`] and [`BTreeCounter`] are one generic type,
 //! [`WaitlistCounter`], over the two [`WaitQueue`] strategies, and
@@ -88,8 +87,9 @@
 //!
 //! Every implementation is built through one fluent path, [`CounterBuilder`]
 //! (reachable as `Type::builder()`), which exposes the knobs shared across
-//! implementations: initial value, shard count, capacity, statistics
-//! collection, and [`PoisonPolicy`].
+//! implementations: initial value, shard count, a metrics sink, and
+//! spinning before suspending. Statistics are always collected and
+//! `poison` always propagates.
 //!
 //! ## Quickstart
 //!
@@ -116,7 +116,6 @@ mod error;
 mod fastpath;
 mod list;
 mod metered;
-mod monitor_impl;
 mod multi;
 mod naive;
 mod node;
@@ -134,7 +133,6 @@ pub use builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink, PoisonPol
 pub use error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
 pub use list::SortedList;
 pub use metered::{MeteredCounter, SAMPLE_EVERY};
-pub use monitor_impl::MonitorCounter;
 pub use multi::{check_all, CounterSet};
 pub use naive::NaiveCounter;
 pub use obligation::Obligation;

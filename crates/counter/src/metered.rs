@@ -48,9 +48,7 @@
 use crate::builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink};
 use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
 use crate::stats::StatsSnapshot;
-use crate::traits::{
-    CounterDiagnostics, HealthStatus, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
-};
+use crate::traits::{CounterDiagnostics, HealthStatus, MonotonicCounter, Resettable, WaitingLevel};
 use crate::{Counter, Value};
 use mc_metrics::{Event, Histogram};
 use std::cell::Cell;
@@ -354,21 +352,9 @@ impl<C: MonotonicCounter> MonotonicCounter for MeteredCounter<C> {
     }
 }
 
-impl<C: Buildable + MonotonicCounter> ResumableCounter for MeteredCounter<C> {
-    fn resume_from(value: Value) -> Self {
-        Self::builder().initial(value).build()
-    }
-}
-
 impl<C: Resettable> Resettable for MeteredCounter<C> {
     fn reset(&mut self) {
         self.inner.reset();
-        if let Some(m) = &self.instruments {
-            // Registry metrics are monotone and never reset, but the
-            // delta-publication baseline must follow the inner stats back to
-            // zero or the next publish would subtract stale totals.
-            *m.published.lock().unwrap_or_else(|e| e.into_inner()) = StatsSnapshot::default();
-        }
     }
 }
 
@@ -559,9 +545,25 @@ mod tests {
 
     #[test]
     fn resume_and_reset_round_trip() {
+        use crate::ResumableCounter;
         let mut c: MeteredCounter = MeteredCounter::resume_from(40);
         assert_eq!(c.debug_value(), 40);
         c.reset();
         assert_eq!(c.debug_value(), 0);
+    }
+
+    /// `reset` clears the value, not the stats, so the publication baseline
+    /// must survive it or the next publish re-counts everything before it.
+    #[test]
+    fn reset_does_not_republish_earlier_counts() {
+        let registry = Arc::new(Registry::new());
+        let mut c = metered(&registry);
+        for _ in 0..5 {
+            c.increment(1);
+        }
+        c.publish_stats();
+        c.reset();
+        c.publish_stats();
+        assert_eq!(registry.event("m.increments").get(), 5);
     }
 }

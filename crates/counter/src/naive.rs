@@ -5,11 +5,16 @@
 //! of which re-checks its own level and usually goes back to sleep. Wakeup
 //! work is O(total waiting threads) per increment instead of O(satisfied
 //! levels). Experiment E7 quantifies the difference.
+//!
+//! It is also the counter the paper's Section 8 sets beside monitors: a
+//! counter written as a predicate monitor on its value (one lock, one
+//! condition variable, `notify_all` on every change, each waiter re-testing
+//! `value >= level`) is exactly this type.
 
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
 use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
 use crate::stats::{Stats, StatsSnapshot};
-use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter};
+use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable};
 use crate::Value;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -27,7 +32,6 @@ pub struct NaiveCounter {
     state: Mutex<State>,
     cv: Condvar,
     stats: Stats,
-    poison_enabled: bool,
 }
 
 impl Default for NaiveCounter {
@@ -44,8 +48,7 @@ impl Buildable for NaiveCounter {
                 poisoned: None,
             }),
             cv: Condvar::new(),
-            stats: Stats::with_enabled(cfg.stats_enabled()),
-            poison_enabled: cfg.poison_propagates(),
+            stats: Stats::default(),
         }
     }
 }
@@ -141,9 +144,6 @@ impl MonotonicCounter for NaiveCounter {
     }
 
     fn poison(&self, info: FailureInfo) {
-        if !self.poison_enabled {
-            return;
-        }
         let mut state = self.state.lock().expect("counter lock poisoned");
         if state.poisoned.is_some() {
             return;
@@ -160,12 +160,6 @@ impl MonotonicCounter for NaiveCounter {
             .expect("counter lock poisoned")
             .poisoned
             .clone()
-    }
-}
-
-impl ResumableCounter for NaiveCounter {
-    fn resume_from(value: Value) -> Self {
-        Self::builder().initial(value).build()
     }
 }
 
@@ -231,8 +225,10 @@ mod tests {
     fn overflow_is_fallible() {
         let c = NaiveCounter::default();
         c.increment(u64::MAX);
+        let before = c.stats().notifies;
         assert!(c.try_increment(1).is_err());
         assert_eq!(c.debug_value(), u64::MAX);
+        assert_eq!(c.stats().notifies, before, "failed update must not signal");
     }
 
     #[test]

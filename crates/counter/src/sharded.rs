@@ -39,14 +39,17 @@
 //! * **Lazy** — with no waiters registered, a cell accumulates until its
 //!   pending delta reaches the *adaptive flush threshold*; the flush drains
 //!   all cells and publishes with one CAS (lock-free, nobody to wake). The
-//!   threshold starts low and doubles on every quiet flush (up to the
-//!   builder's `capacity` backlog bound), so sustained write storms publish
-//!   rarely, while a counter that just lost its waiters stays fresh.
+//!   threshold starts low and doubles on every quiet flush (up to a backlog
+//!   of 1,024 units), so sustained write storms publish rarely, while a
+//!   counter that just lost its waiters stays fresh.
 //!
 //! Waits themselves self-serve: a `check` that is not satisfied by the
 //! published value first drains and publishes the cells itself (lock-free in
 //! the common case) and re-tests before suspending — so a value that has
-//! logically been reached never blocks its own observer.
+//! logically been reached never blocks its own observer. If another
+//! thread's combine has drained the cells but not yet published, the check
+//! yields until that combine lands instead of suspending: the deltas it
+//! needs may be in that combine's hands.
 //!
 //! # Why the waiter/flush race cannot lose a wakeup
 //!
@@ -72,10 +75,10 @@
 //! # Exactness
 //!
 //! The cells-only fast tier is restricted to a regime where overflow is
-//! impossible: amounts at most 2^30, per-cell backlogs at most the capacity
-//! bound (itself clamped to 2^30), and a published hint below 2^61 (half
-//! the [`FastWord`] hint range). Everything outside that regime — huge
-//! amounts, values near saturation — funnels through the lock, where
+//! impossible: amounts at most 2^30, per-cell backlogs near the 1,024-unit
+//! flush bound, and a published hint below 2^61 (half the [`FastWord`] hint
+//! range). Everything outside that regime — huge amounts, values near
+//! saturation — funnels through the lock, where
 //! [`FastWord::locked_add`] keeps exact `u64` arithmetic and exact overflow
 //! errors, pending deltas included (they are drained and published before
 //! the fallible add).
@@ -94,14 +97,12 @@ use crate::error::{CheckError, CounterOverflowError, FailureInfo};
 use crate::fastpath::{FastAdvance, FastIncrement, FastWord};
 use crate::node::WaitNode;
 use crate::stats::{thread_slot, CachePadded, StatsSnapshot};
-use crate::traits::{
-    CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
-};
+use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, WaitingLevel};
 use crate::waitlist::{BTreeCounter, Inner, WaitMap};
 use crate::Value;
 use mc_metrics::{Event, Histogram};
 use std::sync::atomic::{
-    fence, AtomicU64,
+    fence, AtomicU64, AtomicUsize,
     Ordering::{AcqRel, Relaxed, SeqCst},
 };
 use std::sync::Arc;
@@ -121,16 +122,10 @@ const FAST_REGIME_LIMIT: Value = 1 << 61;
 /// that recently had waiters) publishes after this many pending units.
 const MIN_FLUSH_THRESHOLD: u64 = 8;
 
-/// Default upper bound of the adaptive flush threshold (per cell), i.e. the
-/// default of the builder's `capacity` knob for sharded counters.
-const DEFAULT_MAX_BACKLOG: u64 = 1024;
-
-/// Hard ceiling on the builder's `capacity` knob. Per-cell backlogs must
-/// stay far below the headroom between [`FAST_REGIME_LIMIT`] and
-/// `u64::MAX`, or the "pending sums cannot overflow" regime argument the
-/// combiner relies on stops holding; an unbounded user value like
-/// `usize::MAX` would break it outright.
-const MAX_BACKLOG_LIMIT: u64 = 1 << 30;
+/// Upper bound of the adaptive flush threshold (per cell). Far below the
+/// headroom between [`FAST_REGIME_LIMIT`] and `u64::MAX`, which the "pending
+/// sums cannot overflow" regime argument relies on.
+const MAX_BACKLOG: u64 = 1024;
 
 /// Combiner observability, attached when the builder carries a
 /// [`MetricsSink`]. Records *why* the combiner published (a waiter forced an
@@ -170,8 +165,7 @@ impl CombinerMetrics {
 ///
 /// Construct via [`ShardedCounter::builder`]; the builder's `shards` knob
 /// sets the stripe count (rounded up to a power of two, default derived from
-/// [`std::thread::available_parallelism`]) and its `capacity` knob bounds
-/// the per-cell unpublished backlog.
+/// [`std::thread::available_parallelism`]).
 pub struct ShardedCounter {
     /// The published value, its waitlist and the stats: a counter whose
     /// increments all arrive through the combiner.
@@ -183,11 +177,11 @@ pub struct ShardedCounter {
     /// `cells.len() - 1`; cell count is always a power of two.
     mask: usize,
     /// Adaptive lazy-flush threshold, in `[MIN_FLUSH_THRESHOLD,
-    /// max_backlog]`. Doubled on quiet flushes, reset when a waiter
+    /// MAX_BACKLOG]`. Doubled on quiet flushes, reset when a waiter
     /// registers.
     flush_threshold: AtomicU64,
-    /// Upper bound for `flush_threshold` (the builder's `capacity`).
-    max_backlog: u64,
+    /// Combines that have drained the cells but not yet published.
+    combining: AtomicUsize,
     metrics: Option<CombinerMetrics>,
 }
 
@@ -218,8 +212,8 @@ fn default_shards() -> usize {
 }
 
 impl ShardedCounter {
-    /// Starts building a sharded counter: set `shards`, `capacity`,
-    /// `initial`, then [`build`](CounterBuilder::build).
+    /// Starts building a sharded counter: set `shards`, `initial`, then
+    /// [`build`](CounterBuilder::build).
     pub fn builder() -> CounterBuilder<Self> {
         CounterBuilder::new()
     }
@@ -298,23 +292,26 @@ impl ShardedCounter {
 
     /// Drains the cells and publishes, taking the lock only when waiters (or
     /// word saturation) force it. Called from the lazy-flush trigger and from
-    /// the self-service tier of `wait`.
+    /// the self-service tier of `wait`. Counted in `combining` from before
+    /// the drain until after the publish, so a waiter whose deltas it took
+    /// can tell they are on their way.
     fn combine(&self) {
+        self.combining.fetch_add(1, SeqCst);
         let pending = self.drain_cells();
-        if pending == 0 {
-            return;
-        }
-        match self.fast().try_increment(pending) {
-            FastIncrement::Done => {}
-            // Waiters registered or hint saturated: publish under the lock
-            // so the sweep runs (`publish_locked` absorbs the saturation
-            // corner, so no error can surface here).
-            FastIncrement::Contended | FastIncrement::Overflow(_) => {
-                let mut inner = self.core.enter();
-                let satisfied = self.publish_locked(&mut inner, pending).1;
-                self.core.release(inner, satisfied);
+        if pending != 0 {
+            match self.fast().try_increment(pending) {
+                FastIncrement::Done => {}
+                // Waiters registered or hint saturated: publish under the
+                // lock so the sweep runs (`publish_locked` absorbs the
+                // saturation corner, so no error can surface here).
+                FastIncrement::Contended | FastIncrement::Overflow(_) => {
+                    let mut inner = self.core.enter();
+                    let satisfied = self.publish_locked(&mut inner, pending).1;
+                    self.core.release(inner, satisfied);
+                }
             }
         }
+        self.combining.fetch_sub(1, SeqCst);
     }
 
     /// The eager publication path: the caller observed the has-waiters bit
@@ -331,11 +328,11 @@ impl ShardedCounter {
     /// Grows the adaptive threshold after a flush no waiter was hurt by.
     fn relax_threshold(&self) {
         let cur = self.flush_threshold.load(Relaxed);
-        if cur < self.max_backlog {
+        if cur < MAX_BACKLOG {
             // Racy doubling is fine: the threshold is a heuristic, and every
-            // transition keeps it within [MIN_FLUSH_THRESHOLD, max_backlog].
+            // transition keeps it within [MIN_FLUSH_THRESHOLD, MAX_BACKLOG].
             self.flush_threshold
-                .store((cur * 2).min(self.max_backlog), Relaxed);
+                .store((cur * 2).min(MAX_BACKLOG), Relaxed);
         }
     }
 
@@ -387,12 +384,21 @@ impl ShardedCounter {
     /// self-service combine and a second load, so a logically reached value
     /// never suspends its observer. Lock-free while no waiters are
     /// registered.
+    ///
+    /// Another thread's combine may have drained this thread's deltas and
+    /// not yet published them, leaving this thread's combine nothing to
+    /// drain. Draining after it synchronizes with it, so its count in
+    /// `combining` is visible here: yield until it has published rather than
+    /// suspend.
     fn self_served(&self, level: Value) -> bool {
         let fast = self.fast();
         if !fast.is_satisfied(level) {
             self.combine();
-            if !fast.is_satisfied(level) {
-                return false;
+            while !fast.is_satisfied(level) {
+                if self.combining.load(SeqCst) == 0 {
+                    return false;
+                }
+                std::thread::yield_now();
             }
         }
         self.core.stats.record_fast_check();
@@ -512,24 +518,14 @@ impl Buildable for ShardedCounter {
             .unwrap_or_else(default_shards)
             .clamp(1, 1024)
             .next_power_of_two();
-        let max_backlog = cfg
-            .capacity()
-            .map(|c| (c as u64).clamp(MIN_FLUSH_THRESHOLD, MAX_BACKLOG_LIMIT))
-            .unwrap_or(DEFAULT_MAX_BACKLOG);
         ShardedCounter {
             core: BTreeCounter::from_config(cfg),
             cells: (0..shards).map(|_| CachePadded::default()).collect(),
             mask: shards - 1,
             flush_threshold: AtomicU64::new(MIN_FLUSH_THRESHOLD),
-            max_backlog,
+            combining: AtomicUsize::new(0),
             metrics: cfg.metrics().map(CombinerMetrics::attach),
         }
-    }
-}
-
-impl ResumableCounter for ShardedCounter {
-    fn resume_from(value: Value) -> Self {
-        Self::builder().initial(value).build()
     }
 }
 
@@ -604,16 +600,19 @@ mod tests {
 
     #[test]
     fn threshold_adapts_up_and_snaps_back() {
-        let c = ShardedCounter::builder().capacity(64).build();
+        let c = ShardedCounter::builder().build();
         assert_eq!(c.flush_threshold(), MIN_FLUSH_THRESHOLD);
+        // Each increment crosses the threshold, so each is a quiet flush:
+        // seven doublings take it from 8 to the bound, and the rest must
+        // leave it there.
         for _ in 0..100 {
-            c.increment(MIN_FLUSH_THRESHOLD);
+            c.increment(MAX_BACKLOG);
         }
-        assert!(
-            c.flush_threshold() > MIN_FLUSH_THRESHOLD,
-            "quiet flushes must relax the threshold"
+        assert_eq!(
+            c.flush_threshold(),
+            MAX_BACKLOG,
+            "the bound caps the threshold"
         );
-        assert!(c.flush_threshold() <= 64, "capacity bounds the threshold");
         // An (unsatisfied) wait snaps it back to eager.
         let _ = c.wait_timeout(u64::MAX / 2, Duration::from_millis(1));
         assert_eq!(c.flush_threshold(), MIN_FLUSH_THRESHOLD);
@@ -775,14 +774,6 @@ mod tests {
         let err = c.try_increment(1).unwrap_err();
         assert_eq!(err.value, u64::MAX);
         assert_eq!(err.amount, 1);
-    }
-
-    #[test]
-    fn capacity_is_clamped_to_safe_bounds() {
-        let huge = ShardedCounter::builder().capacity(usize::MAX).build();
-        assert_eq!(huge.max_backlog, MAX_BACKLOG_LIMIT);
-        let tiny = ShardedCounter::builder().capacity(0).build();
-        assert_eq!(tiny.max_backlog, MIN_FLUSH_THRESHOLD);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
 use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
 use crate::stats::{Stats, StatsSnapshot};
-use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter};
+use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable};
 use crate::Value;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Mutex;
@@ -27,7 +27,6 @@ pub struct SpinCounter {
     poisoned: AtomicBool,
     cause: Mutex<Option<FailureInfo>>,
     stats: Stats,
-    poison_enabled: bool,
 }
 
 impl Default for SpinCounter {
@@ -42,8 +41,7 @@ impl Buildable for SpinCounter {
             value: AtomicU64::new(cfg.initial()),
             poisoned: AtomicBool::new(false),
             cause: Mutex::new(None),
-            stats: Stats::with_enabled(cfg.stats_enabled()),
-            poison_enabled: cfg.poison_propagates(),
+            stats: Stats::default(),
         }
     }
 }
@@ -145,9 +143,6 @@ impl MonotonicCounter for SpinCounter {
     }
 
     fn poison(&self, info: FailureInfo) {
-        if !self.poison_enabled {
-            return;
-        }
         let mut cause = self.cause.lock().expect("poison cause lock poisoned");
         if cause.is_some() {
             return;
@@ -170,12 +165,6 @@ impl MonotonicCounter for SpinCounter {
         if prev < target {
             self.stats.record_fast_increment();
         }
-    }
-}
-
-impl ResumableCounter for SpinCounter {
-    fn resume_from(value: Value) -> Self {
-        Self::builder().initial(value).build()
     }
 }
 

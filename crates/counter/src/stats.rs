@@ -80,15 +80,13 @@ struct FastTallies {
 /// one `fetch_add` on the calling thread's own 128-byte stripe, so
 /// lock-free operations on different threads share no stats line, and
 /// [`snapshot`](Self::snapshot) sums the stripes, so the counts stay
-/// exact. The stripes cost a fixed
-/// 1 KiB per enabled counter. The E8 tables measure the fast path with
-/// stats enabled.
-#[derive(Debug)]
+/// exact. The stripes cost a fixed 1 KiB per counter, and the E8 tables
+/// measure the fast path with them.
+#[derive(Debug, Default)]
 pub(crate) struct Stats {
     /// The fast-path tallies, one stripe per [`thread_slot`] modulo
-    /// [`STRIPES`]. `None` when the counter was built with `.stats(false)`:
-    /// every record method is then a no-op and snapshots report zeros.
-    stripes: Option<Box<[CachePadded<FastTallies>; STRIPES]>>,
+    /// [`STRIPES`].
+    stripes: Box<[CachePadded<FastTallies>; STRIPES]>,
     slow_increments: AtomicU64,
     slow_checks: AtomicU64,
     slow_immediate_checks: AtomicU64,
@@ -114,60 +112,26 @@ fn bump_max(max: &AtomicU64, candidate: u64) {
 }
 
 impl Stats {
-    /// A stats block honoring the builder's `.stats(enabled)` knob.
-    pub(crate) fn with_enabled(enabled: bool) -> Self {
-        let zero = || AtomicU64::new(0);
-        Stats {
-            stripes: enabled.then(Box::default),
-            slow_increments: zero(),
-            slow_checks: zero(),
-            slow_immediate_checks: zero(),
-            suspensions: zero(),
-            nodes_created: zero(),
-            nodes_freed: zero(),
-            live_nodes: zero(),
-            max_live_nodes: zero(),
-            live_waiters: zero(),
-            max_live_waiters: zero(),
-            notifies: zero(),
-            slow_path_entries: zero(),
-        }
+    /// The calling thread's tally stripe.
+    fn stripe(&self) -> &FastTallies {
+        &self.stripes[thread_slot() % STRIPES]
     }
 
-    fn disabled(&self) -> bool {
-        self.stripes.is_none()
-    }
-
-    /// The calling thread's tally stripe, `None` when stats are disabled.
-    fn stripe(&self) -> Option<&FastTallies> {
-        let stripes = self.stripes.as_deref()?;
-        Some(&stripes[thread_slot() % STRIPES])
-    }
-
-    /// Every stripe's tallies; none when stats are disabled.
+    /// Every stripe's tallies.
     fn tallies(&self) -> impl Iterator<Item = &FastTallies> {
-        self.stripes.iter().flat_map(|s| s.iter().map(|t| &t.0))
+        self.stripes.iter().map(|t| &t.0)
     }
 
     pub(crate) fn record_increment(&self) {
-        if self.disabled() {
-            return;
-        }
         self.slow_increments.fetch_add(1, Relaxed);
     }
 
     pub(crate) fn record_check_immediate(&self) {
-        if self.disabled() {
-            return;
-        }
         self.slow_checks.fetch_add(1, Relaxed);
         self.slow_immediate_checks.fetch_add(1, Relaxed);
     }
 
     pub(crate) fn record_check_suspended(&self) {
-        if self.disabled() {
-            return;
-        }
         self.slow_checks.fetch_add(1, Relaxed);
         self.suspensions.fetch_add(1, Relaxed);
         let live = self.live_waiters.fetch_add(1, Relaxed) + 1;
@@ -175,33 +139,21 @@ impl Stats {
     }
 
     pub(crate) fn record_waiter_resumed(&self) {
-        if self.disabled() {
-            return;
-        }
         self.live_waiters.fetch_sub(1, Relaxed);
     }
 
     pub(crate) fn record_node_created(&self) {
-        if self.disabled() {
-            return;
-        }
         self.nodes_created.fetch_add(1, Relaxed);
         let live = self.live_nodes.fetch_add(1, Relaxed) + 1;
         bump_max(&self.max_live_nodes, live);
     }
 
     pub(crate) fn record_node_freed(&self) {
-        if self.disabled() {
-            return;
-        }
         self.nodes_freed.fetch_add(1, Relaxed);
         self.live_nodes.fetch_sub(1, Relaxed);
     }
 
     pub(crate) fn record_notify(&self) {
-        if self.disabled() {
-            return;
-        }
         self.notifies.fetch_add(1, Relaxed);
     }
 
@@ -210,9 +162,7 @@ impl Stats {
     /// One `fetch_add` on the caller's stripe; the snapshot folds it into the
     /// `increments` total.
     pub(crate) fn record_fast_increment(&self) {
-        if let Some(t) = self.stripe() {
-            t.increments.fetch_add(1, Relaxed);
-        }
+        self.stripe().increments.fetch_add(1, Relaxed);
     }
 
     /// A `check` satisfied by a single atomic load, without the lock.
@@ -220,9 +170,7 @@ impl Stats {
     /// One `fetch_add` on the caller's stripe; the snapshot folds it into
     /// the `checks` and `immediate_checks` totals.
     pub(crate) fn record_fast_check(&self) {
-        if let Some(t) = self.stripe() {
-            t.checks.fetch_add(1, Relaxed);
-        }
+        self.stripe().checks.fetch_add(1, Relaxed);
     }
 
     /// A `check` that missed the fast tier but saw its level satisfied
@@ -233,39 +181,12 @@ impl Stats {
     /// tally there costs about a fifth of the gain. The snapshot folds it
     /// into `checks` and `immediate_checks`, not into `fast_checks`.
     pub(crate) fn record_spin_check(&self) {
-        if let Some(t) = self.stripe() {
-            t.spin_checks.fetch_add(1, Relaxed);
-        }
+        self.stripe().spin_checks.fetch_add(1, Relaxed);
     }
 
     /// Any operation that acquired the slow-path mutex.
     pub(crate) fn record_slow_entry(&self) {
-        if self.disabled() {
-            return;
-        }
         self.slow_path_entries.fetch_add(1, Relaxed);
-    }
-
-    /// Clears all statistics (used when a counter is reset between phases).
-    #[cfg(test)]
-    pub(crate) fn reset(&self) {
-        self.slow_increments.store(0, Relaxed);
-        self.slow_checks.store(0, Relaxed);
-        self.slow_immediate_checks.store(0, Relaxed);
-        self.suspensions.store(0, Relaxed);
-        self.nodes_created.store(0, Relaxed);
-        self.nodes_freed.store(0, Relaxed);
-        self.live_nodes.store(0, Relaxed);
-        self.max_live_nodes.store(0, Relaxed);
-        self.live_waiters.store(0, Relaxed);
-        self.max_live_waiters.store(0, Relaxed);
-        self.notifies.store(0, Relaxed);
-        for t in self.tallies() {
-            t.increments.store(0, Relaxed);
-            t.checks.store(0, Relaxed);
-            t.spin_checks.store(0, Relaxed);
-        }
-        self.slow_path_entries.store(0, Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
@@ -382,7 +303,7 @@ mod tests {
 
     #[test]
     fn snapshot_display_is_compact_one_liner() {
-        let s = Stats::with_enabled(true);
+        let s = Stats::default();
         s.record_increment();
         s.record_check_immediate();
         let text = s.snapshot().to_string();
@@ -393,13 +314,13 @@ mod tests {
 
     #[test]
     fn snapshot_starts_zeroed() {
-        let s = Stats::with_enabled(true);
+        let s = Stats::default();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
     fn immediate_check_counts() {
-        let s = Stats::with_enabled(true);
+        let s = Stats::default();
         s.record_check_immediate();
         s.record_check_immediate();
         let snap = s.snapshot();
@@ -410,7 +331,7 @@ mod tests {
 
     #[test]
     fn node_lifecycle_tracks_live_and_max() {
-        let s = Stats::with_enabled(true);
+        let s = Stats::default();
         s.record_node_created();
         s.record_node_created();
         s.record_node_freed();
@@ -424,7 +345,7 @@ mod tests {
 
     #[test]
     fn waiter_lifecycle_tracks_live_and_max() {
-        let s = Stats::with_enabled(true);
+        let s = Stats::default();
         s.record_check_suspended();
         s.record_check_suspended();
         s.record_check_suspended();
@@ -436,20 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let s = Stats::with_enabled(true);
-        s.record_spin_check();
-        s.record_increment();
-        s.record_node_created();
-        s.record_check_suspended();
-        s.record_notify();
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
     fn fast_and_slow_path_counters() {
-        let s = Stats::with_enabled(true);
+        let s = Stats::default();
         s.record_fast_increment();
         s.record_fast_increment();
         s.record_fast_check();
@@ -465,7 +374,7 @@ mod tests {
 
     #[test]
     fn spin_checks_are_immediate_but_not_fast() {
-        let s = Stats::with_enabled(true);
+        let s = Stats::default();
         s.record_spin_check();
         s.record_fast_check();
         let snap = s.snapshot();
@@ -478,7 +387,7 @@ mod tests {
 
     #[test]
     fn threads_with_different_slots_record_on_different_lines() {
-        let s = Stats::with_enabled(true);
+        let s = Stats::default();
         let a = std::thread::scope(|sc| {
             sc.spawn(|| {
                 s.record_fast_increment();
@@ -504,24 +413,13 @@ mod tests {
                 })
             })
             .expect("a thread on a different stripe");
-        let stripes = s.stripes.as_deref().unwrap();
-        let inc = &stripes[a % STRIPES].increments;
-        let chk = &stripes[b % STRIPES].checks;
+        let inc = &s.stripes[a % STRIPES].increments;
+        let chk = &s.stripes[b % STRIPES].checks;
         assert_eq!((inc.load(Relaxed), chk.load(Relaxed)), (1, 1));
         let line = |word: &AtomicU64| word as *const AtomicU64 as usize / 128;
         assert_ne!(line(inc), line(chk), "slots {a} and {b} share a line");
         let snap = s.snapshot();
         assert_eq!((snap.fast_increments, snap.fast_checks), (1, 1));
-    }
-
-    #[test]
-    fn disabled_stats_allocate_no_stripes() {
-        let s = Stats::with_enabled(false);
-        assert!(s.stripes.is_none());
-        s.record_fast_increment();
-        s.record_fast_check();
-        s.record_spin_check();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

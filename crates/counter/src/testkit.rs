@@ -334,7 +334,6 @@ mod tests {
         exercise_erased(crate::BTreeCounter::default());
         exercise_erased(crate::NaiveCounter::default());
         exercise_erased(crate::SpinCounter::default());
-        exercise_erased(crate::MonitorCounter::default());
         exercise_erased(crate::TracingCounter::default());
         exercise_erased(crate::ShardedCounter::default());
     }

@@ -20,9 +20,7 @@
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
 use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
 use crate::stats::StatsSnapshot;
-use crate::traits::{
-    CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
-};
+use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, WaitingLevel};
 use crate::waitlist::{Counter, Inner, WaitQueue};
 use crate::Value;
 use std::fmt;
@@ -199,12 +197,6 @@ impl MonotonicCounter for TracingCounter {
 
     fn check_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckTimeoutError> {
         self.counter.check_timeout(level, timeout)
-    }
-}
-
-impl ResumableCounter for TracingCounter {
-    fn resume_from(value: Value) -> Self {
-        Self::builder().initial(value).build()
     }
 }
 

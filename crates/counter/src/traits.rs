@@ -13,6 +13,7 @@
 //!   instantaneous value (the paper's "no probe" rule, now enforced by the
 //!   type system rather than by documentation).
 
+use crate::builder::{Buildable, CounterBuilder};
 use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
 use crate::stats::StatsSnapshot;
 use crate::Value;
@@ -166,11 +167,17 @@ pub trait Resettable {
 /// any durably recorded value is always safe: no waiter decision that was
 /// enabled before the crash can become disabled after recovery.
 ///
-/// Every implementation in this crate provides it via its `with_value`
-/// constructor.
+/// Every [`Buildable`] counter implements it as
+/// `builder().initial(value).build()`.
 pub trait ResumableCounter: MonotonicCounter + Sized {
     /// Creates a counter whose value starts at `value`.
     fn resume_from(value: Value) -> Self;
+}
+
+impl<C: Buildable + MonotonicCounter> ResumableCounter for C {
+    fn resume_from(value: Value) -> Self {
+        CounterBuilder::new().initial(value).build()
+    }
 }
 
 /// The availability of a counter's backing resources, as reported by

@@ -29,9 +29,7 @@ use crate::list::SortedList;
 use crate::node::WaitNode;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::trace::{snapshot_of, TraceLog};
-use crate::traits::{
-    CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
-};
+use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, WaitingLevel};
 use crate::Value;
 use queue::Queue;
 use std::collections::BTreeMap;
@@ -199,8 +197,7 @@ pub(crate) struct Inner<Q> {
 /// Storage and operation time on the slow path are proportional to the number
 /// of **distinct levels currently waited on**, not to the number of waiting
 /// threads. The fast paths add no per-level storage; the only fixed cost is
-/// the stats tier's 1 KiB of per-thread tally stripes (none with
-/// `.stats(false)`).
+/// the stats tier's 1 KiB of per-thread tally stripes.
 pub struct WaitlistCounter<Q: WaitQueue> {
     pub(crate) fast: FastWord,
     /// `false` disables the lock-free tier so every operation takes the
@@ -209,10 +206,6 @@ pub struct WaitlistCounter<Q: WaitQueue> {
     fast_enabled: bool,
     inner: Mutex<Inner<Q>>,
     pub(crate) stats: Stats,
-    /// `false` turns `poison` into a no-op ([`PoisonPolicy::Ignore`]).
-    ///
-    /// [`PoisonPolicy::Ignore`]: crate::PoisonPolicy::Ignore
-    poison_enabled: bool,
     /// Spinning was requested and the building thread saw more than one
     /// CPU ([`spin_enabled`]). Read only by the cold
     /// [`wait_until`](Self::wait_until).
@@ -239,8 +232,7 @@ impl<Q: WaitQueue> Buildable for WaitlistCounter<Q> {
                 draining: Vec::new(),
                 poisoned: None,
             }),
-            stats: Stats::with_enabled(cfg.stats_enabled()),
-            poison_enabled: cfg.poison_propagates(),
+            stats: Stats::default(),
             // Decided here, on the building thread: a waiter pinned to one
             // CPU would count one and never spin.
             spin: spin_enabled(cfg.spin_before_suspend(), || {
@@ -503,18 +495,15 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         }
     }
 
-    /// Poisons the counter unless already poisoned or the policy ignores
-    /// poison. `publish` runs first under the lock and returns nodes it has
-    /// already swept, so a caller holding unpublished increments can let
-    /// the levels they satisfy succeed before the rest fail.
+    /// Poisons the counter unless already poisoned. `publish` runs first
+    /// under the lock and returns nodes it has already swept, so a caller
+    /// holding unpublished increments can let the levels they satisfy
+    /// succeed before the rest fail.
     pub(crate) fn poison_with(
         &self,
         info: FailureInfo,
         publish: impl FnOnce(&mut Inner<Q>) -> Vec<Arc<WaitNode>>,
     ) {
-        if !self.poison_enabled {
-            return;
-        }
         let mut inner = self.lock();
         if inner.poisoned.is_some() {
             return; // the first failure is the cause; later ones are noise
@@ -632,12 +621,6 @@ impl<Q: WaitQueue> MonotonicCounter for WaitlistCounter<Q> {
             return None;
         }
         self.lock().poisoned.clone()
-    }
-}
-
-impl<Q: WaitQueue> ResumableCounter for WaitlistCounter<Q> {
-    fn resume_from(value: Value) -> Self {
-        Self::builder().initial(value).build()
     }
 }
 

@@ -4,8 +4,7 @@
 
 use mc_counter::{
     BTreeCounter, CheckError, Counter, CounterDiagnostics, FailureInfo, MeteredCounter,
-    MonitorCounter, MonotonicCounter, NaiveCounter, Resettable, ShardedCounter, SpinCounter,
-    TracingCounter,
+    MonotonicCounter, NaiveCounter, Resettable, ShardedCounter, SpinCounter, TracingCounter,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -478,7 +477,6 @@ conformance!(btree, BTreeCounter);
 conformance!(naive, NaiveCounter);
 conformance!(traced, TracingCounter);
 conformance!(spin, SpinCounter);
-conformance!(monitor, MonitorCounter);
 conformance!(sharded, ShardedCounter);
 conformance!(metered, MeteredCounter<Counter>);
 

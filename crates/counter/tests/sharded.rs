@@ -17,12 +17,8 @@ proptest! {
     fn observed_value_is_the_sum_of_increments(
         amounts in proptest::collection::vec(0u64..1_000, 1..200),
         shards in 1usize..16,
-        capacity in 1usize..256,
     ) {
-        let c = ShardedCounter::builder()
-            .shards(shards)
-            .capacity(capacity)
-            .build();
+        let c = ShardedCounter::builder().shards(shards).build();
         let mut sum = 0u64;
         for (i, &a) in amounts.iter().enumerate() {
             c.increment(a);
@@ -128,7 +124,7 @@ fn staggered_waiters_drain_under_contended_writes() {
 /// waiter drains, throughput increments return to the lazy regime.
 #[test]
 fn threshold_relaxes_again_after_waiters_leave() {
-    let c = Arc::new(ShardedCounter::builder().shards(1).capacity(1024).build());
+    let c = Arc::new(ShardedCounter::builder().shards(1).build());
     // Push the threshold up.
     for _ in 0..4096 {
         c.increment(1);

@@ -54,9 +54,8 @@
 //!    is failpoint-instrumented, so chaos schedules can crash a counter
 //!    *during* resync.
 //!
-//! Under the default [`PoisonPolicy::Propagate`] (and `Ignore`, which only
-//! concerns explicit in-memory poisoning), a post-retry failure poisons the
-//! counter with the cause — the pre-degraded-mode semantics.
+//! Under the default [`PoisonPolicy::Propagate`], a post-retry failure
+//! poisons the counter with the cause.
 
 use crate::frame::WalRecord;
 use crate::recover::{recover_dir, write_snapshot, WAL_FILE};
@@ -108,8 +107,8 @@ pub struct DurableOptions {
     /// [`RetryPolicy::none`] surfaces every error on first occurrence.
     pub retry: RetryPolicy,
     /// What a post-retry WAL failure does. [`PoisonPolicy::Degrade`] enters
-    /// degraded mode (see the module docs); anything else poisons the
-    /// counter with the cause. Default: [`PoisonPolicy::Propagate`].
+    /// degraded mode (see the module docs); [`PoisonPolicy::Propagate`], the
+    /// default, poisons the counter with the cause.
     pub poison_policy: PoisonPolicy,
     /// The failpoint registry instrumenting this counter's I/O. `None`
     /// (default) uses the process-global registry armed from

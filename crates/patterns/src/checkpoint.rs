@@ -22,18 +22,17 @@
 //! [`mc_durable::write_frame`]: mc_durable::write_frame
 
 use crate::broadcast::{Broadcast, BroadcastReader, BroadcastWriter};
-use mc_counter::FailureInfo;
+use crate::pipeline::Pipeline;
 use mc_durable::{read_frame, write_frame, FrameRead};
 use std::fs::File;
 use std::io::{self, Write};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex; // lint:allow(raw-sync): panic/io-error capture slots
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex; // lint:allow(raw-sync): io-error capture slot
 
 /// Magic bytes opening every checkpoint file's header frame.
 const CKPT_MAGIC: &[u8; 4] = b"MCCK";
 
-type StageFn<T> = Box<dyn Fn(BroadcastReader<'_, T>, &mut BroadcastWriter<'_, T>) + Send + Sync>;
 type EncodeFn<T> = Box<dyn Fn(&T) -> Vec<u8> + Send + Sync>;
 type DecodeFn<T> = Box<dyn Fn(&[u8]) -> Option<T> + Send + Sync>;
 
@@ -85,7 +84,7 @@ pub struct ResumeReport {
 /// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 pub struct CheckpointedPipeline<T> {
-    stages: Vec<(usize, StageFn<T>)>,
+    pipeline: Pipeline<T>,
     encode: EncodeFn<T>,
     decode: DecodeFn<T>,
 }
@@ -97,7 +96,7 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
         decode: impl Fn(&[u8]) -> Option<T> + Send + Sync + 'static,
     ) -> Self {
         CheckpointedPipeline {
-            stages: Vec::new(),
+            pipeline: Pipeline::new(),
             encode: Box::new(encode),
             decode: Box::new(decode),
         }
@@ -110,18 +109,18 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
         capacity: usize,
         run: impl Fn(BroadcastReader<'_, T>, &mut BroadcastWriter<'_, T>) + Send + Sync + 'static,
     ) -> Self {
-        self.stages.push((capacity, Box::new(run)));
+        self.pipeline = self.pipeline.stage(capacity, run);
         self
     }
 
     /// Number of stages.
     pub fn len(&self) -> usize {
-        self.stages.len()
+        self.pipeline.len()
     }
 
     /// Whether the pipeline has no stages.
     pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
+        self.pipeline.is_empty()
     }
 
     /// Path of stage `k`'s checkpoint file in `dir`.
@@ -155,96 +154,38 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
             None => (input, None),
         };
         let first_stage = resumed_from_stage.map_or(0, |k| k + 1);
-        let stages_skipped = first_stage;
-        let remaining = &self.stages[first_stage..];
-        let stages_run = remaining.len();
+        let remaining = &self.pipeline.stages[first_stage..];
 
-        let mut buffers = Vec::with_capacity(remaining.len() + 1);
-        buffers.push(Broadcast::from_vec(start_items));
-        for &(capacity, _) in remaining {
-            buffers.push(Broadcast::new(capacity));
-        }
-
-        // Mirrors `Pipeline::run`'s failure handling; additionally each
-        // stage thread, after its stage function returns, reads back its own
-        // completed output and writes the stage checkpoint.
-        // lint:allow(raw-sync): uncontended panic-capture slot
-        let first_panic: Mutex<Option<(Box<dyn std::any::Any + Send>, bool)>> = Mutex::new(None);
         // lint:allow(raw-sync): uncontended io-error capture slot
         let first_io_error: Mutex<Option<io::Error>> = Mutex::new(None);
-        let checkpoints_written = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for (i, (_, run)) in remaining.iter().enumerate() {
-                let upstream = &buffers[i];
-                let downstream = &buffers[i + 1];
-                let stage_index = first_stage + i;
-                let this = &self;
-                let first_panic = &first_panic;
-                let first_io_error = &first_io_error;
-                let checkpoints_written = &checkpoints_written;
-                scope.spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let mut writer = downstream.writer();
-                        run(upstream.reader(), &mut writer);
-                    }));
-                    match result {
-                        Ok(()) => {
-                            // The stage pushed its full sequence; reading it
-                            // back through a fresh reader cannot block.
-                            match this.write_checkpoint(dir, stage_index, downstream) {
-                                Ok(()) => {
-                                    checkpoints_written
-                                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                }
-                                Err(e) => {
-                                    let mut slot = first_io_error
-                                        .lock()
-                                        .expect("checkpoint error slot poisoned");
-                                    slot.get_or_insert(e);
-                                }
-                            }
-                        }
-                        Err(payload) => {
-                            downstream.poison(FailureInfo::from_panic(payload.as_ref()));
-                            let is_cascade = payload
-                                .downcast_ref::<String>()
-                                .is_some_and(|s| s.starts_with("monotonic counter poisoned"));
-                            let mut first =
-                                first_panic.lock().expect("pipeline panic slot poisoned");
-                            let keep = match &*first {
-                                None => true,
-                                Some((_, stored_is_cascade)) => *stored_is_cascade && !is_cascade,
-                            };
-                            if keep {
-                                *first = Some((payload, is_cascade));
-                            }
-                        }
-                    }
-                });
+        let checkpoints_written = AtomicUsize::new(0);
+        // Each stage that completes reads back its own output (it pushed the
+        // full sequence, so a fresh reader cannot block) and checkpoints it.
+        let out = Pipeline::run_stages(remaining, start_items, |i, output| {
+            match self.write_checkpoint(dir, first_stage + i, output) {
+                Ok(()) => {
+                    checkpoints_written.fetch_add(1, Relaxed);
+                }
+                Err(e) => {
+                    let mut slot = first_io_error
+                        .lock()
+                        .expect("checkpoint error slot poisoned");
+                    slot.get_or_insert(e);
+                }
             }
         });
-        if let Some((payload, _)) = first_panic
-            .into_inner()
-            .expect("pipeline panic slot poisoned")
-        {
-            resume_unwind(payload);
-        }
         if let Some(e) = first_io_error
             .into_inner()
             .expect("checkpoint error slot poisoned")
         {
             return Err(e);
         }
-        let out = buffers
-            .pop()
-            .expect("buffers always contains at least the input stage")
-            .into_items();
         Ok((
             out,
             ResumeReport {
                 resumed_from_stage,
-                stages_skipped,
-                stages_run,
+                stages_skipped: first_stage,
+                stages_run: remaining.len(),
                 checkpoints_written: checkpoints_written.into_inner(),
             },
         ))
@@ -253,7 +194,7 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
     /// Finds the greatest stage index with a fully valid checkpoint in
     /// `dir` and decodes its items. Damaged files are skipped.
     fn latest_checkpoint(&self, dir: &Path) -> Option<(usize, Vec<T>)> {
-        for stage in (0..self.stages.len()).rev() {
+        for stage in (0..self.len()).rev() {
             let path = Self::checkpoint_path(dir, stage);
             let Ok(bytes) = std::fs::read(&path) else {
                 continue;
@@ -325,6 +266,7 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 

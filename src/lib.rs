@@ -75,10 +75,10 @@ pub mod prelude {
     pub use mc_counter::{
         check_all, BTreeCounter, BuildConfig, Buildable, CheckError, CheckTimeoutError, Counter,
         CounterBuilder, CounterDiagnostics, CounterExt, CounterOverflowError, CounterSet,
-        DynCounter, FailureInfo, HealthStatus, MeteredCounter, MetricsSink, MonitorCounter,
-        MonotonicCounter, NaiveCounter, Obligation, PoisonPolicy, Resettable, ShardedCounter,
-        SpinCounter, StallReport, StallVerdict, StatsSnapshot, Supervisor, SupervisorConfig,
-        TracingCounter, Value,
+        DynCounter, FailureInfo, HealthStatus, MeteredCounter, MetricsSink, MonotonicCounter,
+        NaiveCounter, Obligation, PoisonPolicy, Resettable, ShardedCounter, SpinCounter,
+        StallReport, StallVerdict, StatsSnapshot, Supervisor, SupervisorConfig, TracingCounter,
+        Value,
     };
     pub use mc_durable::{
         DurabilityMode, DurableCounter, DurableOptions, RetryPolicy, WalError, WalStats,

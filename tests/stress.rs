@@ -3,8 +3,8 @@
 //! waiter wakes, values add up, storage is reclaimed) under load.
 
 use mc_counter::{
-    BTreeCounter, Counter, CounterDiagnostics, MonitorCounter, MonotonicCounter, NaiveCounter,
-    ShardedCounter, SpinCounter,
+    BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter, ShardedCounter,
+    SpinCounter,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,10 +94,15 @@ fn hammer_naive() {
     }
 }
 
+/// Waiters that poll before suspending: the counter `Sequencer::new()`
+/// builds.
 #[test]
-fn hammer_monitor() {
+fn hammer_spinning() {
     for seed in 0..3 {
-        hammer::<MonitorCounter>(seed_base() + seed);
+        hammer_on(
+            Counter::builder().spin_before_suspend(true).build(),
+            seed_base() + seed,
+        );
     }
 }
 
