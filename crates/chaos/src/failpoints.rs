@@ -38,6 +38,7 @@
 //! [`seed_from_env`](crate::seed_from_env)); the same two variables drive
 //! CI's torture matrix and local replay.
 
+use mc_counter::splitmix64;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -174,14 +175,6 @@ pub struct Failpoints {
     total_injected: AtomicU64,
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 fn site_seed(seed: u64, site: &str) -> u64 {
     // FNV-1a over the site name, mixed with the registry seed: distinct
     // sites get decorrelated streams under the same seed.
@@ -316,7 +309,7 @@ impl Failpoints {
             Trigger::Always => true,
             Trigger::Nth(n) => state.hits == n,
             Trigger::Probability(p) => {
-                let draw = splitmix(&mut state.rng);
+                let draw = splitmix64(&mut state.rng);
                 ((draw >> 11) as f64 / (1u64 << 53) as f64) < p
             }
         };
@@ -327,7 +320,7 @@ impl Failpoints {
         self.total_injected.fetch_add(1, Relaxed);
         // A torn write needs at least one byte written and one withheld.
         let prefix = (config.partial && len > 1)
-            .then(|| 1 + (splitmix(&mut state.rng) % (len as u64 - 1)) as usize);
+            .then(|| 1 + (splitmix64(&mut state.rng) % (len as u64 - 1)) as usize);
         if config.oneshot {
             state.config = None;
             self.armed.fetch_sub(1, Relaxed);

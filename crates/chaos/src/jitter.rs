@@ -1,5 +1,6 @@
 //! The seeded jitter source.
 
+use mc_counter::{splitmix64, SPLITMIX64_GAMMA};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tuning for a [`Chaos`] source.
@@ -46,15 +47,11 @@ impl Chaos {
         }
     }
 
-    /// Draws the next pseudo-random word (SplitMix64).
+    /// Draws the next pseudo-random word: each draw claims one step of the
+    /// SplitMix64 stream atomically.
     fn next(&self) -> u64 {
-        let mut z = self
-            .state
-            .fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        let mut state = self.state.fetch_add(SPLITMIX64_GAMMA, Ordering::Relaxed);
+        splitmix64(&mut state)
     }
 
     /// A perturbation point: maybe yields the scheduler, maybe burns a few

@@ -13,6 +13,7 @@
 
 use std::fmt;
 
+use mc_counter::splitmix64;
 use mc_verify::{greedy_cut_limited, Op, OpRef, Skeleton};
 
 /// The schedule-observable result of one interleaving.
@@ -123,15 +124,6 @@ impl<'a> Interp<'a> {
     }
 }
 
-/// SplitMix64 step (same generator as [`crate::Chaos`]).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Execute one maximal interleaving chosen by a seeded uniform scheduler:
 /// at each step, a uniformly random enabled thread executes its next
 /// operation, until no thread is enabled.
@@ -143,7 +135,7 @@ pub fn run_random(sk: &Skeleton, seed: u64) -> SkeletonOutcome {
         if enabled.is_empty() {
             return interp.outcome();
         }
-        let pick = (splitmix(&mut state) % enabled.len() as u64) as usize;
+        let pick = (splitmix64(&mut state) % enabled.len() as u64) as usize;
         interp.step(enabled[pick]);
     }
 }
@@ -270,8 +262,8 @@ impl ConfirmedRejection {
     }
 }
 
-/// Dynamically reproduce every finding of a static [`Rejection`] on its
-/// skeleton:
+/// Dynamically reproduce every finding of a static
+/// [`Rejection`](mc_verify::Rejection) on its skeleton:
 ///
 /// * each **race** witness must replay, executing the textually-later
 ///   access (`first`) before ending with the textually-earlier one

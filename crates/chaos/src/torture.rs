@@ -14,6 +14,7 @@
 //! below it in the dependency order.
 
 use crate::failpoints::{FailConfig, Failpoints, Trigger};
+use mc_counter::splitmix64;
 use std::io;
 
 /// The error kinds a generated plan draws from — the transient kinds the
@@ -25,14 +26,6 @@ const KINDS: [io::ErrorKind; 4] = [
     io::ErrorKind::Interrupted,
     io::ErrorKind::WouldBlock,
 ];
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
 
 /// Derives a deterministic fault plan: one [`FailConfig`] per site, with the
 /// mix of triggers and error kinds a pure function of `seed`.
@@ -49,18 +42,18 @@ pub fn fault_plan(seed: u64, sites: &[&str]) -> Vec<(String, FailConfig)> {
     sites
         .iter()
         .map(|site| {
-            let kind = KINDS[(splitmix(&mut rng) % KINDS.len() as u64) as usize];
-            let roll = splitmix(&mut rng);
-            let partial = splitmix(&mut rng).is_multiple_of(2);
+            let kind = KINDS[(splitmix64(&mut rng) % KINDS.len() as u64) as usize];
+            let roll = splitmix64(&mut rng);
+            let partial = splitmix64(&mut rng).is_multiple_of(2);
             let config = if roll.is_multiple_of(3) {
                 FailConfig {
-                    trigger: Trigger::Nth(1 + splitmix(&mut rng) % 8),
+                    trigger: Trigger::Nth(1 + splitmix64(&mut rng) % 8),
                     kind,
                     oneshot: true,
                     partial,
                 }
             } else {
-                let p = 0.05 + (splitmix(&mut rng) % 41) as f64 / 100.0;
+                let p = 0.05 + (splitmix64(&mut rng) % 41) as f64 / 100.0;
                 FailConfig {
                     trigger: Trigger::Probability(p),
                     kind,

@@ -1,8 +1,18 @@
-//! Error types for fallible counter operations, and the [`FailureInfo`]
-//! record that travels with a poisoned counter.
+//! Error types for fallible counter operations, the [`FailureInfo`] record
+//! that travels with a poisoned counter, and the cascade rule that tells a
+//! root-cause panic from the panics it provokes in dependent threads.
 
+use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// How the panic of [`MonotonicCounter::check`] on a poisoned counter
+/// begins. A panic with this prefix is a *cascade* of another thread's
+/// failure, not a root cause ([`FailureInfo::is_cascade`], [`FirstPanic`]).
+///
+/// [`MonotonicCounter::check`]: crate::MonotonicCounter::check
+pub const POISONED_PANIC_PREFIX: &str = "monotonic counter poisoned";
 
 /// Error returned by [`MonotonicCounter::check_timeout`] when the counter did
 /// not reach the requested level before the timeout elapsed.
@@ -76,7 +86,7 @@ impl FailureInfo {
     /// Builds a failure record from a caught panic payload, extracting the
     /// conventional `&str`/`String` message (the payload of `panic!`), or a
     /// placeholder for exotic payloads.
-    pub fn from_panic(payload: &(dyn std::any::Any + Send)) -> Self {
+    pub fn from_panic(payload: &(dyn Any + Send)) -> Self {
         let message = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -117,6 +127,54 @@ impl FailureInfo {
     /// any.
     pub fn level(&self) -> Option<crate::Value> {
         self.level
+    }
+
+    /// Whether this failure is a cascade: the panic of a `check` on a
+    /// poisoned counter ([`POISONED_PANIC_PREFIX`]), not a root cause.
+    pub fn is_cascade(&self) -> bool {
+        self.message.starts_with(POISONED_PANIC_PREFIX)
+    }
+}
+
+/// The panic a group of threads re-raises once they have all joined: the
+/// first root-cause panic, or the first cascade when every panic was one.
+/// A sibling woken by the root cause's poison can record its cascade first,
+/// so the slot ranks by the cascade rule, not by arrival.
+#[derive(Default)]
+pub struct FirstPanic {
+    /// The kept payload and whether it is a cascade.
+    kept: Mutex<Option<(Box<dyn Any + Send>, bool)>>,
+}
+
+impl FirstPanic {
+    /// Runs `f`, catching a panic: the payload is offered to the slot and
+    /// returned as a [`FailureInfo`], for the caller to poison with. `f` is
+    /// treated as unwind-safe, since the panic is re-raised by
+    /// [`resume`](Self::resume).
+    pub fn catch(&self, f: impl FnOnce()) -> Result<(), FailureInfo> {
+        catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+            let info = FailureInfo::from_panic(payload.as_ref());
+            let cascade = info.is_cascade();
+            let mut kept = self.kept.lock().unwrap_or_else(PoisonError::into_inner);
+            if kept
+                .as_ref()
+                .is_none_or(|&(_, kept_cascade)| kept_cascade && !cascade)
+            {
+                *kept = Some((payload, cascade));
+            }
+            info
+        })
+    }
+
+    /// Re-raises the kept panic; returns normally when nothing panicked.
+    pub fn resume(self) {
+        if let Some((payload, _)) = self
+            .kept
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -235,6 +293,28 @@ mod tests {
         let info = FailureInfo::new("died").with_level(9);
         assert_eq!(info.level(), Some(9));
         assert!(info.to_string().contains("level context: 9"));
+    }
+
+    /// The message a [`FirstPanic`] re-raises after catching panics with
+    /// `messages`, in order.
+    fn kept(messages: &[&str]) -> String {
+        let slot = FirstPanic::default();
+        for m in messages {
+            let m = m.to_string();
+            assert!(slot.catch(move || panic!("{m}")).is_err());
+        }
+        let payload = catch_unwind(AssertUnwindSafe(|| slot.resume())).unwrap_err();
+        FailureInfo::from_panic(&*payload).message().to_string()
+    }
+
+    #[test]
+    fn first_panic_keeps_the_first_root_cause_else_the_first_cascade() {
+        let cascade = format!("{POISONED_PANIC_PREFIX}: thread 'a' failed: root");
+        let later = format!("{POISONED_PANIC_PREFIX}: later");
+        assert_eq!(kept(&[&cascade, "root"]), "root");
+        assert_eq!(kept(&["root", &cascade]), "root");
+        assert_eq!(kept(&["first", "second"]), "first");
+        assert_eq!(kept(&[&cascade, &later]), cascade);
     }
 
     #[test]

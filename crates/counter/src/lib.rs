@@ -111,6 +111,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod backoff;
 mod builder;
 mod error;
 mod fastpath;
@@ -129,8 +130,12 @@ mod trace;
 mod traits;
 mod waitlist;
 
+pub use backoff::{backoff, jitter, splitmix64, SPLITMIX64_GAMMA};
 pub use builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink, PoisonPolicy};
-pub use error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
+pub use error::{
+    CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo, FirstPanic,
+    POISONED_PANIC_PREFIX,
+};
 pub use list::SortedList;
 pub use metered::{MeteredCounter, SAMPLE_EVERY};
 pub use multi::{check_all, CounterSet};
@@ -140,9 +145,8 @@ pub use sharded::ShardedCounter;
 pub use spin::SpinCounter;
 pub use stats::StatsSnapshot;
 pub use supervisor::{
-    CounterRecovery, CounterReport, RecoveredCounter, RecoveryReport, RestartableObligation,
-    StallReport, StallVerdict, SupervisedCounter, SupervisedObligation, Supervisor,
-    SupervisorConfig,
+    CounterRecovery, CounterReport, RecoveredCounter, RecoveryReport, StallReport, StallVerdict,
+    SupervisedCounter, SupervisedObligation, Supervisor, SupervisorConfig,
 };
 pub use trace::{CounterSnapshot, NodeSnapshot, TracingCounter};
 pub use traits::{

@@ -122,8 +122,9 @@ impl Instruments {
 }
 
 /// A counter wrapper that publishes operation counts and latency histograms
-/// to an `mc-metrics` registry — see the [module docs](self) for the metric
-/// set and the sampling discipline.
+/// to an `mc-metrics` registry: counts come from the inner stats tier at
+/// [`publish_stats`](Self::publish_stats), and latency is timed for one
+/// operation in [`SAMPLE_EVERY`] per thread.
 ///
 /// Build it like any other implementation; attach the registry through the
 /// builder:
@@ -187,8 +188,8 @@ impl<C: CounterDiagnostics> MeteredCounter<C> {
     /// accrued since the previous call, so periodic publication from a
     /// scrape loop never double-counts. This is how the hot-path counts
     /// reach the registry at all — the operations themselves write nothing
-    /// shared (see the [module docs](self)) — so call it right before each
-    /// scrape/render. No-op without a sink.
+    /// shared — so call it right before each scrape/render. No-op without a
+    /// sink.
     pub fn publish_stats(&self) {
         let Some(m) = &self.instruments else {
             return;

@@ -15,12 +15,12 @@
 use crate::builder::MetricsSink;
 use crate::error::FailureInfo;
 use crate::traits::{CounterDiagnostics, HealthStatus, MonotonicCounter, WaitingLevel};
-use crate::Value;
+use crate::{Counter, Value};
 use mc_metrics::{Event, Registry};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -330,12 +330,21 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
+/// One registration. A counter may be registered under several names, and
+/// several counters under one name: no pass looks a counter up by name.
+#[derive(Clone)]
 struct Entry {
     name: String,
     counter: Weak<dyn SupervisedCounter>,
     /// Sum of amounts owed by live supervised obligations on this counter.
     obligations: Arc<AtomicU64>,
+    /// `(attempt, next_backoff)` while the counter's producer restarts
+    /// ([`Supervisor::note_restarting`]): overrides the stall verdict.
+    restarting: Option<(u32, Duration)>,
 }
+
+/// A registered counter and its report from one sampling pass.
+type Sample = (Arc<dyn SupervisedCounter>, CounterReport);
 
 /// Supervision observability, attached via [`Supervisor::attach_metrics`].
 /// Verdict tallies use the stable [`StallVerdict::as_label`] names; health
@@ -380,11 +389,11 @@ impl SupervisorMetrics {
         }
     }
 
-    /// Tallies one diagnose pass over `report`.
-    fn record_diagnosis(&self, report: &StallReport) {
+    /// Tallies one diagnose pass over `samples`.
+    fn record_diagnosis(&self, samples: &[Sample]) {
         self.diagnoses.incr();
         let mut last = lock_recover(&self.last_health);
-        for c in &report.counters {
+        for (_, c) in samples {
             match c.verdict {
                 StallVerdict::Idle => self.verdict_idle.incr(),
                 StallVerdict::Slow => self.verdict_slow.incr(),
@@ -402,34 +411,10 @@ impl SupervisorMetrics {
     }
 }
 
-/// Stop handshake for the watch thread. Lives in its own `Arc` so the
-/// sleeping thread holds no strong reference to [`Shared`] — the last
-/// [`Supervisor`] clone can then detect itself via `strong_count` and join.
-struct StopSignal {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
 struct Shared {
     entries: Mutex<Vec<Entry>>,
-    /// Counters whose producer is mid-restart (`name -> (attempt,
-    /// next_backoff)`), reported by a supervision tree via
-    /// [`Supervisor::note_restarting`]. Overrides the stall verdict so the
-    /// watch thread never poisons a counter whose increments are coming back.
-    restarting: Mutex<HashMap<String, (u32, Duration)>>,
     last_report: Mutex<Option<StallReport>>,
     recoveries: Mutex<RecoveryReport>,
-    watch: Mutex<Option<JoinHandle<()>>>,
-    /// Set (to `true`) by the watch thread as its very last action, even on
-    /// unwind. Lets tests assert the thread was actually reaped.
-    watch_exited: Mutex<Option<Arc<AtomicBool>>>,
-    stop: Arc<StopSignal>,
-    /// Number of live user-held `Supervisor` clones. The watch thread's
-    /// transient upgrade of its `Weak<Shared>` during a tick makes
-    /// `Arc::strong_count` unreliable for last-clone detection, so clones
-    /// are counted explicitly: the drop that brings this to zero stops and
-    /// joins the watch thread.
-    user_clones: AtomicUsize,
     config: SupervisorConfig,
     /// Observability hooks, attached (at most once) via
     /// [`Supervisor::attach_metrics`]. `None` — the default — records
@@ -445,8 +430,32 @@ impl Shared {
     }
 }
 
+/// A running watch thread, owned by the [`Supervisor`] clones that share
+/// it. Dropping it raises `stop` and joins the thread.
+struct Watch {
+    /// Reaches 1 when the thread must exit; the thread holds a clone until
+    /// it exits.
+    stop: Arc<Counter>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for Watch {
+    fn drop(&mut self) {
+        self.stop.increment(1);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// A registry of counters with stall diagnostics; cheaply cloneable (clones
 /// share the registry). See the module docs.
+///
+/// # Watch thread
+///
+/// [`start`](Self::start) spawns a watch thread that the clones share.
+/// [`stop`](Self::stop), or the drop of the last clone, stops and joins it;
+/// `start` after `stop` spawns a fresh one.
 ///
 /// # Example
 ///
@@ -460,22 +469,17 @@ impl Shared {
 /// let report = sup.diagnose();
 /// assert_eq!(report.counters[0].verdict, StallVerdict::Idle);
 /// ```
+#[derive(Clone)]
 pub struct Supervisor {
     shared: Arc<Shared>,
+    /// Shared by the clones and by nothing else, so the last clone's drop
+    /// drops the watch thread's handle, which stops and joins it.
+    watch: Arc<Mutex<Option<Watch>>>,
 }
 
 impl Default for Supervisor {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for Supervisor {
-    fn clone(&self) -> Self {
-        self.shared.user_clones.fetch_add(1, Relaxed);
-        Supervisor {
-            shared: Arc::clone(&self.shared),
-        }
     }
 }
 
@@ -491,19 +495,12 @@ impl Supervisor {
         Supervisor {
             shared: Arc::new(Shared {
                 entries: Mutex::new(Vec::new()),
-                restarting: Mutex::new(HashMap::new()),
                 last_report: Mutex::new(None),
                 recoveries: Mutex::new(RecoveryReport::default()),
-                watch: Mutex::new(None),
-                watch_exited: Mutex::new(None),
-                stop: Arc::new(StopSignal {
-                    stopped: Mutex::new(false),
-                    cv: Condvar::new(),
-                }),
-                user_clones: AtomicUsize::new(1),
                 config,
                 metrics: Mutex::new(None),
             }),
+            watch: Arc::default(),
         }
     }
 
@@ -523,12 +520,8 @@ impl Supervisor {
     where
         C: SupervisedCounter + 'static,
     {
-        let weak: Weak<dyn SupervisedCounter> = Arc::downgrade(counter) as _;
-        lock_recover(&self.shared.entries).push(Entry {
-            name: name.into(),
-            counter: weak,
-            obligations: Arc::new(AtomicU64::new(0)),
-        });
+        let counter: Arc<dyn SupervisedCounter> = Arc::clone(counter) as _;
+        self.register_dyn(name, &counter);
     }
 
     /// [`register`](Self::register) for a counter that is already
@@ -539,43 +532,50 @@ impl Supervisor {
             name: name.into(),
             counter: Arc::downgrade(counter),
             obligations: Arc::new(AtomicU64::new(0)),
+            restarting: None,
         });
     }
 
     /// Removes every entry registered under `name`; returns `true` when at
     /// least one entry was removed. Any pending
-    /// [`note_restarting`](Self::note_restarting) state for `name` is
-    /// discarded with it.
+    /// [`note_restarting`](Self::note_restarting) mark goes with its entry.
     ///
     /// Unregistering is optional — a dropped counter leaves the registry on
     /// its own — but lets a supervision tree retire a child's counters
     /// eagerly while other clones still hold the `Arc`.
     pub fn unregister(&self, name: &str) -> bool {
-        let removed = {
-            let mut entries = lock_recover(&self.shared.entries);
-            let before = entries.len();
-            entries.retain(|e| e.name != name);
-            entries.len() != before
-        };
-        lock_recover(&self.shared.restarting).remove(name);
-        removed
+        let mut entries = lock_recover(&self.shared.entries);
+        let before = entries.len();
+        entries.retain(|e| e.name != name);
+        entries.len() != before
     }
 
-    /// Marks the counter registered under `name` as having its producer
-    /// restarted: until [`clear_restarting`](Self::clear_restarting), its
+    /// Marks the counters registered under `name` as having their producer
+    /// restarted: until [`clear_restarting`](Self::clear_restarting), their
     /// stall verdict is [`StallVerdict::Restarting`] — never
     /// [`NeverSatisfiable`](StallVerdict::NeverSatisfiable) — so the watch
-    /// thread will not poison it while the replacement worker is pending.
+    /// thread will not poison them while the replacement worker is pending.
     pub fn note_restarting(&self, name: impl Into<String>, attempt: u32, next_backoff: Duration) {
         self.shared.with_metrics(|m| m.restarts_noted.incr());
-        lock_recover(&self.shared.restarting).insert(name.into(), (attempt, next_backoff));
+        let name = name.into();
+        for e in lock_recover(&self.shared.entries).iter_mut() {
+            if e.name == name {
+                e.restarting = Some((attempt, next_backoff));
+            }
+        }
     }
 
-    /// Clears a pending [`note_restarting`](Self::note_restarting) mark
-    /// (normally when the replacement worker starts); returns `true` when a
-    /// mark was present.
+    /// Clears the pending [`note_restarting`](Self::note_restarting) marks
+    /// under `name` (normally when the replacement worker starts); returns
+    /// `true` when a mark was present.
     pub fn clear_restarting(&self, name: &str) -> bool {
-        lock_recover(&self.shared.restarting).remove(name).is_some()
+        let mut cleared = false;
+        for e in lock_recover(&self.shared.entries).iter_mut() {
+            if e.name == name {
+                cleared |= e.restarting.take().is_some();
+            }
+        }
+        cleared
     }
 
     /// Takes on a supervised obligation to increment the counter registered
@@ -589,13 +589,7 @@ impl Supervisor {
     pub fn obligation(&self, name: &str, amount: Value) -> Option<SupervisedObligation> {
         let entries = lock_recover(&self.shared.entries);
         let entry = entries.iter().find(|e| e.name == name)?;
-        let counter = entry.counter.upgrade()?;
-        entry.obligations.fetch_add(amount, Relaxed);
-        Some(SupervisedObligation {
-            counter,
-            tracker: Arc::clone(&entry.obligations),
-            owed: amount,
-        })
+        SupervisedObligation::new(entry, amount, Settle::Poison)
     }
 
     /// Like [`obligation`](Self::obligation), but the unwind-drop behavior
@@ -611,36 +605,46 @@ impl Supervisor {
         &self,
         name: &str,
         amount: Value,
-    ) -> Option<RestartableObligation> {
+    ) -> Option<SupervisedObligation> {
         let entries = lock_recover(&self.shared.entries);
         let entry = entries.iter().find(|e| e.name == name)?;
-        let counter = entry.counter.upgrade()?;
-        entry.obligations.fetch_add(amount, Relaxed);
-        Some(RestartableObligation {
-            counter,
-            tracker: Arc::clone(&entry.obligations),
-            owed: amount,
-        })
+        SupervisedObligation::new(entry, amount, Settle::RollBack)
     }
 
     /// Samples every live registered counter and classifies its stall state.
+    ///
+    /// The registry lock is held only to collect the live counters; each
+    /// counter is read after it is released, so a counter unregistered
+    /// during the pass may still appear in the report.
     pub fn diagnose(&self) -> StallReport {
-        Self::diagnose_shared(&self.shared)
+        let counters = Self::diagnose_shared(&self.shared).into_iter();
+        StallReport {
+            counters: counters.map(|(_, c)| c).collect(),
+        }
     }
 
-    fn diagnose_shared(shared: &Shared) -> StallReport {
-        let restarting = lock_recover(&shared.restarting).clone();
-        let entries = lock_recover(&shared.entries);
+    /// A [`sample`](Self::sample) pass, tallied as a diagnosis.
+    fn diagnose_shared(shared: &Shared) -> Vec<Sample> {
+        let samples = Self::sample(shared);
+        shared.with_metrics(|m| m.record_diagnosis(&samples));
+        samples
+    }
+
+    /// The sampling pass: upgrades the registered counters under the
+    /// registry lock, then reads each one after releasing it, so a slow
+    /// read never holds up `register`, `unregister` or `obligation`.
+    fn sample(shared: &Shared) -> Vec<Sample> {
+        let entries: Vec<_> = lock_recover(&shared.entries)
+            .iter()
+            .filter_map(|e| Some((e.counter.upgrade()?, e.clone())))
+            .collect();
         let mut counters = Vec::with_capacity(entries.len());
-        for e in entries.iter() {
-            let Some(c) = e.counter.upgrade() else {
-                continue;
-            };
+        for (c, e) in entries {
             let value = c.debug_value();
             let outstanding = e.obligations.load(Relaxed);
             let waiters = c.waiters();
             let reach = value.saturating_add(outstanding);
-            let verdict = if let Some(&(attempt, next_backoff)) = restarting.get(&e.name) {
+            let verdict = if let Some((attempt, next_backoff)) = e.restarting {
                 // A pending restart overrides the reachability math: the
                 // failed producer's obligations were rolled back, so waits
                 // can look never-satisfiable exactly while the replacement
@@ -662,20 +666,18 @@ impl Supervisor {
             } else {
                 c.health()
             };
-            counters.push(CounterReport {
-                name: e.name.clone(),
+            let report = CounterReport {
+                name: e.name,
                 value,
                 outstanding_obligations: outstanding,
                 waiters,
                 poisoned,
                 verdict,
                 health,
-            });
+            };
+            counters.push((c, report));
         }
-        drop(entries);
-        let report = StallReport { counters };
-        shared.with_metrics(|m| m.record_diagnosis(&report));
-        report
+        counters
     }
 
     /// Poisons every live registered counter with `info`. Used by deadline
@@ -684,47 +686,18 @@ impl Supervisor {
     ///
     /// [`run_with_deadline`]: https://docs.rs/mc-sthreads
     pub fn poison_all(&self, info: FailureInfo) {
-        // Upgrade under the lock, poison outside it: a durable counter's
-        // poison() blocks until its flusher acknowledges (up to a resync
-        // interval while degraded), and register()/diagnose() must not
-        // stall behind that.
-        let targets: Vec<_> = {
-            let entries = lock_recover(&self.shared.entries);
-            entries.iter().filter_map(|e| e.counter.upgrade()).collect()
-        };
-        self.shared
-            .with_metrics(|m| m.poisons_issued.add(targets.len() as u64));
-        for c in targets {
-            c.poison(info.clone());
-        }
+        Self::poison(&self.shared, &Self::sample(&self.shared), |_| {
+            Some(info.clone())
+        });
     }
 
     /// Poisons the counters currently diagnosed
     /// [`StallVerdict::NeverSatisfiable`]; returns how many were poisoned.
     pub fn poison_stuck(&self, info: FailureInfo) -> usize {
-        let report = self.diagnose();
-        // Upgrade under the lock, poison after dropping it (see
-        // [`poison_all`](Self::poison_all)).
-        let targets: Vec<_> = {
-            let entries = lock_recover(&self.shared.entries);
-            report
-                .stuck()
-                .into_iter()
-                .filter_map(|c| {
-                    entries
-                        .iter()
-                        .find(|e| e.name == c.name)
-                        .and_then(|e| e.counter.upgrade())
-                })
-                .collect()
-        };
-        let poisoned = targets.len();
-        self.shared
-            .with_metrics(|m| m.poisons_issued.add(poisoned as u64));
-        for counter in targets {
-            counter.poison(info.clone());
-        }
-        poisoned
+        let samples = Self::diagnose_shared(&self.shared);
+        Self::poison(&self.shared, &samples, |c| {
+            (c.verdict == StallVerdict::NeverSatisfiable).then(|| info.clone())
+        })
     }
 
     /// Force-poisons every registered counter that has been
@@ -733,52 +706,50 @@ impl Supervisor {
     /// this automatically when [`SupervisorConfig::degrade_deadline`] is
     /// set.
     pub fn poison_degraded(&self, deadline: Duration, info: FailureInfo) -> usize {
-        Self::poison_degraded_shared(&self.shared, &self.diagnose(), deadline, Some(info))
+        let samples = Self::diagnose_shared(&self.shared);
+        Self::poison_degraded_shared(&self.shared, &samples, deadline, Some(info))
     }
 
     fn poison_degraded_shared(
         shared: &Shared,
-        report: &StallReport,
+        samples: &[Sample],
         deadline: Duration,
         info: Option<FailureInfo>,
     ) -> usize {
-        // Collect the targets (and their causes) under the lock, then
-        // poison after dropping it: a degraded durable counter's poison()
-        // blocks until the flusher's next serve/ack tick — up to a resync
-        // interval — and every register()/diagnose()/obligation() call
-        // would stall behind that.
-        let mut targets = Vec::new();
-        {
-            let entries = lock_recover(&shared.entries);
-            for c in &report.counters {
-                let HealthStatus::Degraded { since, queued } = c.health else {
-                    continue;
-                };
-                if since.elapsed() < deadline {
-                    continue;
-                }
-                if let Some(counter) = entries
-                    .iter()
-                    .find(|e| e.name == c.name)
-                    .and_then(|e| e.counter.upgrade())
-                {
-                    let cause = info.clone().unwrap_or_else(|| {
-                        FailureInfo::new(format!(
-                            "supervisor: counter '{}' degraded beyond deadline ({deadline:?}, \
-                             {queued} queued record(s) unsynced)",
-                            c.name
-                        ))
-                    });
-                    targets.push((counter, cause));
-                }
-            }
+        Self::poison(shared, samples, |c| {
+            let HealthStatus::Degraded { since, queued } = c.health else {
+                return None;
+            };
+            (since.elapsed() >= deadline).then(|| {
+                info.clone().unwrap_or_else(|| {
+                    FailureInfo::new(format!(
+                        "supervisor: counter '{}' degraded beyond deadline ({deadline:?}, \
+                         {queued} queued record(s) unsynced)",
+                        c.name
+                    ))
+                })
+            })
+        })
+    }
+
+    /// The one poisoning step: poisons each sampled counter that `cause`
+    /// gives a failure for, and returns how many. It runs outside the
+    /// registry lock because a durable counter's `poison` blocks until its
+    /// flusher acknowledges, up to a resync interval while degraded.
+    fn poison(
+        shared: &Shared,
+        samples: &[Sample],
+        cause: impl Fn(&CounterReport) -> Option<FailureInfo>,
+    ) -> usize {
+        let targets: Vec<_> = samples
+            .iter()
+            .filter_map(|(counter, c)| Some((counter, cause(c)?)))
+            .collect();
+        shared.with_metrics(|m| m.poisons_issued.add(targets.len() as u64));
+        for (counter, info) in &targets {
+            counter.poison(info.clone());
         }
-        let poisoned = targets.len();
-        shared.with_metrics(|m| m.poisons_issued.add(poisoned as u64));
-        for (counter, cause) in targets {
-            counter.poison(cause);
-        }
-        poisoned
+        targets.len()
     }
 
     /// The stall report produced by the watch thread's most recent
@@ -787,48 +758,26 @@ impl Supervisor {
         lock_recover(&self.shared.last_report).clone()
     }
 
-    /// Starts the background watch thread (idempotent). Every
+    /// Starts the background watch thread (idempotent while it runs; see
+    /// the [type docs](Self#watch-thread) for its lifecycle). Every
     /// [`SupervisorConfig::interval`] it samples the registry; an interval
     /// with no value progress while threads wait records a stall report
     /// (see [`last_report`](Self::last_report)) and — with
     /// [`SupervisorConfig::poison_stuck`] — poisons provably-stuck counters.
     pub fn start(&self) {
-        let mut watch = lock_recover(&self.shared.watch);
+        let mut watch = lock_recover(&self.watch);
         if watch.is_some() {
             return;
         }
         let weak = Arc::downgrade(&self.shared);
-        let stop = Arc::clone(&self.shared.stop);
+        let stop = Arc::new(Counter::default());
+        let thread_stop = Arc::clone(&stop);
         let interval = self.shared.config.interval;
-        let exited = Arc::new(AtomicBool::new(false));
-        *lock_recover(&self.shared.watch_exited) = Some(Arc::clone(&exited));
         let handle = std::thread::Builder::new()
             .name("mc-supervisor".into())
             .spawn(move || {
-                // Raised even if a tick unwinds, so drop-join regression
-                // tests can observe that the loop actually terminated.
-                struct ExitFlag(Arc<AtomicBool>);
-                impl Drop for ExitFlag {
-                    fn drop(&mut self) {
-                        self.0.store(true, Relaxed);
-                    }
-                }
-                let _exit = ExitFlag(exited);
-                let mut prev: HashMap<String, Value> = HashMap::new();
-                loop {
-                    {
-                        let stopped = lock_recover(&stop.stopped);
-                        if *stopped {
-                            break;
-                        }
-                        let (stopped, _) = stop
-                            .cv
-                            .wait_timeout(stopped, interval)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        if *stopped {
-                            break;
-                        }
-                    }
+                let mut prev = HashMap::new();
+                while thread_stop.check_timeout(1, interval).is_err() {
                     let Some(shared) = weak.upgrade() else {
                         break;
                     };
@@ -836,7 +785,10 @@ impl Supervisor {
                 }
             })
             .expect("failed to spawn supervisor watch thread");
-        *watch = Some(handle);
+        *watch = Some(Watch {
+            stop,
+            thread: Some(handle),
+        });
     }
 
     /// Records the outcome of recovering a durable counter (normally called
@@ -859,104 +811,93 @@ impl Supervisor {
     }
 
     /// One watch-thread sample: diagnose, enforce the degrade deadline,
-    /// detect no-progress, record/poison.
-    fn tick(shared: &Shared, prev: &mut HashMap<String, Value>) {
+    /// detect no-progress, record/poison. `prev` holds each counter's value
+    /// at the previous tick, keyed by the counter's address, so counters
+    /// that share a name are watched one by one.
+    fn tick(shared: &Shared, prev: &mut HashMap<usize, Value>) {
         shared.with_metrics(|m| m.ticks.incr());
-        let report = Self::diagnose_shared(shared);
+        let samples = Self::diagnose_shared(shared);
         // Degrade-deadline enforcement runs on every tick, independent of
         // the no-progress detector: a degraded counter can keep making
         // in-memory progress forever while its replay queue never drains.
         if let Some(deadline) = shared.config.degrade_deadline {
-            Self::poison_degraded_shared(shared, &report, deadline, None);
+            Self::poison_degraded_shared(shared, &samples, deadline, None);
         }
-        let progressed = report
-            .counters
+        let values: HashMap<usize, Value> = samples
             .iter()
-            .any(|c| prev.get(&c.name).is_none_or(|&v| v != c.value));
-        *prev = report
-            .counters
-            .iter()
-            .map(|c| (c.name.clone(), c.value))
+            .map(|(counter, c)| (Arc::as_ptr(counter) as *const () as usize, c.value))
             .collect();
-        if progressed || !report.has_waiters() {
+        let progressed = values.iter().any(|(key, v)| prev.get(key) != Some(v));
+        *prev = values;
+        if progressed || samples.iter().all(|(_, c)| c.waiters.is_empty()) {
             return;
         }
         shared.with_metrics(|m| m.stall_reports.incr());
         // Publish the report before poisoning, so a waiter the poison wakes
         // already finds the verdict that justified it.
-        *lock_recover(&shared.last_report) = Some(report.clone());
+        let counters = samples.iter().map(|(_, c)| c.clone()).collect();
+        *lock_recover(&shared.last_report) = Some(StallReport { counters });
         if shared.config.poison_stuck {
-            // Upgrade under the lock, poison after dropping it (see
-            // `poison_degraded_shared`): poison() may block on a flusher
-            // tick, and the registry must stay responsive meanwhile.
-            let targets: Vec<_> = {
-                let entries = lock_recover(&shared.entries);
-                report
-                    .stuck()
-                    .into_iter()
-                    .filter_map(|c| {
-                        entries
-                            .iter()
-                            .find(|e| e.name == c.name)
-                            .and_then(|e| e.counter.upgrade())
-                            .map(|counter| {
-                                (
-                                    counter,
-                                    FailureInfo::new(format!(
-                                        "supervisor: counter '{}' is stuck (value {} + {} \
-                                         outstanding obligations cannot satisfy waited levels)",
-                                        c.name, c.value, c.outstanding_obligations
-                                    )),
-                                )
-                            })
-                    })
-                    .collect()
-            };
-            shared.with_metrics(|m| m.poisons_issued.add(targets.len() as u64));
-            for (counter, cause) in targets {
-                counter.poison(cause);
-            }
+            Self::poison(shared, &samples, |c| {
+                (c.verdict == StallVerdict::NeverSatisfiable).then(|| {
+                    FailureInfo::new(format!(
+                        "supervisor: counter '{}' is stuck (value {} + {} \
+                         outstanding obligations cannot satisfy waited levels)",
+                        c.name, c.value, c.outstanding_obligations
+                    ))
+                })
+            });
         }
     }
 
-    /// Stops the watch thread and waits for it to exit (no-op if never
-    /// started). Also called automatically when the last clone is dropped.
+    /// Stops the watch thread and waits for it to exit (no-op if it is not
+    /// running). Also happens when the last clone is dropped.
     pub fn stop(&self) {
-        {
-            let mut stopped = lock_recover(&self.shared.stop.stopped);
-            *stopped = true;
-        }
-        self.shared.stop.cv.notify_all();
-        if let Some(h) = lock_recover(&self.shared.watch).take() {
-            let _ = h.join();
-        }
+        let watch = lock_recover(&self.watch).take();
+        drop(watch);
     }
 }
 
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        // `Arc::strong_count` would race with the watch thread's transient
-        // `Weak::upgrade` during a tick (count momentarily 2 while the last
-        // user clone drops, leaking the thread unjoined). The explicit clone
-        // count has no such window: exactly one drop observes 1 -> 0, and
-        // that drop stops and joins the watch thread.
-        if self.shared.user_clones.fetch_sub(1, Relaxed) == 1 {
-            self.stop();
-        }
-    }
+/// How a [`SupervisedObligation`] settles.
+#[derive(Clone, Copy)]
+enum Settle {
+    Deliver,
+    RollBack,
+    Poison,
 }
 
 /// A supervised increment obligation: the RAII contract of
-/// [`Obligation`](crate::Obligation) (deliver on normal drop, poison on
-/// unwind-drop), plus supervisor accounting — while the guard lives its
-/// amount is counted in [`CounterReport::outstanding_obligations`].
+/// [`Obligation`](crate::Obligation) (deliver on normal drop), plus
+/// supervisor accounting — while the guard lives its amount is counted in
+/// [`CounterReport::outstanding_obligations`].
+///
+/// What an unwind-drop does is fixed when the guard is taken: one from
+/// [`Supervisor::obligation`] poisons the counter, and one from
+/// [`Supervisor::restartable_obligation`] **rolls back** — accounting
+/// released, counter untouched — so the supervision tree owning the worker
+/// either starts a replacement (which re-acquires the obligation) or
+/// escalates and poisons with the root cause itself.
 pub struct SupervisedObligation {
     counter: Arc<dyn SupervisedCounter>,
     tracker: Arc<AtomicU64>,
     owed: Value,
+    on_unwind: Settle,
 }
 
 impl SupervisedObligation {
+    /// Takes on `amount` for `entry`'s counter, settling as `on_unwind` if
+    /// dropped during a panic; `None` when the counter is gone.
+    fn new(entry: &Entry, amount: Value, on_unwind: Settle) -> Option<Self> {
+        let counter = entry.counter.upgrade()?;
+        entry.obligations.fetch_add(amount, Relaxed);
+        Some(SupervisedObligation {
+            counter,
+            tracker: Arc::clone(&entry.obligations),
+            owed: amount,
+            on_unwind,
+        })
+    }
+
     /// The amount this obligation will deliver.
     pub fn owed(&self) -> Value {
         self.owed
@@ -964,81 +905,43 @@ impl SupervisedObligation {
 
     /// Delivers the owed increment now, consuming the guard.
     pub fn fulfill(mut self) {
-        self.resolve(false);
+        self.resolve(Settle::Deliver);
     }
 
-    fn resolve(&mut self, panicking: bool) {
+    /// Rolls the obligation back explicitly — accounting released, counter
+    /// untouched — consuming the guard. Useful when a worker observes a
+    /// cooperative abort and wants to hand its outstanding work back before
+    /// returning normally.
+    pub fn rollback(mut self) {
+        self.resolve(Settle::RollBack);
+    }
+
+    fn resolve(&mut self, how: Settle) {
         if self.owed == 0 {
             return;
         }
         let owed = self.owed;
         self.owed = 0;
         self.tracker.fetch_sub(owed, Relaxed);
-        if panicking {
-            self.counter.poison(
+        match how {
+            Settle::Deliver => self.counter.increment(owed),
+            Settle::RollBack => {}
+            Settle::Poison => self.counter.poison(
                 FailureInfo::new("increment obligation abandoned by panicking thread")
                     .with_level(owed),
-            );
-        } else {
-            self.counter.increment(owed);
+            ),
         }
     }
 }
 
 impl Drop for SupervisedObligation {
     fn drop(&mut self) {
-        self.resolve(std::thread::panicking());
-    }
-}
-
-/// A restart-aware increment obligation
-/// ([`Supervisor::restartable_obligation`]): delivers on normal drop like
-/// [`SupervisedObligation`], but an unwind-drop **rolls the obligation
-/// back** — accounting released, counter untouched — instead of poisoning.
-/// The supervision tree owning the worker then either starts a replacement
-/// (which re-acquires the obligation) or escalates and poisons with the
-/// root cause itself.
-pub struct RestartableObligation {
-    counter: Arc<dyn SupervisedCounter>,
-    tracker: Arc<AtomicU64>,
-    owed: Value,
-}
-
-impl RestartableObligation {
-    /// The amount this obligation will deliver.
-    pub fn owed(&self) -> Value {
-        self.owed
-    }
-
-    /// Delivers the owed increment now, consuming the guard.
-    pub fn fulfill(mut self) {
-        self.resolve(false);
-    }
-
-    /// Rolls the obligation back explicitly — accounting released, counter
-    /// untouched — consuming the guard. Equivalent to what an unwind-drop
-    /// does; useful when a worker observes a cooperative abort and wants to
-    /// hand its outstanding work back before returning normally.
-    pub fn rollback(mut self) {
-        self.resolve(true);
-    }
-
-    fn resolve(&mut self, rollback: bool) {
-        if self.owed == 0 {
-            return;
-        }
-        let owed = self.owed;
-        self.owed = 0;
-        self.tracker.fetch_sub(owed, Relaxed);
-        if !rollback {
-            self.counter.increment(owed);
-        }
-    }
-}
-
-impl Drop for RestartableObligation {
-    fn drop(&mut self) {
-        self.resolve(std::thread::panicking());
+        let panicking = std::thread::panicking();
+        self.resolve(if panicking {
+            self.on_unwind
+        } else {
+            Settle::Deliver
+        });
     }
 }
 
@@ -1225,18 +1128,85 @@ mod tests {
             let c = Arc::new(Counter::default());
             sup.register("c", &c);
             sup.start();
-            let exited = sup
-                .shared
-                .watch_exited
-                .lock()
-                .unwrap()
-                .clone()
-                .expect("watch thread started");
+            // The thread holds its clone of the stop counter until it exits.
+            let exited = Arc::downgrade(
+                &sup.watch
+                    .lock()
+                    .unwrap()
+                    .as_ref()
+                    .expect("watch thread started")
+                    .stop,
+            );
             drop(sup);
             assert!(
-                exited.load(Relaxed),
+                exited.upgrade().is_none(),
                 "watch thread survived supervisor drop"
             );
+        }
+    }
+
+    /// Starts `sup`'s watch thread with a waiter stuck at 100 on `c`, and
+    /// asserts that a stall is reported and the waiter released.
+    fn assert_watch_releases_stuck_waiter(sup: &Supervisor, c: &Arc<Counter>) {
+        sup.start();
+        let c = Arc::clone(c);
+        let h = thread::spawn(move || c.wait_timeout(100, Duration::from_secs(1)));
+        assert!(
+            matches!(h.join().unwrap(), Err(CheckError::Poisoned(_))),
+            "the watch thread must poison the stuck counter"
+        );
+        assert!(sup.last_report().is_some(), "stall report recorded");
+        sup.stop();
+    }
+
+    fn watching_supervisor() -> Supervisor {
+        Supervisor::with_config(SupervisorConfig {
+            interval: Duration::from_millis(10),
+            poison_stuck: true,
+            degrade_deadline: None,
+        })
+    }
+
+    #[test]
+    fn start_after_stop_watches_again() {
+        let sup = watching_supervisor();
+        sup.start();
+        sup.stop();
+        let c = Arc::new(Counter::default());
+        sup.register("stuck", &c);
+        assert_watch_releases_stuck_waiter(&sup, &c);
+    }
+
+    #[test]
+    fn watch_thread_watches_each_counter_that_shares_a_name() {
+        // Two values under one name are not progress.
+        let sup = watching_supervisor();
+        let (a, b) = (Arc::new(Counter::default()), Arc::new(Counter::default()));
+        a.increment(3);
+        b.increment(5);
+        sup.register("jobs", &a);
+        sup.register("jobs", &b);
+        assert_watch_releases_stuck_waiter(&sup, &a);
+    }
+
+    #[test]
+    fn poison_stuck_poisons_each_counter_that_shares_a_name() {
+        let sup = Supervisor::new();
+        let counters = [Arc::new(Counter::default()), Arc::new(Counter::default())];
+        let waiters: Vec<_> = counters
+            .iter()
+            .map(|c| {
+                sup.register("jobs", c);
+                let c = Arc::clone(c);
+                thread::spawn(move || c.wait_timeout(9, Duration::from_secs(2)))
+            })
+            .collect();
+        while counters.iter().any(|c| c.waiters().is_empty()) {
+            thread::yield_now();
+        }
+        assert_eq!(sup.poison_stuck(FailureInfo::new("diagnosed stall")), 2);
+        for h in waiters {
+            assert!(matches!(h.join().unwrap(), Err(CheckError::Poisoned(_))));
         }
     }
 

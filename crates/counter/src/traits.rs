@@ -14,7 +14,9 @@
 //!   type system rather than by documentation).
 
 use crate::builder::{Buildable, CounterBuilder};
-use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
+use crate::error::{
+    CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo, POISONED_PANIC_PREFIX,
+};
 use crate::stats::StatsSnapshot;
 use crate::Value;
 use std::time::Duration;
@@ -107,7 +109,7 @@ pub trait MonotonicCounter: Send + Sync {
     /// poisoning as a value.
     fn check(&self, level: Value) {
         if let Err(CheckError::Poisoned(info)) = self.wait(level) {
-            panic!("monotonic counter poisoned: {info}");
+            panic!("{POISONED_PANIC_PREFIX}: {info}");
         }
     }
 
@@ -125,7 +127,7 @@ pub trait MonotonicCounter: Send + Sync {
             Ok(()) => Ok(()),
             Err(CheckError::Timeout(e)) => Err(e),
             Err(CheckError::Poisoned(info)) => {
-                panic!("monotonic counter poisoned: {info}");
+                panic!("{POISONED_PANIC_PREFIX}: {info}");
             }
         }
     }

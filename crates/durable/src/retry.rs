@@ -50,46 +50,25 @@ impl RetryPolicy {
     }
 
     /// The backoff before retry `attempt` (0-based), without jitter:
-    /// `min(max_delay, base_delay << attempt)`.
+    /// `min(max_delay, base_delay << attempt)` ([`mc_counter::backoff`]).
     fn backoff(&self, attempt: u32) -> Duration {
-        let shifted = self
-            .base_delay
-            .checked_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-            .unwrap_or(self.max_delay);
-        shifted.min(self.max_delay)
+        mc_counter::backoff(self.base_delay, self.max_delay, attempt)
     }
 }
 
-/// Deterministic jitter source for retry backoff — SplitMix64, same
-/// generator family the failpoint streams use, so a given seed reproduces
-/// the exact same sleep schedule.
+/// Deterministic jitter source for retry backoff: a seeded
+/// [`mc_counter::jitter`] stream, so a given seed reproduces the exact same
+/// sleep schedule.
 #[derive(Debug)]
-pub(crate) struct JitterRng {
-    state: u64,
-}
+pub(crate) struct JitterRng(u64);
 
 impl JitterRng {
     pub(crate) fn new(seed: u64) -> Self {
-        JitterRng { state: seed }
+        JitterRng(seed)
     }
 
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A jittered delay in `[delay/2, delay]` — half the backoff is kept
-    /// deterministic floor, the rest is scaled by the stream.
     fn jitter(&mut self, delay: Duration) -> Duration {
-        if delay.is_zero() {
-            return delay;
-        }
-        let half = delay / 2;
-        let frac = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
-        half + Duration::from_secs_f64(half.as_secs_f64() * frac)
+        mc_counter::jitter(&mut self.0, delay)
     }
 }
 

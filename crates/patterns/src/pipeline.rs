@@ -6,11 +6,14 @@
 //! molecules". A [`Pipeline`] chains [`Broadcast`] buffers: stage `k` reads
 //! the complete output sequence of stage `k-1` while producing its own, with
 //! all stages running concurrently and synchronizing only through counters.
+//!
+//! A stage that panics poisons its output, so the stages downstream fail
+//! with cascade panics instead of hanging, and the run re-raises the root
+//! cause ([`FirstPanic`]).
 
 use crate::broadcast::{Broadcast, BroadcastReader, BroadcastWriter};
-use mc_counter::FailureInfo;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex; // lint:allow(raw-sync): panic-capture slot, not synchronization
+use mc_counter::FirstPanic;
+use mc_sthreads::{multithreaded_for, ExecutionMode};
 
 type StageFn<T> = Box<dyn Fn(BroadcastReader<'_, T>, &mut BroadcastWriter<'_, T>) + Send + Sync>;
 
@@ -97,8 +100,9 @@ impl<T: Send + Sync> Pipeline<T> {
     /// If a stage panics, its output broadcast is poisoned (the writer's
     /// unwind-drop), which releases and in turn fails every downstream stage
     /// blocked on it — the failure cascades through the chain instead of
-    /// hanging it. After all stage threads have joined, the **first** panic
-    /// is re-raised on the calling thread.
+    /// hanging it. After all stage threads have joined, the first
+    /// root-cause panic ([`FirstPanic`]) is re-raised on the calling thread,
+    /// not the cascade panics of the stages downstream of it.
     pub fn run(self, input: Vec<T>) -> Vec<T> {
         Self::run_stages(&self.stages, input, |_, _| {})
     }
@@ -117,51 +121,26 @@ impl<T: Send + Sync> Pipeline<T> {
         for stage in stages {
             buffers.push(Broadcast::new(stage.capacity));
         }
-        // `(payload, is_cascade)`: a stage that panicked because an
-        // *upstream* broadcast was poisoned is a cascade casualty, not the
-        // root cause — keep the root cause when both are captured.
-        // lint:allow(raw-sync): uncontended panic-capture slot
-        let first_panic: Mutex<Option<(Box<dyn std::any::Any + Send>, bool)>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for (i, stage) in stages.iter().enumerate() {
-                let upstream = &buffers[i];
-                let downstream = &buffers[i + 1];
-                let (first_panic, on_complete) = (&first_panic, &on_complete);
-                scope.spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let mut writer = downstream.writer();
-                        (stage.run)(upstream.reader(), &mut writer);
-                    }));
-                    if let Err(payload) = result {
-                        // The writer's unwind-drop already poisoned
-                        // `downstream` with a positional message; re-poison
-                        // with the real payload for the case where the stage
-                        // failed before claiming the writer (first poison
-                        // wins, so this is a no-op otherwise).
-                        downstream.poison(FailureInfo::from_panic(payload.as_ref()));
-                        let is_cascade = payload
-                            .downcast_ref::<String>()
-                            .is_some_and(|s| s.starts_with("monotonic counter poisoned"));
-                        let mut first = first_panic.lock().expect("pipeline panic slot poisoned");
-                        let keep = match &*first {
-                            None => true,
-                            Some((_, stored_is_cascade)) => *stored_is_cascade && !is_cascade,
-                        };
-                        if keep {
-                            *first = Some((payload, is_cascade));
-                        }
-                    } else {
-                        on_complete(i, downstream);
-                    }
-                });
-            }
-        });
-        if let Some((payload, _)) = first_panic
-            .into_inner()
-            .expect("pipeline panic slot poisoned")
-        {
-            resume_unwind(payload);
-        }
+        // A stage that panicked because an *upstream* broadcast was
+        // poisoned is a cascade casualty: the slot keeps the root cause.
+        let first = FirstPanic::default();
+        multithreaded_for(
+            ExecutionMode::Multithreaded,
+            stages.iter().enumerate(),
+            |(i, stage)| {
+                let (upstream, downstream) = (&buffers[i], &buffers[i + 1]);
+                match first.catch(|| (stage.run)(upstream.reader(), &mut downstream.writer())) {
+                    Ok(()) => on_complete(i, downstream),
+                    // The writer's unwind-drop already poisoned `downstream`
+                    // with a positional message; re-poison with the real
+                    // payload for the case where the stage failed before
+                    // claiming the writer (first poison wins, so this is a
+                    // no-op otherwise).
+                    Err(info) => downstream.poison(info),
+                }
+            },
+        );
+        first.resume();
         buffers
             .pop()
             .expect("buffers always contains at least the input stage")

@@ -78,20 +78,7 @@ where
 /// [`multithreaded!`](crate::multithreaded) macro; this function is the
 /// dynamic-arity form.
 pub fn multithreaded_tasks<'env>(mode: ExecutionMode, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-    match mode {
-        ExecutionMode::Sequential => {
-            for task in tasks {
-                task();
-            }
-        }
-        ExecutionMode::Multithreaded => {
-            std::thread::scope(|scope| {
-                for task in tasks {
-                    scope.spawn(task);
-                }
-            });
-        }
-    }
+    multithreaded_for(mode, tasks, |task| task());
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Supervised variants of the structured-multithreading constructs.
 //!
-//! The plain constructs ([`multithreaded_for`](crate::multithreaded_for),
+//! The plain constructs ([`multithreaded_for`],
 //! [`multithreaded_tasks`](crate::multithreaded_tasks)) follow `std` panic
 //! semantics: an iteration that panics aborts the whole scope. Worse, in a
 //! counter-synchronized program the panicking iteration's *increments never
@@ -9,70 +9,22 @@
 //!
 //! The supervised variants close that gap: each iteration runs under
 //! `catch_unwind`; on a panic the registered counters are poisoned with the
-//! real panic payload (as a [`FailureInfo`]), so blocked siblings fail fast
-//! with the cause while unblocked siblings finish normally; after the join,
-//! the first panic payload is re-raised so the construct still propagates
-//! failure to its caller exactly like the unsupervised form.
+//! real panic payload, so blocked siblings fail fast (with *cascade* panics)
+//! while unblocked siblings finish normally; after the join, the first
+//! root-cause panic ([`FirstPanic`]) is re-raised so the construct still
+//! propagates failure to its caller exactly like the unsupervised form.
 
 use crate::mode::ExecutionMode;
-use mc_counter::{FailureInfo, MonotonicCounter};
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex; // lint:allow(raw-sync): panic-capture slot, not protocol synchronization
+use crate::multithreaded_for;
+use mc_counter::{FirstPanic, MonotonicCounter};
 
-type Payload = Box<dyn Any + Send + 'static>;
-
-/// Collects the first panic payload across iterations and poisons the
-/// registered counters on every failure.
-struct PanicCollector<'a> {
-    counters: &'a [&'a dyn MonotonicCounter],
-    first: Mutex<Option<Payload>>, // lint:allow(raw-sync): panic-capture slot
-}
-
-impl<'a> PanicCollector<'a> {
-    fn new(counters: &'a [&'a dyn MonotonicCounter]) -> Self {
-        PanicCollector {
-            counters,
-            first: Mutex::new(None), // lint:allow(raw-sync): panic-capture slot
-        }
-    }
-
-    /// Runs one iteration under `catch_unwind`, converting a panic into
-    /// counter poisoning plus payload capture.
-    fn run(&self, f: impl FnOnce()) {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-            // Poison with the real cause before recording the payload: by
-            // the time the caller can observe the re-raised panic, every
-            // sibling blocked on these counters has already been released.
-            // (An `Obligation` inside the iteration may have poisoned first
-            // with its generic message — first-poison-wins makes that
-            // harmless.)
-            let info = FailureInfo::from_panic(payload.as_ref());
-            for c in self.counters {
-                c.poison(info.clone());
-            }
-            let mut first = self.first.lock().expect("panic collector poisoned");
-            if first.is_none() {
-                *first = Some(payload);
-            }
-        }
-    }
-
-    /// Re-raises the first captured panic, if any.
-    fn finish(self) {
-        let payload = self.first.into_inner().expect("panic collector poisoned");
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
-}
-
-/// A [`multithreaded_for`](crate::multithreaded_for) whose iterations are
-/// supervised: a panicking iteration poisons every counter in `counters`
-/// (releasing siblings blocked on increments that will now never arrive),
-/// the remaining iterations run to completion or fail fast on the poisoned
-/// counters, and the **first** panic is re-raised after all iterations have
-/// joined.
+/// A [`multithreaded_for`] whose iterations are supervised: a panicking
+/// iteration poisons every counter in `counters` (releasing siblings
+/// blocked on increments that will now never arrive), the remaining
+/// iterations run to completion or fail fast on the poisoned counters, and
+/// the **first root-cause** panic is re-raised after all iterations have
+/// joined. A sibling's cascade panic (its `check` on a poisoned counter) is
+/// re-raised only when no iteration panicked for a cause of its own.
 ///
 /// In [`ExecutionMode::Sequential`] a panicking iteration still poisons the
 /// counters, and the panic propagates immediately (later iterations do not
@@ -110,75 +62,52 @@ pub fn supervised_for<I, F>(
     I::Item: Send,
     F: Fn(I::Item) + Sync,
 {
-    let collector = PanicCollector::new(counters);
+    let first = FirstPanic::default();
+    // Runs one iteration; a panic poisons every counter with the real
+    // cause. (An `Obligation` inside the iteration may have poisoned first
+    // with its generic message — first-poison-wins makes that harmless.)
+    let run = |item| match first.catch(|| body(item)) {
+        Ok(()) => true,
+        Err(info) => {
+            for c in counters {
+                c.poison(info.clone());
+            }
+            false
+        }
+    };
     match mode {
+        // Sequential semantics: a panic stops the loop at once.
         ExecutionMode::Sequential => {
             for item in iter {
-                collector.run(|| body(item));
-                // Sequential semantics: a panic stops the loop at once.
-                if collector
-                    .first
-                    .lock()
-                    .expect("panic collector poisoned")
-                    .is_some()
-                {
+                if !run(item) {
                     break;
                 }
             }
         }
-        ExecutionMode::Multithreaded => {
-            let body = &body;
-            let collector = &collector;
-            std::thread::scope(|scope| {
-                for item in iter {
-                    scope.spawn(move || collector.run(|| body(item)));
-                }
-            });
-        }
+        ExecutionMode::Multithreaded => multithreaded_for(mode, iter, |item| {
+            run(item);
+        }),
     }
-    collector.finish();
+    first.resume();
 }
 
 /// A [`multithreaded_tasks`](crate::multithreaded_tasks) whose tasks are
 /// supervised exactly like [`supervised_for`] iterations: a panicking task
 /// poisons every counter in `counters`, siblings finish or fail fast, and
-/// the first panic is re-raised after the join.
+/// the first root-cause panic is re-raised after the join.
 pub fn supervised_tasks<'env>(
     mode: ExecutionMode,
     counters: &[&dyn MonotonicCounter],
     tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
 ) {
-    let collector = PanicCollector::new(counters);
-    match mode {
-        ExecutionMode::Sequential => {
-            for task in tasks {
-                collector.run(task);
-                if collector
-                    .first
-                    .lock()
-                    .expect("panic collector poisoned")
-                    .is_some()
-                {
-                    break;
-                }
-            }
-        }
-        ExecutionMode::Multithreaded => {
-            let collector = &collector;
-            std::thread::scope(|scope| {
-                for task in tasks {
-                    scope.spawn(move || collector.run(task));
-                }
-            });
-        }
-    }
-    collector.finish();
+    supervised_for(mode, tasks, counters, |task| task());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_counter::{CheckError, Counter, CounterDiagnostics, CounterExt};
+    use mc_counter::{CheckError, Counter, CounterDiagnostics, CounterExt, FailureInfo};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -297,6 +226,38 @@ mod tests {
             .downcast_ref::<String>()
             .expect("string panic payload");
         assert_eq!(msg, "failure 0");
+    }
+
+    #[test]
+    fn root_cause_is_reraised_over_a_sibling_cascade() {
+        // Iteration 1 suspends in `check` on the first of many counters, and
+        // its cascade is often caught while iteration 0, the root cause, is
+        // still poisoning the rest; many counters and rounds make that race show.
+        for _ in 0..200 {
+            let counters: Vec<Counter> = (0..1000).map(|_| Counter::default()).collect();
+            let registered: Vec<&dyn MonotonicCounter> = counters
+                .iter()
+                .map(|c| c as &dyn MonotonicCounter)
+                .collect();
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                supervised_for(ExecutionMode::Multithreaded, 0..2u64, &registered, |i| {
+                    if i == 1 {
+                        counters[0].check(1);
+                        return;
+                    }
+                    while counters[0].waiters().is_empty() {
+                        std::thread::yield_now();
+                    }
+                    panic!("root cause");
+                });
+            }))
+            .unwrap_err();
+            assert_eq!(
+                FailureInfo::from_panic(payload.as_ref()).message(),
+                "root cause",
+                "the root cause, not a cascade casualty, must be re-raised"
+            );
+        }
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! (panic → poison → fail-fast); a [`SupervisionTree`] makes it
 //! *survivable*. Named child workers run under a restart policy
 //! ([`RestartPolicy`]): a panicking child is restarted with exponential
-//! backoff and deterministic jitter (the same `RetryPolicy` shape and
-//! SplitMix64 stream the durable layer uses), bounded by a sliding-window
-//! restart intensity; when the intensity is exhausted — or the policy says
-//! so — the failure **escalates**: every counter the tree registered is
-//! poisoned with a cause that preserves the original panic message, so
-//! blocked threads fail with the root cause instead of hanging.
+//! backoff and deterministic jitter (the [`mc_counter::backoff`] schedule
+//! and [`mc_counter::jitter`] stream the durable layer's retries use too),
+//! bounded by a sliding-window restart intensity; when the intensity is
+//! exhausted — or the policy says so — the failure **escalates**: every
+//! counter the tree registered is poisoned with a cause that preserves the
+//! original panic message, so blocked threads fail with the root cause
+//! instead of hanging. A child that panics on a poisoned counter
+//! ([`FailureInfo::is_cascade`]) escalates at once: its restart would only
+//! block on the same poison.
 //!
 //! The counters are what make restart *correct* rather than merely
 //! convenient. A replacement worker does not rerun from zero: its
@@ -63,7 +66,7 @@
 //! ```
 
 use mc_counter::{
-    CheckError, FailureInfo, MonotonicCounter, RestartableObligation, SupervisedCounter,
+    jitter, CheckError, FailureInfo, MonotonicCounter, SupervisedCounter, SupervisedObligation,
     Supervisor, Value,
 };
 use std::cmp::Reverse;
@@ -130,36 +133,11 @@ impl Default for RestartLimits {
 
 impl RestartLimits {
     /// The backoff before restart `attempt` (0-based), without jitter:
-    /// `min(max_delay, base_delay << attempt)` — the durable layer's
-    /// `RetryPolicy::backoff` shape.
+    /// `min(max_delay, base_delay << attempt)` ([`mc_counter::backoff`],
+    /// the durable layer's retry schedule too).
     pub fn backoff(&self, attempt: u32) -> Duration {
-        let shifted = self
-            .base_delay
-            .checked_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-            .unwrap_or(self.max_delay);
-        shifted.min(self.max_delay)
+        mc_counter::backoff(self.base_delay, self.max_delay, attempt)
     }
-}
-
-/// SplitMix64 — the same generator family the failpoint and retry streams
-/// use, so a given seed reproduces the exact same restart schedule.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A jittered delay in `[delay/2, delay]`, mirroring the durable layer's
-/// `JitterRng::jitter`.
-fn jitter(state: &mut u64, delay: Duration) -> Duration {
-    if delay.is_zero() {
-        return delay;
-    }
-    let half = delay / 2;
-    let frac = (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64;
-    half + Duration::from_secs_f64(half.as_secs_f64() * frac)
 }
 
 /// One registered counter's state at the moment a child (re)starts.
@@ -274,7 +252,7 @@ impl ResumeCtx {
     /// normal drop, **rolled back** — released from the accounting, neither
     /// fulfilled nor poisoned — if this run unwinds, so the replacement
     /// re-acquires exactly the outstanding work.
-    pub fn obligation(&self, name: &str, amount: Value) -> Option<RestartableObligation> {
+    pub fn obligation(&self, name: &str, amount: Value) -> Option<SupervisedObligation> {
         self.supervisor.restartable_obligation(name, amount)
     }
 
@@ -717,8 +695,8 @@ impl TreeRun {
     fn fail(&mut self, idx: usize, cause: FailureInfo) {
         // A panic raised by a poisoned dependency is a cascade casualty:
         // restarting would only re-block on the same poison, so the root
-        // cause escalates instead (matching the pipeline's re-raise rule).
-        if cause.message().starts_with("monotonic counter poisoned") {
+        // cause escalates instead (the cascade rule `FirstPanic` ranks by).
+        if cause.is_cascade() {
             self.escalate(idx, cause, "failed on a poisoned dependency");
             return;
         }

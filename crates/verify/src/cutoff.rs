@@ -394,7 +394,8 @@ fn affine_on_band(points: &[(&Vec<u64>, &Point)], c: u64, dims: usize, families:
 pub const DEFAULT_MAX_CUTOFF: u64 = 8;
 
 /// Verify a template for **all** parameter assignments, searching for a
-/// cutoff up to [`DEFAULT_MAX_CUTOFF`]. See the [module docs](self).
+/// cutoff up to [`DEFAULT_MAX_CUTOFF`]. The [crate docs](crate) outline why
+/// such a cutoff exists.
 pub fn param_verify(t: &Template) -> Result<ParamVerdict, CutoffError> {
     param_verify_bounded(t, DEFAULT_MAX_CUTOFF)
 }

@@ -886,7 +886,8 @@ impl Template {
 }
 
 /// Fluent constructor for [`Template`]s; the parameterized analogue of
-/// [`crate::SkeletonBuilder`]. See the [module docs](self) for an example.
+/// [`crate::SkeletonBuilder`]. [`crate::models::template_corpus`] builds the
+/// shipped protocols with it.
 #[derive(Default)]
 pub struct TemplateBuilder {
     params: Vec<String>,
