@@ -12,12 +12,17 @@
 //! path statistics; the fast-path implementations must finish it with zero
 //! slow-path (mutex) entries.
 //!
+//! The "waitlist cursor" row runs the same operations through one
+//! `Cursor` on a fast-path `Counter`: a check at or below the highest value
+//! the cursor has observed costs no atomic operation, and neither
+//! operation updates the shared statistics until the cursor drops.
+//!
 //! Usage: `cargo run --release -p mc-bench --bin e8_table [--quick] [--json]`
 
 use mc_bench::{measure, Report, Table};
 use mc_counter::{
     BTreeCounter, Counter, CounterDiagnostics, MeteredCounter, MonotonicCounter, NaiveCounter,
-    SpinCounter,
+    SpinCounter, StatsSnapshot,
 };
 use mc_metrics::Registry;
 use std::sync::Arc;
@@ -47,20 +52,74 @@ fn time_check<C: MonotonicCounter>(make: &dyn Fn() -> C, ops: usize, runs: usize
     t.median.as_nanos() as f64 / ops as f64
 }
 
-/// Runs the waiter-free mixed workload and reports
-/// `(fast_increments, fast_checks, slow_path_entries)` out of `ops` each.
+/// Runs the waiter-free mixed workload and returns the counter's stats.
 fn path_stats<C: MonotonicCounter + CounterDiagnostics>(
     make: &dyn Fn() -> C,
     ops: usize,
-) -> (u64, u64, u64) {
+) -> StatsSnapshot {
     let c = make();
     for i in 0..ops as u64 {
         c.increment(1);
         c.check(i / 2);
     }
-    let s = c.stats();
-    (s.fast_increments, s.fast_checks, s.slow_path_entries)
+    c.stats()
 }
+
+/// [`time_increment`] through one cursor on a fast-path `Counter`.
+fn time_cursor_increment(ops: usize, runs: usize) -> f64 {
+    let t = measure(runs, || {
+        let c = Counter::default();
+        let mut cursor = c.cursor();
+        for _ in 0..ops {
+            cursor.increment(1);
+        }
+        drop(cursor);
+        std::hint::black_box(&c);
+    });
+    t.median.as_nanos() as f64 / ops as f64
+}
+
+/// [`time_check`] through one cursor per run: its first check observes the
+/// value, and every later one is at or below it.
+fn time_cursor_check(ops: usize, runs: usize) -> f64 {
+    let c = Counter::default();
+    c.increment(u64::MAX / 2);
+    let t = measure(runs, || {
+        let mut cursor = c.cursor();
+        for i in 0..ops as u64 {
+            cursor.check(i % 1_000_000);
+        }
+        drop(cursor);
+        std::hint::black_box(&c);
+    });
+    t.median.as_nanos() as f64 / ops as f64
+}
+
+/// [`path_stats`] through one cursor, read after it drops.
+fn cursor_path_stats(ops: usize) -> StatsSnapshot {
+    let c = Counter::default();
+    let mut cursor = c.cursor();
+    for i in 0..ops as u64 {
+        cursor.increment(1);
+        cursor.check(i / 2);
+    }
+    drop(cursor);
+    c.stats()
+}
+
+/// Operations per timed loop.
+fn ops(quick: bool) -> usize {
+    if quick {
+        100_000
+    } else {
+        1_000_000
+    }
+}
+
+/// Timed loops per measurement. Quick mode keeps the full run count: the
+/// CI perf gate consumes these ratios, and a 3-run median dips below the
+/// enforcement floor on noise.
+const RUNS: usize = 5;
 
 struct Row {
     inc_ns: f64,
@@ -68,7 +127,6 @@ struct Row {
     slow_entries: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn bench_impl<C: MonotonicCounter + CounterDiagnostics>(
     name: &str,
     make: &dyn Fn() -> C,
@@ -76,15 +134,31 @@ fn bench_impl<C: MonotonicCounter + CounterDiagnostics>(
     quick: bool,
     baseline: Option<&Row>,
 ) -> Row {
-    let ops = if quick { 100_000 } else { 1_000_000 };
-    // Quick mode keeps the full run count: the CI perf gate consumes these
-    // ratios, and a 3-run median dips below the enforcement floor on noise.
-    let runs = 5;
+    let ops = ops(quick);
+    let inc_ns = time_increment(make, ops, RUNS);
+    let check_ns = time_check(make, ops, RUNS);
+    let paths = path_stats(make, ops);
+    push_row(table, name, (inc_ns, check_ns), paths, ops, baseline)
+}
 
-    let inc_ns = time_increment(make, ops, runs);
-    let check_ns = time_check(make, ops, runs);
-    let (fast_inc, fast_chk, slow) = path_stats(make, ops);
+/// The "waitlist cursor" row: [`bench_impl`] through a cursor.
+fn bench_cursor(table: &mut Table, quick: bool, baseline: &Row) -> Row {
+    let ops = ops(quick);
+    let inc_ns = time_cursor_increment(ops, RUNS);
+    let check_ns = time_cursor_check(ops, RUNS);
+    let paths = cursor_path_stats(ops);
+    let name = "waitlist cursor";
+    push_row(table, name, (inc_ns, check_ns), paths, ops, Some(baseline))
+}
 
+fn push_row(
+    table: &mut Table,
+    name: &str,
+    (inc_ns, check_ns): (f64, f64),
+    paths: StatsSnapshot,
+    ops: usize,
+    baseline: Option<&Row>,
+) -> Row {
     let speedup = |base_ns: f64, ns: f64| format!("{:.1}x", base_ns / ns);
     table.row(vec![
         name.to_string(),
@@ -92,14 +166,14 @@ fn bench_impl<C: MonotonicCounter + CounterDiagnostics>(
         baseline.map_or_else(|| "1.0x".into(), |b| speedup(b.inc_ns, inc_ns)),
         format!("{check_ns:.1}ns"),
         baseline.map_or_else(|| "1.0x".into(), |b| speedup(b.check_ns, check_ns)),
-        format!("{fast_inc}/{ops}"),
-        format!("{fast_chk}/{ops}"),
-        slow.to_string(),
+        format!("{}/{ops}", paths.fast_increments),
+        format!("{}/{ops}", paths.fast_checks),
+        paths.slow_path_entries.to_string(),
     ]);
     Row {
         inc_ns,
         check_ns,
-        slow_entries: slow,
+        slow_entries: paths.slow_path_entries,
     }
 }
 
@@ -135,6 +209,7 @@ fn main() {
         quick,
         Some(&base),
     );
+    let cursor = bench_cursor(&mut table, quick, &base);
     bench_impl::<BTreeCounter>(
         "btree",
         &BTreeCounter::default,
@@ -191,11 +266,15 @@ fn main() {
     let inc_speedup = base.inc_ns / fast.inc_ns;
     let check_speedup = base.check_ns / fast.check_ns;
     let metered_overhead = enabled.inc_ns / fast.inc_ns;
+    let cursor_check_speedup = fast.check_ns / cursor.check_ns;
     report.metric("inc_speedup", inc_speedup);
     report.metric("check_speedup", check_speedup);
     report.metric("slow_entries", fast.slow_entries as f64);
     report.metric("fast_inc_ns", fast.inc_ns);
     report.metric("fast_check_ns", fast.check_ns);
+    report.metric("cursor_inc_ns", cursor.inc_ns);
+    report.metric("cursor_check_ns", cursor.check_ns);
+    report.metric("cursor_check_speedup", cursor_check_speedup);
     report.metric("metered_disabled_inc_ns", disabled.inc_ns);
     report.metric("metered_enabled_inc_ns", enabled.inc_ns);
     report.metric("metered_overhead", metered_overhead);
@@ -205,8 +284,11 @@ fn main() {
          >=2.8x to absorb quick-mode noise on a borderline host); slow-path \
          entries on the waiter-free workload: {} (claim: 0). Metered wrapper with a \
          live registry: {metered_overhead:.2}x the bare fast-path increment \
-         (budget: <=1.10x, enforced by the CI perf gate).",
-        fast.slow_entries
+         (budget: <=1.10x, enforced by the CI perf gate). Through a cursor: check \
+         {cursor_check_speedup:.1}x the fast-path check (budget: >=3x, enforced by the CI \
+         perf gate), increment {:.1}ns against {:.1}ns (reported, not gated); slow-path \
+         entries {}.",
+        fast.slow_entries, cursor.inc_ns, fast.inc_ns, cursor.slow_entries
     ));
     report.shape_check(inc_speedup >= 2.8 && check_speedup >= 2.8 && fast.slow_entries == 0);
     report.finish();

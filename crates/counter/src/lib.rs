@@ -51,6 +51,12 @@
 //! woken. [`StatsSnapshot`] exposes per-tier hit counters
 //! (`fast_increments`, `fast_checks`, `slow_path_entries`).
 //!
+//! A thread that checks one counter many times can hold a [`Cursor`]
+//! ([`WaitlistCounter::cursor`]): it remembers the highest value its checks
+//! observed, so a check at or below it costs no atomic operation, and it
+//! adds its fast-path tallies to the statistics once, when it drops.
+//! `mc-patterns`' `Broadcast` readers and writer each hold one.
+//!
 //! ## API surface
 //!
 //! The trait surface is split so the type system enforces the paper's "no
@@ -153,7 +159,7 @@ pub use traits::{
     CounterDiagnostics, CounterExt, HealthStatus, MonotonicCounter, Resettable, ResumableCounter,
     WaitingLevel,
 };
-pub use waitlist::{BTreeCounter, Counter, WaitQueue, WaitlistCounter};
+pub use waitlist::{BTreeCounter, Counter, Cursor, WaitQueue, WaitlistCounter};
 
 /// The integer type used for counter values and levels.
 ///

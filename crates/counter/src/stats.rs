@@ -184,6 +184,15 @@ impl Stats {
         self.stripe().spin_checks.fetch_add(1, Relaxed);
     }
 
+    /// A dropped [`Cursor`](crate::Cursor)'s fast increments and fast
+    /// checks (skipped ones included), added to the caller's stripe at
+    /// once: two `fetch_add`s for the cursor's whole life.
+    pub(crate) fn record_cursor(&self, increments: u64, checks: u64) {
+        let stripe = self.stripe();
+        stripe.increments.fetch_add(increments, Relaxed);
+        stripe.checks.fetch_add(checks, Relaxed);
+    }
+
     /// Any operation that acquired the slow-path mutex.
     pub(crate) fn record_slow_entry(&self) {
         self.slow_path_entries.fetch_add(1, Relaxed);
@@ -248,10 +257,14 @@ pub struct StatsSnapshot {
     pub notifies: u64,
     /// `increment`/`advance_to` operations completed on the lock-free fast
     /// path (single CAS, wait list untouched). Zero for implementations
-    /// without a fast path.
+    /// without a fast path. Increments made through a
+    /// [`Cursor`](crate::Cursor) are added when the cursor drops, so a live
+    /// cursor's are not counted yet.
     pub fast_increments: u64,
     /// `check` operations satisfied by a single atomic load, without the
-    /// lock. Always `<= immediate_checks`.
+    /// lock. Always `<= immediate_checks`. Includes the checks a
+    /// [`Cursor`](crate::Cursor) skipped because an earlier load already
+    /// satisfied them, added when the cursor drops.
     pub fast_checks: u64,
     /// `check` operations that missed the fast tier but saw their level
     /// satisfied while polling before suspending

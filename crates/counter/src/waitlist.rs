@@ -23,7 +23,9 @@
 //! [`BTreeCounter`]'s word and waitlist.
 
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
-use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
+use crate::error::{
+    CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo, POISONED_PANIC_PREFIX,
+};
 use crate::fastpath::{FastAdvance, FastIncrement, FastWord, Poll, FAST_CAP};
 use crate::list::SortedList;
 use crate::node::WaitNode;
@@ -342,6 +344,23 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         }
     }
 
+    /// Every increment: the fast CAS when the tier is enabled, with
+    /// `record_fast` tallying a hit, else [`raise`](Self::raise).
+    #[inline]
+    fn add(&self, amount: Value, record_fast: impl FnOnce()) -> Result<(), CounterOverflowError> {
+        if self.fast_enabled {
+            match self.fast.try_increment(amount) {
+                FastIncrement::Done => {
+                    record_fast();
+                    return Ok(());
+                }
+                FastIncrement::Overflow(e) => return Err(e),
+                FastIncrement::Contended => {}
+            }
+        }
+        self.raise(amount)
+    }
+
     /// Core of the slow-path `increment`/`try_increment`. Cold, like
     /// [`wait_until`](Self::wait_until), so the fast path stays small where
     /// it is inlined.
@@ -453,9 +472,18 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     /// [`suspend`]: Self::suspend
     #[cold]
     fn wait_until(&self, level: Value, deadline: Option<Instant>) -> Result<(), CheckError> {
-        if self.spin && self.fast_enabled && self.spin_until(level, deadline) {
-            self.stats.record_spin_check();
-            return Ok(());
+        if self.spin && self.fast_enabled {
+            let hint = self.fast.value_hint();
+            if hint >= level {
+                // An increment landed after the caller's fast check missed:
+                // this read is a satisfied fast check, not a spin.
+                self.stats.record_fast_check();
+                return Ok(());
+            }
+            if self.spin_until(hint, level, deadline) {
+                self.stats.record_spin_check();
+                return Ok(());
+            }
         }
         let inner = self.enter();
         // Announce intent to wait *before* re-reading the value: the
@@ -466,18 +494,17 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         self.suspend(inner, level, value, deadline)
     }
 
-    /// Polls the packed word while the waiter is next in line (`level` at
-    /// most one above the exact value), for at most [`SPIN_BUDGET`] and
-    /// never past `deadline`. True when the level was seen satisfied. False
-    /// at once for a waiter further behind, and as soon as the poison bit
-    /// is set, leaving the verdict to the slow path.
+    /// Polls the packed word while the waiter is next in line (`level` one
+    /// above `hint`, the gate's unsatisfied read of the word), for at most
+    /// [`SPIN_BUDGET`] and never past `deadline`. True when the level was
+    /// seen satisfied. False at once for a waiter further behind, and as
+    /// soon as the poison bit is set, leaving the verdict to the slow path.
     ///
     /// The poll only reads the word, before the waiter registers, so the
     /// missed-wakeup argument of the `fastpath` module is untouched: a level
     /// the poll saw satisfied stays satisfied, and a waiter that stops
     /// polling registers exactly as it would have without polling.
-    fn spin_until(&self, level: Value, deadline: Option<Instant>) -> bool {
-        let hint = self.fast.value_hint();
+    fn spin_until(&self, hint: Value, level: Value, deadline: Option<Instant>) -> bool {
         // A saturated hint never moves again, so only exact values are
         // worth polling.
         if hint >= FAST_CAP || hint + 1 < level {
@@ -540,36 +567,125 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         let value = self.fast.locked_value(inner.wide);
         f(&inner, value)
     }
+
+    /// One thread's [`Cursor`] on this counter: its checks at or below the
+    /// highest value it has observed cost no atomic operation, and its
+    /// lock-free tallies reach [`stats`](CounterDiagnostics::stats) when it
+    /// drops.
+    pub fn cursor(&self) -> Cursor<'_, Q> {
+        Cursor {
+            counter: self,
+            bound: 0,
+            fast_checks: 0,
+            fast_increments: 0,
+        }
+    }
+}
+
+/// One thread's handle on a [`WaitlistCounter`] that remembers the highest
+/// value its checks have observed, so a check at or below it returns with
+/// no atomic operation. Made by [`WaitlistCounter::cursor`].
+///
+/// A lower bound observed on a monotonic value never goes stale, so a
+/// skipped check is as correct as the check that observed the bound, and
+/// carries its happens-before edge (see `docs/IMPLEMENTATION.md`,
+/// "Cursors"). A check above the bound runs the counter's own fast check,
+/// whose value becomes the new bound, and falls back to the counter's wait;
+/// `increment` runs the counter's fast CAS and falls back to its slow path.
+/// On a counter with the fast tier disabled (`mutex_only`, traced) every
+/// operation takes the slow path, as it does through the counter.
+///
+/// The cursor has no getter for its bound: like the counter, it answers
+/// only whether a level is reached, so the paper's no-probe rule holds.
+///
+/// Its fast checks (skipped ones included) and fast increments are kept in
+/// plain fields and added to the counter's statistics when it drops, so
+/// [`StatsSnapshot`] omits them while the cursor lives and is exact once it
+/// is gone.
+///
+/// # Example
+///
+/// ```
+/// use mc_counter::{Counter, CounterDiagnostics, MonotonicCounter};
+/// let c = Counter::builder().build();
+/// c.increment(10);
+/// let mut cursor = c.cursor();
+/// cursor.check(4); // one load observes 10
+/// cursor.check(10); // at the bound: no atomic operation
+/// drop(cursor);
+/// assert_eq!(c.stats().fast_checks, 2);
+/// ```
+pub struct Cursor<'a, Q: WaitQueue> {
+    counter: &'a WaitlistCounter<Q>,
+    /// The highest value observed: every level up to it is satisfied.
+    bound: Value,
+    fast_checks: u64,
+    fast_increments: u64,
+}
+
+impl<Q: WaitQueue> Cursor<'_, Q> {
+    /// [`MonotonicCounter::check`] through the cursor.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the recorded cause if the counter is poisoned before
+    /// `level` is reached.
+    #[inline]
+    pub fn check(&mut self, level: Value) {
+        if let Err(CheckError::Poisoned(info)) = self.wait(level) {
+            panic!("{POISONED_PANIC_PREFIX}: {info}");
+        }
+    }
+
+    /// [`MonotonicCounter::wait`] through the cursor: a level at or below
+    /// the bound succeeds at once, even on a poisoned counter.
+    #[inline]
+    pub fn wait(&mut self, level: Value) -> Result<(), CheckError> {
+        let counter = self.counter;
+        if counter.fast_enabled {
+            if level > self.bound {
+                self.bound = self.bound.max(counter.fast.value_hint());
+            }
+            if level <= self.bound {
+                self.fast_checks += 1;
+                return Ok(());
+            }
+        }
+        counter.wait_until(level, None)?;
+        self.bound = self.bound.max(level);
+        Ok(())
+    }
+
+    /// [`MonotonicCounter::increment`] through the cursor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counter would overflow.
+    #[inline]
+    pub fn increment(&mut self, amount: Value) {
+        let counter = self.counter;
+        counter
+            .add(amount, || self.fast_increments += 1)
+            .unwrap_or_else(|e| panic!("monotonic counter overflow: {e}"));
+    }
+}
+
+impl<Q: WaitQueue> Drop for Cursor<'_, Q> {
+    fn drop(&mut self) {
+        self.counter
+            .stats
+            .record_cursor(self.fast_increments, self.fast_checks);
+    }
 }
 
 impl<Q: WaitQueue> MonotonicCounter for WaitlistCounter<Q> {
     fn increment(&self, amount: Value) {
-        if self.fast_enabled {
-            match self.fast.try_increment(amount) {
-                FastIncrement::Done => {
-                    self.stats.record_fast_increment();
-                    return;
-                }
-                FastIncrement::Overflow(e) => panic!("monotonic counter overflow: {e}"),
-                FastIncrement::Contended => {}
-            }
-        }
-        self.raise(amount)
+        self.try_increment(amount)
             .unwrap_or_else(|e| panic!("monotonic counter overflow: {e}"));
     }
 
     fn try_increment(&self, amount: Value) -> Result<(), CounterOverflowError> {
-        if self.fast_enabled {
-            match self.fast.try_increment(amount) {
-                FastIncrement::Done => {
-                    self.stats.record_fast_increment();
-                    return Ok(());
-                }
-                FastIncrement::Overflow(e) => return Err(e),
-                FastIncrement::Contended => {}
-            }
-        }
-        self.raise(amount)
+        self.add(amount, || self.stats.record_fast_increment())
     }
 
     fn advance_to(&self, target: Value) {
@@ -1384,6 +1500,16 @@ mod tests {
         assert_eq!(c.live_nodes(), 0);
     }
 
+    fn level_satisfied_at_the_spin_gate_is_not_a_spin<Q: WaitQueue>() {
+        let Some(c) = spinning::<Q>() else { return };
+        c.increment(2);
+        // The increment lands between a missed fast check and the gate.
+        c.wait_until(2, None).unwrap();
+        let s = c.stats();
+        assert_eq!(s.spin_checks, 0, "{s}");
+        assert_eq!((s.fast_checks, s.slow_path_entries), (1, 0), "{s}");
+    }
+
     fn waiter_two_levels_ahead_does_not_spin<Q: WaitQueue>() {
         for _ in 0..ROUNDS {
             let Some(c) = spinning::<Q>() else { return };
@@ -1473,6 +1599,7 @@ mod tests {
         late_increment_finds_the_waiter_suspended,
         poison_during_the_spin_fails_the_wait,
         timeout_shorter_than_the_budget_is_honoured,
+        level_satisfied_at_the_spin_gate_is_not_a_spin,
         waiter_two_levels_ahead_does_not_spin,
         counter_without_the_option_never_spins,
         spin_needs_a_second_cpu_at_build_time,

@@ -15,8 +15,16 @@
 //! 6. **Striped tallies stay exact**: concurrent fast-path operations on
 //!    different threads are each counted once, and so are the checks that
 //!    a spinning counter satisfies while polling before suspending.
+//! 7. **Cursors skip what they have seen and tally on drop**: a cursor's
+//!    check at or below the highest value it observed touches no atomic,
+//!    its poisoned waits match `wait`, its increments wake suspended
+//!    waiters, and once it drops every check and increment it made is in
+//!    the totals, exactly, across threads.
 
-use mc_counter::{BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, ShardedCounter};
+use mc_counter::{
+    BTreeCounter, CheckError, Counter, CounterDiagnostics, FailureInfo, MonotonicCounter,
+    ShardedCounter, WaitQueue, WaitlistCounter, POISONED_PANIC_PREFIX,
+};
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -203,6 +211,147 @@ fn saturated_regime_is_exact<C: MonotonicCounter + CounterDiagnostics + Default 
     assert!(c.try_increment(1).is_err(), "overflow must still be exact");
 }
 
+fn cursor_check_at_or_below_the_bound_touches_no_atomic<Q: WaitQueue>(c: WaitlistCounter<Q>) {
+    c.increment(5);
+    let before = c.stats();
+    let mut cursor = c.cursor();
+    cursor.check(2); // one load observes 5
+    for level in [5, 0, 3, 5, 1] {
+        cursor.check(level);
+        assert_eq!(
+            c.stats(),
+            before,
+            "skipped check at {level} touched the stats"
+        );
+    }
+    assert!(cursor.wait(4).is_ok());
+    assert_eq!(c.stats(), before, "live cursors keep their tallies");
+    drop(cursor);
+    let s = c.stats();
+    assert_eq!((s.checks, s.fast_checks), (before.checks + 7, 7), "{s}");
+    assert_eq!(s.immediate_checks, before.immediate_checks + 7, "{s}");
+    assert_eq!(s.slow_path_entries, 0, "{s}");
+}
+
+fn cursor_tallies_reach_the_totals_when_it_drops<Q: WaitQueue>(c: WaitlistCounter<Q>) {
+    const OPS: u64 = 1_000;
+    let mut cursor = c.cursor();
+    for i in 1..=OPS {
+        cursor.increment(1);
+        cursor.check(i); // above the bound: one load, a new bound
+        cursor.check(i / 2); // at or below it: skipped
+    }
+    cursor.increment(0);
+    assert_eq!(c.stats().increments, 0, "live cursors keep their tallies");
+    drop(cursor);
+    let s = c.stats();
+    assert_eq!((s.increments, s.fast_increments), (OPS + 1, OPS + 1), "{s}");
+    assert_eq!((s.checks, s.fast_checks), (2 * OPS, 2 * OPS), "{s}");
+    assert_eq!(s.slow_path_entries, 0, "{s}");
+    assert_eq!(c.debug_value(), OPS);
+}
+
+fn cursor_poison_semantics_match_wait<Q: WaitQueue>(c: WaitlistCounter<Q>) {
+    c.increment(3);
+    let mut seen = c.cursor();
+    seen.check(2); // bound 3
+    c.poison(FailureInfo::new("writer died"));
+    let mut fresh = c.cursor();
+    for level in [0, 1, 3] {
+        assert_eq!(c.wait(level), Ok(()), "level {level}");
+        assert_eq!(seen.wait(level), Ok(()), "bound covers level {level}");
+        assert_eq!(fresh.wait(level), Ok(()), "value covers level {level}");
+    }
+    for cursor in [&mut seen, &mut fresh] {
+        match cursor.wait(4) {
+            Err(CheckError::Poisoned(info)) => assert_eq!(info.message(), "writer died"),
+            other => panic!("wait above the value on a poisoned counter: {other:?}"),
+        }
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cursor.check(4)))
+            .expect_err("check above the value on a poisoned counter");
+        let message = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.starts_with(POISONED_PANIC_PREFIX), "{message}");
+        assert!(message.contains("writer died"), "{message}");
+    }
+    assert!(matches!(c.wait(4), Err(CheckError::Poisoned(_))));
+}
+
+fn cursor_increment_wakes_a_suspended_waiter<Q: WaitQueue>(c: WaitlistCounter<Q>) {
+    let c = Arc::new(c);
+    let waiter = {
+        let c = Arc::clone(&c);
+        std::thread::spawn(move || c.check(5))
+    };
+    while c.stats().live_waiters == 0 {
+        std::thread::yield_now();
+    }
+    let mut cursor = c.cursor();
+    cursor.increment(5); // the waiters bit is set: the CAS yields to the slow path
+    waiter.join().unwrap();
+    drop(cursor);
+    let s = c.stats();
+    assert_eq!((s.increments, s.fast_increments), (1, 0), "{s}");
+    assert_eq!((s.suspensions, s.notifies), (1, 1), "{s}");
+    assert_eq!(c.live_nodes(), 0);
+}
+
+fn concurrent_cursor_tallies_are_exact<Q: WaitQueue>(c: WaitlistCounter<Q>) {
+    const THREADS: u64 = 4;
+    const OPS: u64 = 10_000;
+    let start = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                let mut cursor = c.cursor();
+                start.wait();
+                for i in 1..=OPS {
+                    cursor.increment(1);
+                    cursor.check(i); // its own increments reach `i`
+                }
+            });
+        }
+    });
+    let s = c.stats();
+    let total = THREADS * OPS;
+    assert_eq!((s.increments, s.fast_increments), (total, total), "{s}");
+    assert_eq!((s.checks, s.fast_checks), (total, total), "{s}");
+    assert_eq!(s.slow_path_entries, 0, "{s}");
+    assert_eq!(c.debug_value(), total);
+}
+
+/// The cursor cases, run against every queue strategy.
+macro_rules! cursor_battery {
+    ($module:ident, $ty:ty) => {
+        mod $module {
+            use super::*;
+
+            #[test]
+            fn check_at_or_below_the_bound_touches_no_atomic() {
+                super::cursor_check_at_or_below_the_bound_touches_no_atomic(<$ty>::default());
+            }
+            #[test]
+            fn tallies_reach_the_totals_when_it_drops() {
+                super::cursor_tallies_reach_the_totals_when_it_drops(<$ty>::default());
+            }
+            #[test]
+            fn poison_semantics_match_wait() {
+                super::cursor_poison_semantics_match_wait(<$ty>::default());
+            }
+            #[test]
+            fn increment_wakes_a_suspended_waiter() {
+                super::cursor_increment_wakes_a_suspended_waiter(<$ty>::default());
+            }
+            #[test]
+            fn concurrent_tallies_are_exact() {
+                super::concurrent_cursor_tallies_are_exact(<$ty>::default());
+            }
+        }
+    };
+}
+
+cursor_battery!(waitlist_cursor, Counter);
+cursor_battery!(btree_cursor, BTreeCounter);
+
 macro_rules! fastpath_battery {
     ($module:ident, $ty:ty) => {
         mod $module {
@@ -257,14 +406,20 @@ fn btree_spin_tallies_are_exact() {
     concurrent_spin_tallies_are_exact(|| BTreeCounter::builder().spin_before_suspend(true).build());
 }
 
-/// The ablation counter must do the same work entirely under the mutex.
+/// The ablation counter must do the same work entirely under the mutex,
+/// through a cursor too.
 #[test]
 fn mutex_only_ablation_reports_zero_fast_hits() {
     let c = Counter::mutex_only();
     c.increment(3);
     c.check(2);
+    let mut cursor = c.cursor();
+    cursor.increment(1);
+    cursor.check(2);
+    cursor.check(2);
+    drop(cursor);
     let s = c.stats();
     assert_eq!(s.fast_increments, 0);
     assert_eq!(s.fast_checks, 0);
-    assert_eq!(s.slow_path_entries, 2);
+    assert_eq!(s.slow_path_entries, 5);
 }

@@ -5,8 +5,16 @@
 //! not remove items). A single counter synchronizes everyone: the writer's
 //! increments broadcast availability, and each reader checks the prefix it
 //! needs. Writer and readers may each choose their own blocking granularity.
+//!
+//! The writer and each reader synchronize through their own
+//! [`Cursor`](mc_counter::Cursor) on the counter: a reader trailing the
+//! writer skips every check the value it last observed already satisfies,
+//! and neither side pays a shared statistics update per item.
 
-use mc_counter::{CheckError, Counter, CounterDiagnostics, FailureInfo, MonotonicCounter, Value};
+use mc_counter::{
+    CheckError, Counter, CounterDiagnostics, Cursor, FailureInfo, MonotonicCounter, SortedList,
+    Value,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -94,13 +102,26 @@ impl<T> Broadcast<T> {
             !self.writer_claimed.swap(true, Ordering::SeqCst),
             "broadcast already has a writer"
         );
-        self.writer_attached.store(true, Ordering::Relaxed);
+        self.attach(block, false)
+    }
+
+    /// Marks the writer live and builds it. Both claims swap the liveness
+    /// flag, so of a `writer` and a `resume_writer` racing each other,
+    /// exactly one wins. A restartable writer starts at the checkpoint,
+    /// read after the claim is won.
+    fn attach(&self, block: usize, restartable: bool) -> BroadcastWriter<'_, T> {
+        assert!(
+            // lint:allow(raw-sync): one-shot liveness flag, ordering-insensitive
+            !self.writer_attached.swap(true, Ordering::SeqCst),
+            "broadcast already has a live writer"
+        );
         BroadcastWriter {
             buffer: self,
-            next: 0,
+            cursor: self.count.cursor(),
+            next: if restartable { self.published() } else { 0 },
             unflushed: 0,
             block,
-            restartable: false,
+            restartable,
         }
     }
 
@@ -132,19 +153,9 @@ impl<T> Broadcast<T> {
     /// Panics if a writer is currently live or `block == 0`.
     pub fn resume_writer_with_block(&self, block: usize) -> BroadcastWriter<'_, T> {
         assert!(block > 0, "block size must be positive");
-        assert!(
-            // lint:allow(raw-sync): one-shot liveness flag, ordering-insensitive
-            !self.writer_attached.swap(true, Ordering::SeqCst),
-            "broadcast already has a live writer"
-        );
+        let writer = self.attach(block, true);
         self.writer_claimed.store(true, Ordering::Relaxed);
-        BroadcastWriter {
-            buffer: self,
-            next: self.published(),
-            unflushed: 0,
-            block,
-            restartable: true,
-        }
+        writer
     }
 
     /// A reader over the whole sequence with per-item synchronization.
@@ -163,6 +174,7 @@ impl<T> Broadcast<T> {
         assert!(block > 0, "block size must be positive");
         BroadcastReader {
             buffer: self,
+            cursor: self.count.cursor(),
             next: 0,
             block,
         }
@@ -247,6 +259,7 @@ impl<T> Broadcast<T> {
 /// block so readers always terminate once the writer is done.
 pub struct BroadcastWriter<'a, T> {
     buffer: &'a Broadcast<T>,
+    cursor: Cursor<'a, SortedList>,
     next: usize,
     unflushed: usize,
     block: usize,
@@ -273,7 +286,7 @@ impl<T> BroadcastWriter<'_, T> {
         self.next += 1;
         self.unflushed += 1;
         if self.unflushed == self.block {
-            self.buffer.count.increment(self.block as Value);
+            self.cursor.increment(self.block as Value);
             self.unflushed = 0;
         }
     }
@@ -286,7 +299,7 @@ impl<T> BroadcastWriter<'_, T> {
     /// Flushes any partial block immediately (also happens on drop).
     pub fn flush(&mut self) {
         if self.unflushed > 0 {
-            self.buffer.count.increment(self.unflushed as Value);
+            self.cursor.increment(self.unflushed as Value);
             self.unflushed = 0;
         }
     }
@@ -325,6 +338,7 @@ impl<T> Drop for BroadcastWriter<'_, T> {
 /// order, suspending (once per block) for unavailable items.
 pub struct BroadcastReader<'a, T> {
     buffer: &'a Broadcast<T>,
+    cursor: Cursor<'a, SortedList>,
     next: usize,
     block: usize,
 }
@@ -351,7 +365,7 @@ impl<'a, T> BroadcastReader<'a, T> {
         // Wait item-by-item rather than block-by-block: a block-granular
         // wait could fail on poison even though the next few items are
         // already published.
-        self.buffer.count.wait(self.next as Value + 1)?;
+        self.cursor.wait(self.next as Value + 1)?;
         let item = self.buffer.slots[self.next]
             .get()
             .expect("counter satisfied but slot empty: writer protocol violated");
@@ -371,7 +385,7 @@ impl<'a, T> Iterator for BroadcastReader<'a, T> {
         if self.next.is_multiple_of(self.block) {
             // Wait for the whole next block (or the final partial block).
             let level = (self.next + self.block).min(n) as Value;
-            self.buffer.count.check(level);
+            self.cursor.check(level);
         }
         let item = self.buffer.slots[self.next]
             .get()
@@ -646,6 +660,68 @@ mod tests {
         assert!(
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.resume_writer())).is_err(),
             "resume is succession, not concurrency"
+        );
+    }
+
+    #[test]
+    fn racing_writer_and_resume_writer_claims_leave_one_writer() {
+        // Released together through a barrier, `writer()` and
+        // `resume_writer()` each hold their claim until both have tried,
+        // so a round with two winners would have two live writers.
+        const ROUNDS: usize = 20_000;
+        let rounds: Vec<Broadcast<u32>> = (0..ROUNDS).map(|_| Broadcast::new(0)).collect();
+        let barrier = std::sync::Barrier::new(2);
+        let claims = |resume: bool| {
+            let (rounds, barrier) = (&rounds, &barrier);
+            move || -> Vec<bool> {
+                rounds
+                    .iter()
+                    .map(|b| {
+                        barrier.wait();
+                        let claim = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            if resume {
+                                b.resume_writer()
+                            } else {
+                                b.writer()
+                            }
+                        }));
+                        barrier.wait();
+                        claim.is_ok()
+                    })
+                    .collect()
+            }
+        };
+        let (fresh, resumed) = thread::scope(|s| {
+            let fresh = s.spawn(claims(false));
+            let resumed = s.spawn(claims(true));
+            (fresh.join().unwrap(), resumed.join().unwrap())
+        });
+        for (round, (f, r)) in fresh.iter().zip(&resumed).enumerate() {
+            assert!(
+                !(*f && *r),
+                "round {round}: writer() and resume_writer() both won"
+            );
+        }
+    }
+
+    #[test]
+    fn block_one_round_counts_one_check_and_one_increment_per_item() {
+        let n = 1_000;
+        let b = Broadcast::new(n);
+        thread::scope(|s| {
+            s.spawn(|| {
+                let mut w = b.writer();
+                for i in 0..n {
+                    w.push(i);
+                }
+            });
+            s.spawn(|| assert_eq!(b.reader().count(), n));
+        });
+        let stats = b.counter().stats();
+        assert_eq!(
+            (stats.checks, stats.increments),
+            (n as u64, n as u64),
+            "{stats}"
         );
     }
 
