@@ -8,9 +8,15 @@
 //! * `waitlist` — the paper's sorted linked list (reference);
 //! * `btree` — same algorithm, `BTreeMap` lookup (the other queue strategy
 //!   of the one `WaitlistCounter`);
-//! * `naive-broadcast` — one condvar, wake **everyone** on every increment
-//!   (a counter written as a Section 8 predicate monitor is exactly this);
-//! * `spin` — no suspension queue at all.
+//! * `naive-broadcast` — one node that every change sweeps, so every
+//!   increment wakes **every** waiter (a counter written as a Section 8
+//!   predicate monitor is exactly this);
+//! * `spin` — no suspension queue at all: waiters poll.
+//!
+//! All four are one `WaitlistCounter` over four queues, so the rows vary
+//! only the queue. Besides the timed staircase, an untimed lockstep
+//! staircase counts how often each waiter sleeps: once on a queue per
+//! level, (T+1)/2 times on average on the naive queue.
 //!
 //! Usage: `cargo run --release -p mc-bench --bin e7_table [--quick] [--json]`
 
@@ -46,6 +52,39 @@ fn staircase<C: MonotonicCounter + CounterDiagnostics + Default + 'static>(
     (t0.elapsed(), c.stats().notifies)
 }
 
+/// Waiters registered on a counter's queue: Σ threads over its waiting
+/// levels.
+fn queued<C: CounterDiagnostics>(c: &C) -> u64 {
+    c.waiters().iter().map(|w| w.threads as u64).sum()
+}
+
+/// Workload A in lockstep, untimed: before each unit increment, waits until
+/// every unsatisfied waiter is registered again (`registered` counts them),
+/// so every wakeup that puts a waiter back to sleep shows as one more
+/// suspension. Returns suspensions per waiter.
+fn lockstep<C: MonotonicCounter + CounterDiagnostics + Default + 'static>(
+    threads: usize,
+    registered: fn(&C) -> u64,
+) -> f64 {
+    let c = Arc::new(C::default());
+    let handles: Vec<_> = (1..=threads as u64)
+        .map(|level| {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.check(level))
+        })
+        .collect();
+    for done in 0..threads {
+        while registered(&c) < (threads - done) as u64 {
+            std::thread::yield_now();
+        }
+        c.increment(1);
+    }
+    for h in handles {
+        h.join().expect("waiter panicked");
+    }
+    c.stats().suspensions as f64 / threads as f64
+}
+
 /// Workload B: uncontended producer/consumer-style op mix on one thread.
 fn uncontended_ops<C: MonotonicCounter + Default>(ops: usize) -> std::time::Duration {
     let c = C::default();
@@ -57,17 +96,21 @@ fn uncontended_ops<C: MonotonicCounter + Default>(ops: usize) -> std::time::Dura
     t0.elapsed()
 }
 
+/// Measures one row; returns its lockstep suspensions per waiter and its
+/// staircase broadcasts.
 fn bench_impl<C: MonotonicCounter + CounterDiagnostics + Default + 'static>(
     name: &str,
+    registered: fn(&C) -> u64,
     table: &mut Table,
     quick: bool,
     edge: &mc_algos::SquareMatrix,
-) {
+) -> (f64, u64) {
     let threads = if quick { 16 } else { 64 };
     let ops = if quick { 50_000 } else { 200_000 };
     let runs = if quick { 2 } else { 3 };
 
     let (stair_t, notifies) = staircase::<C>(threads);
+    let sleeps = lockstep::<C>(threads, registered);
     let t_ops = measure(runs, || {
         std::hint::black_box(uncontended_ops::<C>(ops));
     });
@@ -83,7 +126,9 @@ fn bench_impl<C: MonotonicCounter + CounterDiagnostics + Default + 'static>(
             ops as f64 / t_ops.median.as_secs_f64() / 1e3
         ),
         fmt_duration(t_fw.median),
+        format!("{sleeps}"),
     ]);
+    (sleeps, notifies)
 }
 
 fn main() {
@@ -100,20 +145,36 @@ fn main() {
             "broadcasts",
             "uncontended inc+check",
             "floyd-warshall",
+            "lockstep sleeps/waiter",
         ],
     );
-    bench_impl::<Counter>("waitlist (paper §7)", &mut table, quick, &edge);
-    bench_impl::<BTreeCounter>("btree", &mut table, quick, &edge);
-    bench_impl::<NaiveCounter>("naive-broadcast", &mut table, quick, &edge);
-    bench_impl::<SpinCounter>("spin", &mut table, quick, &edge);
+    let rows = [
+        bench_impl::<Counter>("waitlist (paper §7)", queued, &mut table, quick, &edge),
+        bench_impl::<BTreeCounter>("btree", queued, &mut table, quick, &edge),
+        bench_impl::<NaiveCounter>("naive-broadcast", queued, &mut table, quick, &edge),
+        bench_impl::<SpinCounter>("spin", |c| c.stats().live_waiters, &mut table, quick, &edge),
+    ];
     let mut report = Report::new("e7", &args);
     report.table(table);
-    report.note(
+    let sleeps = rows.map(|(sleeps, _)| sleeps);
+    for (key, sleeps) in ["waitlist", "btree", "naive", "spin"]
+        .into_iter()
+        .zip(sleeps)
+    {
+        report.metric(format!("{key}_sleeps_per_waiter"), sleeps);
+    }
+    let threads = if quick { 16 } else { 64 };
+    let naive_sleeps = (threads + 1) as f64 / 2.0;
+    let [.., (_, spin_broadcasts)] = rows;
+    report.note(format!(
         "Shape check: the waitlist and btree queues issue one broadcast per satisfied\n\
          level; naive-broadcast issues one per increment and wakes every waiter each\n\
-         time (its broadcast count ~= increments). The two queue strategies tie on the\n\
-         uncontended column — they are one counter type with one fast path; see\n\
-         e8_table for the fast-vs-mutex-only ablation.",
-    );
+         time (its broadcast count ~= increments). In lockstep each waiter sleeps\n\
+         once on the waitlist, btree and spin rows and (T+1)/2 = {naive_sleeps} times on\n\
+         average on the naive row, and spin broadcasts nothing. The two queue\n\
+         strategies tie on the uncontended column — they are one counter type with one\n\
+         fast path; see e8_table for the fast-vs-mutex-only ablation."
+    ));
+    report.shape_check(sleeps == [1.0, 1.0, naive_sleeps, 1.0] && spin_broadcasts == 0);
     report.finish();
 }

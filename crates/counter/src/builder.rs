@@ -27,7 +27,7 @@
 //! | [`initial`](CounterBuilder::initial) | 0 | every implementation |
 //! | [`shards`](CounterBuilder::shards) | implementation-chosen | [`ShardedCounter`](crate::ShardedCounter) |
 //! | [`metrics`](CounterBuilder::metrics) | none | [`MeteredCounter`](crate::MeteredCounter), [`ShardedCounter`](crate::ShardedCounter) |
-//! | [`spin_before_suspend`](CounterBuilder::spin_before_suspend) | off | [`WaitlistCounter`](crate::WaitlistCounter) ([`Counter`](crate::Counter), [`BTreeCounter`](crate::BTreeCounter)); every other implementation ignores it |
+//! | [`spin_before_suspend`](CounterBuilder::spin_before_suspend) | off | [`Counter`](crate::Counter) and [`BTreeCounter`](crate::BTreeCounter); every other implementation ignores it |
 //!
 //! Statistics are always collected and `poison` always propagates.
 
@@ -217,9 +217,12 @@ impl<C: Buildable> CounterBuilder<C> {
     /// spinning is enabled only if [`std::thread::available_parallelism`]
     /// reports more than one CPU there, since a lone CPU cannot run the
     /// incrementer while the waiter polls. Build the counter before pinning
-    /// the threads that use it. Only
-    /// [`WaitlistCounter`](crate::WaitlistCounter) with its fast path
-    /// enabled consults the option; every other implementation ignores it.
+    /// the threads that use it. Only [`Counter`](crate::Counter) and
+    /// [`BTreeCounter`](crate::BTreeCounter) with their fast path enabled
+    /// consult the option; every other implementation ignores it, including
+    /// [`NaiveCounter`](crate::NaiveCounter) and
+    /// [`SpinCounter`](crate::SpinCounter), whose queues fix how their
+    /// waiters wait.
     pub fn spin_before_suspend(mut self, enabled: bool) -> Self {
         self.cfg.spin_before_suspend = enabled;
         self

@@ -30,8 +30,8 @@
 //! |------|-----------|----------------|----------------|
 //! | [`Counter`] | packed-word | sorted singly-linked list of condvar nodes | the paper's Section 7 implementation (including Figure 2's draining nodes), with lock-free uncontended paths layered on top |
 //! | [`BTreeCounter`] | packed-word | `BTreeMap` of condvar nodes | same algorithm, O(log L) level lookup |
-//! | [`NaiveCounter`] | — | one condvar, broadcast on every increment | the strawman the paper improves on: O(threads) wakeups; also a counter written as Section 8's predicate monitor |
-//! | [`SpinCounter`] | always | none — waiters busy-spin | the no-suspension-queue end of the design space |
+//! | [`NaiveCounter`] | — | one condvar node, swept on every change; each waiter re-tests its level | the strawman the paper improves on: O(threads) wakeups; also a counter written as Section 8's predicate monitor |
+//! | [`SpinCounter`] | packed-word | none — waiters poll the word | the no-suspension-queue end of the design space |
 //! | [`ShardedCounter`] | packed-word + striped cells | `BTreeMap` of condvar nodes | high-contention extension: increments land in per-thread cells and a combiner publishes into the packed word |
 //!
 //! The queue-structured implementations share the key complexity property of
@@ -40,15 +40,18 @@
 //! [`NaiveCounter`] is the single-queue baseline that lacks it, and
 //! [`SpinCounter`] trades queues for CPU.
 //!
-//! [`Counter`] and [`BTreeCounter`] are one generic type,
-//! [`WaitlistCounter`], over the two [`WaitQueue`] strategies, and
-//! [`ShardedCounter`] suspends and wakes through the same slow path. All
-//! three share one "packed-word" protocol (the private `fastpath` module): a
+//! The first four are one generic type, [`WaitlistCounter`], over four
+//! [`WaitQueue`] strategies ([`SortedList`], `BTreeMap`, [`OneLevel`],
+//! [`Polling`]); each strategy also fixes how its waiters wait, so the four
+//! share poisoning, timeouts, statistics and diagnostics.
+//! [`ShardedCounter`] suspends and wakes through the same slow path. All of
+//! them share one "packed-word" protocol (the private `fastpath` module): a
 //! single `AtomicU64` packs the counter value with a has-waiters bit, so a
 //! `check` whose level is already satisfied is one atomic load and an
 //! `increment` with no registered waiters is one CAS — the mutex and node
 //! structure are touched only when a thread actually suspends or must be
-//! woken. [`StatsSnapshot`] exposes per-tier hit counters
+//! woken. [`NaiveCounter`] turns that tier off, so every operation takes
+//! the lock. [`StatsSnapshot`] exposes per-tier hit counters
 //! (`fast_increments`, `fast_checks`, `slow_path_entries`).
 //!
 //! A thread that checks one counter many times can hold a [`Cursor`]
@@ -124,11 +127,9 @@ mod fastpath;
 mod list;
 mod metered;
 mod multi;
-mod naive;
 mod node;
 mod obligation;
 mod sharded;
-mod spin;
 mod stats;
 mod supervisor;
 pub mod testkit;
@@ -145,10 +146,8 @@ pub use error::{
 pub use list::SortedList;
 pub use metered::{MeteredCounter, SAMPLE_EVERY};
 pub use multi::{check_all, CounterSet};
-pub use naive::NaiveCounter;
 pub use obligation::Obligation;
 pub use sharded::ShardedCounter;
-pub use spin::SpinCounter;
 pub use stats::StatsSnapshot;
 pub use supervisor::{
     CounterRecovery, CounterReport, RecoveredCounter, RecoveryReport, StallReport, StallVerdict,
@@ -159,7 +158,10 @@ pub use traits::{
     CounterDiagnostics, CounterExt, HealthStatus, MonotonicCounter, Resettable, ResumableCounter,
     WaitingLevel,
 };
-pub use waitlist::{BTreeCounter, Counter, Cursor, WaitQueue, WaitlistCounter};
+pub use waitlist::{
+    BTreeCounter, Counter, Cursor, NaiveCounter, OneLevel, Polling, SpinCounter, WaitQueue,
+    WaitlistCounter,
+};
 
 /// The integer type used for counter values and levels.
 ///

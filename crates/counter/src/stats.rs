@@ -235,11 +235,15 @@ impl Stats {
 pub struct StatsSnapshot {
     /// Total `increment` operations performed.
     pub increments: u64,
-    /// Total `check` operations performed.
+    /// Total `check` operations performed. A
+    /// [`NaiveCounter`](crate::NaiveCounter) waiter re-tests its level
+    /// after each change, and each re-test counts as one more check.
     pub checks: u64,
     /// `check` operations that were satisfied without suspending.
     pub immediate_checks: u64,
-    /// `check` operations that suspended the calling thread.
+    /// `check` operations that suspended the calling thread. A naive
+    /// waiter that sleeps again after a change counts one more, and a
+    /// [`SpinCounter`](crate::SpinCounter) waiter's polling counts as one.
     pub suspensions: u64,
     /// Wait nodes (distinct-level suspension queues) ever created.
     pub nodes_created: u64,
@@ -249,7 +253,8 @@ pub struct StatsSnapshot {
     pub live_nodes: u64,
     /// High-water mark of simultaneously alive wait nodes.
     pub max_live_nodes: u64,
-    /// Threads currently suspended in `check`.
+    /// Threads currently suspended (or, on a
+    /// [`SpinCounter`](crate::SpinCounter), polling) in `check`.
     pub live_waiters: u64,
     /// High-water mark of simultaneously suspended threads.
     pub max_live_waiters: u64,

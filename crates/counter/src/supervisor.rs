@@ -19,7 +19,10 @@ use crate::{Counter, Value};
 use mc_metrics::{Event, Registry};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicU64,
+    Ordering::{Acquire, Relaxed, Release},
+};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -640,9 +643,13 @@ impl Supervisor {
             .collect();
         let mut counters = Vec::with_capacity(entries.len());
         for (c, e) in entries {
-            let value = c.debug_value();
-            let outstanding = e.obligations.load(Relaxed);
+            // Each read at least as fresh as the one before: a waiter that
+            // registered after an increment, or an obligation released
+            // after its delivery, is paired with a value that includes it,
+            // so `reach` never reads low.
             let waiters = c.waiters();
+            let outstanding = e.obligations.load(Acquire);
+            let value = c.debug_value();
             let reach = value.saturating_add(outstanding);
             let verdict = if let Some((attempt, next_backoff)) = e.restarting {
                 // A pending restart overrides the reachability math: the
@@ -922,7 +929,10 @@ impl SupervisedObligation {
         }
         let owed = self.owed;
         self.owed = 0;
-        self.tracker.fetch_sub(owed, Relaxed);
+        // Deliver before releasing the accounting, so value + outstanding
+        // never reads short of what is owed. The guard releases it even if
+        // the delivery panics (overflow, a failed durable write).
+        let _release = ReleaseOnDrop(&self.tracker, owed);
         match how {
             Settle::Deliver => self.counter.increment(owed),
             Settle::RollBack => {}
@@ -931,6 +941,18 @@ impl SupervisedObligation {
                     .with_level(owed),
             ),
         }
+    }
+}
+
+/// Releases an obligation's amount from the supervisor's accounting when
+/// dropped. `Release` pairs with the `Acquire` load in
+/// [`Supervisor::sample`], so a sample that sees the amount gone also sees
+/// the increment delivered before it.
+struct ReleaseOnDrop<'a>(&'a AtomicU64, Value);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(self.1, Release);
     }
 }
 

@@ -16,11 +16,14 @@
 //! both sides.
 //!
 //! The queue is the only part that varies, and experiment E7 ablates it:
-//! [`Counter`] keeps the paper's sorted linked list ([`SortedList`]) and
-//! [`BTreeCounter`] a `BTreeMap` with O(log L) level lookup. The slow-path
-//! steps here (sweep, suspend, poison) also serve
-//! [`crate::ShardedCounter`], whose combiner publishes into a
-//! [`BTreeCounter`]'s word and waitlist.
+//! [`Counter`] keeps the paper's sorted linked list ([`SortedList`]),
+//! [`BTreeCounter`] a `BTreeMap` with O(log L) level lookup,
+//! [`NaiveCounter`] one node that every change sweeps ([`OneLevel`]), and
+//! [`SpinCounter`] no node at all ([`Polling`]). Each queue fixes how its
+//! waiters wait ([`Wait`](queue::Wait)); poison, timeouts, statistics and
+//! diagnostics are this one type's. The slow-path steps here (sweep,
+//! suspend, poison) also serve [`crate::ShardedCounter`], whose combiner
+//! publishes into a [`BTreeCounter`]'s word and waitlist.
 
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
 use crate::error::{
@@ -33,7 +36,7 @@ use crate::stats::{Stats, StatsSnapshot};
 use crate::trace::{snapshot_of, TraceLog};
 use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, WaitingLevel};
 use crate::Value;
-use queue::Queue;
+use queue::{Queue, Wait};
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -77,10 +80,54 @@ pub type Counter = WaitlistCounter<SortedList>;
 /// [`Counter`].
 pub type BTreeCounter = WaitlistCounter<WaitMap>;
 
+/// The strawman the paper's Section 7 improves on: one suspension queue,
+/// and every change wakes every waiter, which re-tests its own level and
+/// usually sleeps again. Wakeup work is O(waiting threads) per increment
+/// instead of O(satisfied levels), and every operation takes the lock.
+/// A counter written as a Section 8 predicate monitor (one lock, one
+/// condition variable, `notify_all` on each change) behaves exactly so.
+/// Semantically interchangeable with [`Counter`]; the [`OneLevel`]
+/// instantiation of [`WaitlistCounter`].
+pub type NaiveCounter = WaitlistCounter<OneLevel>;
+
+/// A counter whose waiters never suspend: they poll the value, yielding
+/// the CPU every 64 polls, so no suspension queue exists at all, the
+/// opposite end of the design space from Section 7. Competitive when waits
+/// are very short and CPUs plentiful; wasteful otherwise. Semantically
+/// interchangeable with [`Counter`]; the [`Polling`] instantiation of
+/// [`WaitlistCounter`].
+pub type SpinCounter = WaitlistCounter<Polling>;
+
 pub(crate) mod queue {
     use crate::node::WaitNode;
     use crate::Value;
     use std::sync::Arc;
+
+    /// How a waiter on a queue waits: with the storage, the one thing the
+    /// queues of experiment E7 vary.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Wait {
+        /// Sleeps on the node for its own level until that level is
+        /// satisfied: the paper's Section 7.
+        OwnLevel,
+        /// Sleeps on the node one above the value it saw, so every change
+        /// wakes it, then re-tests its own level. The fast tier is off, so
+        /// every change takes the lock and sweeps that node.
+        NextValue,
+        /// Never registers: polls the packed word until satisfied, poisoned
+        /// or past the deadline, yielding every 64 polls.
+        Poll,
+    }
+
+    impl Wait {
+        /// The level a waiter for `level` registers at after seeing `value`.
+        pub fn register_at(self, level: Value, value: Value) -> Value {
+            match self {
+                Wait::NextValue => level.min(value.saturating_add(1)),
+                Wait::OwnLevel | Wait::Poll => level,
+            }
+        }
+    }
 
     /// The operations a [`WaitlistCounter`](super::WaitlistCounter) needs
     /// from its waiting queue. Kept in a crate-private module so
@@ -93,6 +140,9 @@ pub(crate) mod queue {
     pub trait Queue: Default + Send + 'static {
         /// `impl_name` of the counter on this queue: fast path on, off.
         const NAMES: [&'static str; 2];
+
+        /// How the counter's waiters wait.
+        const WAIT: Wait = Wait::OwnLevel;
 
         /// Number of nodes (distinct levels).
         fn len(&self) -> usize;
@@ -119,13 +169,87 @@ pub(crate) mod queue {
 /// The waiting structure a [`WaitlistCounter`] suspends threads on: one wait
 /// node per distinct waited level, in ascending level order.
 ///
-/// Sealed. It is implemented by [`SortedList`], the paper's sorted linked
-/// list (Figure 2), and by `BTreeMap`, the two queue strategies experiment
-/// E7 ablates.
+/// Sealed. It is implemented by the four queue strategies experiment E7
+/// ablates: [`SortedList`], the paper's sorted linked list (Figure 2);
+/// `BTreeMap`; [`OneLevel`], the naive single queue; and [`Polling`], which
+/// holds nothing because its waiters poll. Each strategy also fixes how its
+/// waiters wait, so [`CounterBuilder::spin_before_suspend`] only applies to
+/// the first two.
 pub trait WaitQueue: Queue {}
 
 impl WaitQueue for SortedList {}
 impl WaitQueue for WaitMap {}
+impl WaitQueue for OneLevel {}
+impl WaitQueue for Polling {}
+
+/// The queue of [`NaiveCounter`]: at most one node, one above the counter
+/// value. Every waiter registers there, so the next change wakes them all
+/// and each re-tests its own level.
+#[derive(Default)]
+pub struct OneLevel(Option<Arc<WaitNode>>);
+
+impl Queue for OneLevel {
+    const NAMES: [&'static str; 2] = ["naive-broadcast"; 2];
+    const WAIT: Wait = Wait::NextValue;
+
+    fn len(&self) -> usize {
+        usize::from(self.0.is_some())
+    }
+
+    /// A present node is at `level`: every waiter registers one above the
+    /// value, and every change takes the lock and sweeps that node.
+    fn find_or_insert(&mut self, level: Value) -> (Arc<WaitNode>, bool) {
+        if let Some(node) = &self.0 {
+            return (Arc::clone(node), false);
+        }
+        let node = Arc::new(WaitNode::new(level));
+        self.0 = Some(Arc::clone(&node));
+        (node, true)
+    }
+
+    fn remove_satisfied(&mut self, value: Value) -> Vec<Arc<WaitNode>> {
+        self.0.take_if(|n| n.level <= value).into_iter().collect()
+    }
+
+    fn remove_level(&mut self, level: Value) -> Option<Arc<WaitNode>> {
+        self.0.take_if(|n| n.level == level)
+    }
+
+    fn nodes(&self) -> Vec<Arc<WaitNode>> {
+        self.0.iter().cloned().collect()
+    }
+}
+
+/// The queue of [`SpinCounter`]: always empty, because its waiters poll the
+/// packed word instead of registering.
+#[derive(Default)]
+pub struct Polling;
+
+impl Queue for Polling {
+    const NAMES: [&'static str; 2] = ["spin", "spin-mutex-only"];
+    const WAIT: Wait = Wait::Poll;
+
+    fn len(&self) -> usize {
+        0
+    }
+
+    /// Never called: a polling waiter never suspends, so no node is kept.
+    fn find_or_insert(&mut self, level: Value) -> (Arc<WaitNode>, bool) {
+        (Arc::new(WaitNode::new(level)), true)
+    }
+
+    fn remove_satisfied(&mut self, _value: Value) -> Vec<Arc<WaitNode>> {
+        Vec::new()
+    }
+
+    fn remove_level(&mut self, _level: Value) -> Option<Arc<WaitNode>> {
+        None
+    }
+
+    fn nodes(&self) -> Vec<Arc<WaitNode>> {
+        Vec::new()
+    }
+}
 
 impl Queue for WaitMap {
     const NAMES: [&'static str; 2] = ["btree", "btree-mutex-only"];
@@ -182,7 +306,8 @@ pub(crate) struct Inner<Q> {
 /// A monotonic counter: a packed-word fast path over one lock plus an
 /// ordered queue `Q` of condition-variable nodes, the structure of the
 /// paper's Section 7 and Figure 2. Use it as [`Counter`] or
-/// [`BTreeCounter`].
+/// [`BTreeCounter`]; [`NaiveCounter`] and [`SpinCounter`] are the E7
+/// baselines on the same type, whose queues change how waiters wait.
 ///
 /// * `check` with a satisfied level returns after a single atomic load.
 /// * `increment` with no registered waiters is a single CAS.
@@ -227,7 +352,9 @@ impl<Q: WaitQueue> Buildable for WaitlistCounter<Q> {
     fn from_config(cfg: &BuildConfig) -> Self {
         WaitlistCounter {
             fast: FastWord::new(cfg.initial()),
-            fast_enabled: true,
+            // A naive waiter sleeps one above the value, so every change
+            // must take the lock to wake it.
+            fast_enabled: Q::WAIT != Wait::NextValue,
             inner: Mutex::new(Inner {
                 wide: cfg.initial(),
                 waiting: Q::default(),
@@ -258,6 +385,17 @@ impl<Q: WaitQueue> std::fmt::Debug for WaitlistCounter<Q> {
 
 fn levels(queue: &impl Queue) -> Vec<Value> {
     queue.nodes().iter().map(|n| n.level).collect()
+}
+
+/// The failure of a wait that saw the counter poisoned: a poisoned node or
+/// the poison bit, each set under the lock that records the cause.
+fn poisoned<Q>(inner: &Inner<Q>) -> CheckError {
+    CheckError::Poisoned(
+        inner
+            .poisoned
+            .clone()
+            .expect("poisoned wait without a recorded cause"),
+    )
 }
 
 impl<Q: WaitQueue> WaitlistCounter<Q> {
@@ -456,22 +594,25 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         }
         self.record(&inner);
         if node.is_poisoned() {
-            let info = inner
-                .poisoned
-                .clone()
-                .expect("poisoned wait node without a recorded cause");
-            return Err(CheckError::Poisoned(info));
+            return Err(poisoned(&inner));
         }
         Ok(())
     }
 
-    /// The slow-path wait: on a spinning counter, first
-    /// [`spin_until`](Self::spin_until); then register as a waiter and
-    /// [`suspend`].
+    /// The slow-path wait: on a polling queue, [`poll_wait`]; on a
+    /// spinning counter, first [`spin_until`]; then register as a waiter
+    /// and [`suspend`] at the level the queue's [`Wait`] policy names,
+    /// again after each wake until that level is `level` (at once for
+    /// [`Wait::OwnLevel`]).
     ///
+    /// [`poll_wait`]: Self::poll_wait
+    /// [`spin_until`]: Self::spin_until
     /// [`suspend`]: Self::suspend
     #[cold]
     fn wait_until(&self, level: Value, deadline: Option<Instant>) -> Result<(), CheckError> {
+        if Q::WAIT == Wait::Poll {
+            return self.poll_wait(level, deadline);
+        }
         if self.spin && self.fast_enabled {
             let hint = self.fast.value_hint();
             if hint >= level {
@@ -485,13 +626,23 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
                 return Ok(());
             }
         }
-        let inner = self.enter();
-        // Announce intent to wait *before* re-reading the value: the
-        // register RMW and fast-path increment CASes hit the same word, so
-        // whichever is ordered later sees the other (no missed wakeup; see
-        // the fastpath module docs).
-        let value = self.fast.register_waiter(inner.wide);
-        self.suspend(inner, level, value, deadline)
+        loop {
+            let inner = self.enter();
+            // Announce intent to wait *before* re-reading the value: the
+            // register RMW and fast-path increment CASes hit the same word,
+            // so whichever is ordered later sees the other (no missed
+            // wakeup; see the fastpath module docs).
+            let value = self.fast.register_waiter(inner.wide);
+            let target = Q::WAIT.register_at(level, value);
+            match self.suspend(inner, target, value, deadline) {
+                Ok(()) if target < level => {}
+                // The caller's level timed out, not the one slept on.
+                Err(CheckError::Timeout(_)) => {
+                    return Err(CheckError::Timeout(CheckTimeoutError { level }))
+                }
+                done => return done,
+            }
+        }
     }
 
     /// Polls the packed word while the waiter is next in line (`level` one
@@ -512,13 +663,60 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         }
         let budget_end = Instant::now() + SPIN_BUDGET;
         let end = deadline.map_or(budget_end, |d| d.min(budget_end));
+        self.poll_until(level, Some(end), false) == Poll::Satisfied
+    }
+
+    /// The [`Polling`] queue's wait: [`poll_until`](Self::poll_until) the
+    /// level is satisfied, the counter poisoned or `deadline` past, without
+    /// registering, so incrementers stay on their CAS. The poller counts as
+    /// a live waiter meanwhile.
+    fn poll_wait(&self, level: Value, deadline: Option<Instant>) -> Result<(), CheckError> {
+        self.stats.record_check_suspended();
+        let poll = self.poll_until(level, deadline, true);
+        self.stats.record_waiter_resumed();
+        match poll {
+            Poll::Satisfied => Ok(()),
+            Poll::Poisoned => Err(poisoned(&self.lock())),
+            Poll::Pending => Err(CheckError::Timeout(CheckTimeoutError { level })),
+        }
+    }
+
+    /// Polls `level` until it is satisfied or the counter is poisoned, or
+    /// returns [`Poll::Pending`] once `end` passes. A `patient` poller
+    /// yields its CPU every 64 polls, so an incrementer sharing it can run.
+    fn poll_until(&self, level: Value, end: Option<Instant>, patient: bool) -> Poll {
+        let mut polls = 0u32;
         loop {
-            match self.fast.poll(level) {
-                Poll::Satisfied => return true,
-                Poll::Poisoned => return false,
-                Poll::Pending if Instant::now() >= end => return false,
-                Poll::Pending => std::hint::spin_loop(),
+            match self.poll(level) {
+                Poll::Pending if end.is_some_and(|end| Instant::now() >= end) => {
+                    return Poll::Pending
+                }
+                Poll::Pending => {
+                    polls = polls.wrapping_add(1);
+                    if patient && polls.is_multiple_of(64) {
+                        std::thread::yield_now();
+                    } else {
+                        std::hint::spin_loop();
+                    }
+                }
+                done => return done,
             }
+        }
+    }
+
+    /// One poll of `level`: the packed word, or beyond [`FAST_CAP`], where
+    /// the word's hint stops moving, the exact value under the lock.
+    fn poll(&self, level: Value) -> Poll {
+        if level <= FAST_CAP {
+            return self.fast.poll(level);
+        }
+        let inner = self.lock();
+        if self.fast.locked_value(inner.wide) >= level {
+            Poll::Satisfied
+        } else if inner.poisoned.is_some() {
+            Poll::Poisoned
+        } else {
+            Poll::Pending
         }
     }
 
@@ -1537,6 +1735,100 @@ mod tests {
             .build();
         assert_eq!(c.spin, cpus > 1);
         assert!(!WaitlistCounter::<Q>::mutex_only().spin);
+    }
+
+    // The naive and spin queues: how their waiters wait.
+
+    #[test]
+    fn naive_waiters_share_one_node_and_sleep_again_after_each_change() {
+        let c = Arc::new(NaiveCounter::default());
+        let waiters = |level, threads| vec![WaitingLevel { level, threads }];
+        let handles: Vec<_> = [2u64, 3, 4]
+            .into_iter()
+            .map(|level| {
+                let c = Arc::clone(&c);
+                thread::spawn(move || c.check(level))
+            })
+            .collect();
+        while c.stats().live_waiters < 3 {
+            thread::yield_now();
+        }
+        assert_eq!(c.waiters(), waiters(1, 3), "one node, one above the value");
+        assert_eq!(c.stats().suspensions, 3);
+        c.increment(1);
+        while c.waiters() != waiters(2, 3) {
+            thread::yield_now();
+        }
+        let s = c.stats();
+        assert_eq!((s.notifies, s.suspensions), (1, 6), "{s}");
+        c.increment(3);
+        for h in handles {
+            h.join().unwrap();
+        }
+        let s = c.stats();
+        assert_eq!(s.nodes_created, s.nodes_freed, "{s}");
+
+        c.increment(u64::MAX - 5);
+        let c2 = Arc::clone(&c);
+        let top = thread::spawn(move || c2.check(u64::MAX));
+        while c.waiters() != waiters(u64::MAX, 1) {
+            thread::yield_now();
+        }
+        let before = c.stats().notifies;
+        assert!(c.try_increment(2).is_err());
+        assert_eq!(c.debug_value(), u64::MAX - 1);
+        assert_eq!(c.stats().notifies, before, "failed update must not signal");
+        c.increment(1);
+        top.join().unwrap();
+        assert_eq!(c.live_nodes(), 0);
+
+        let c = NaiveCounter::default();
+        let err = c.check_timeout(9, SHORT).unwrap_err();
+        assert_eq!(err.level, 9, "the caller's level, not the one slept on");
+        assert_eq!(c.live_nodes(), 0);
+    }
+
+    #[test]
+    fn spin_waiters_poll_without_nodes_or_broadcasts() {
+        let c = Arc::new(SpinCounter::default());
+        let wait_on = |level| {
+            let c2 = Arc::clone(&c);
+            let h = thread::spawn(move || c2.wait(level));
+            while c.stats().live_waiters == 0 {
+                thread::yield_now();
+            }
+            h
+        };
+        let satisfied = wait_on(1);
+        c.increment(1);
+        assert_eq!(satisfied.join().unwrap(), Ok(()));
+        assert!(matches!(
+            c.wait_timeout(2, SHORT),
+            Err(CheckError::Timeout(_))
+        ));
+        let poisoned = wait_on(2);
+        c.poison(FailureInfo::new("gone"));
+        assert!(matches!(
+            poisoned.join().unwrap(),
+            Err(CheckError::Poisoned(_))
+        ));
+        let s = c.stats();
+        assert_eq!((s.nodes_created, s.notifies), (0, 0), "{s}");
+        assert_eq!((s.suspensions, s.live_waiters), (3, 0), "{s}");
+        assert!(c.waiters().is_empty());
+
+        // Beyond the packed hint's range the poll reads the exact value.
+        let c = Arc::new(SpinCounter::builder().initial(FAST_CAP).build());
+        let above_cap = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || c.check(FAST_CAP + 2))
+        };
+        while c.stats().live_waiters == 0 {
+            thread::yield_now();
+        }
+        c.increment(2);
+        above_cap.join().unwrap();
+        assert_eq!(c.stats().nodes_created, 0);
     }
 
     /// Instantiates each generic test once per queue strategy, so every

@@ -5,13 +5,17 @@
 //! battery drives all three surfaces at once and asserts the two properties
 //! the locking must provide: the run terminates (no deadlock between the
 //! registry lock, diagnose's upgrade-under-lock pass, and the watch
-//! thread's tick), and no registration is lost or double-removed.
+//! thread's tick), and no registration is lost or double-removed. Two more
+//! race a diagnosis loop against a counter whose obligations cover every
+//! waited level: it must never be diagnosed `NeverSatisfiable`.
 
-use mc_counter::{Counter, MonotonicCounter, StallVerdict, Supervisor, SupervisorConfig};
+use mc_counter::{
+    Counter, CounterDiagnostics, MonotonicCounter, StallVerdict, Supervisor, SupervisorConfig,
+};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn concurrent_register_unregister_diagnose_churn() {
@@ -190,4 +194,81 @@ fn watch_thread_keeps_ticking_through_churn() {
     }
     stalled.increment(10);
     waiter.join().unwrap().unwrap();
+}
+
+/// Runs `diagnose` on `sup` until `done` is set and returns how many
+/// samples of its one counter read `NeverSatisfiable`, and how many samples
+/// were taken.
+fn count_never_satisfiable(sup: &Supervisor, done: &AtomicBool) -> (usize, usize) {
+    let (mut never, mut samples) = (0, 0);
+    while !done.load(Relaxed) {
+        for c in sup.diagnose().counters {
+            samples += 1;
+            if c.verdict == StallVerdict::NeverSatisfiable {
+                never += 1;
+            }
+        }
+    }
+    (never, samples)
+}
+
+#[test]
+fn fulfilling_obligations_never_reads_as_never_satisfiable() {
+    // value + outstanding stays at TOTAL while a producer fulfils its
+    // obligations one by one, so the waiter at TOTAL is always reachable.
+    const TOTAL: u64 = 200_000;
+    let sup = Supervisor::new();
+    let c = Arc::new(Counter::default());
+    sup.register("fulfilled", &c);
+    let owed: Vec<_> = (0..TOTAL)
+        .map(|_| sup.obligation("fulfilled", 1).expect("registered"))
+        .collect();
+    let done = AtomicBool::new(false);
+    let (never, samples) = thread::scope(|s| {
+        let waiter = s.spawn(|| c.check(TOTAL));
+        while c.waiters().is_empty() {
+            thread::yield_now();
+        }
+        let diagnosis = s.spawn(|| count_never_satisfiable(&sup, &done));
+        for ob in owed {
+            ob.fulfill();
+        }
+        waiter.join().unwrap();
+        done.store(true, Relaxed);
+        diagnosis.join().unwrap()
+    });
+    assert_eq!(
+        never, 0,
+        "{never} of {samples} samples read NeverSatisfiable"
+    );
+}
+
+#[test]
+fn a_waiter_registered_after_an_increment_is_never_read_as_stuck() {
+    // One obligation stays held, so the level one above the value is
+    // always reachable; the worker raises the value, then waits there.
+    const FOR: Duration = Duration::from_secs(3);
+    let sup = Supervisor::new();
+    let c = Arc::new(Counter::default());
+    sup.register("stepping", &c);
+    let _held = sup.obligation("stepping", 1).expect("registered");
+    let done = AtomicBool::new(false);
+    let (never, samples) = thread::scope(|s| {
+        let diagnosis = s.spawn(|| count_never_satisfiable(&sup, &done));
+        let t0 = Instant::now();
+        let mut value = 0;
+        while t0.elapsed() < FOR {
+            c.increment(1);
+            value += 1;
+            assert!(c
+                .wait_timeout(value + 1, Duration::from_micros(20))
+                .is_err());
+        }
+        done.store(true, Relaxed);
+        diagnosis.join().unwrap()
+    });
+    assert_eq!(
+        never, 0,
+        "{never} of {samples} samples read NeverSatisfiable"
+    );
 }

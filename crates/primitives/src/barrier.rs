@@ -61,11 +61,6 @@ impl Barrier {
         }
     }
 
-    /// Number of participating threads.
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
     /// Blocks until all `n` participants have called `pass()` for the current
     /// round, then releases them all. Returns `true` for exactly one thread
     /// per round (the last arriver), mirroring `std::sync::Barrier`'s leader
@@ -185,10 +180,5 @@ mod tests {
             }
         });
         assert_eq!(tally.load(Ordering::SeqCst), n * rounds);
-    }
-
-    #[test]
-    fn participants_accessor() {
-        assert_eq!(Barrier::new(7).participants(), 7);
     }
 }

@@ -1,4 +1,4 @@
-//! A manual-reset event: the `Condition` type of the paper's Section 4.4.
+//! A set-once event: the `Condition` type of the paper's Section 4.4.
 //!
 //! `ShortestPaths3` uses an array `Condition kDone[N]` where `kDone[k].Set()`
 //! announces that row `k` is ready and `kDone[k].Check()` waits for it. A
@@ -6,13 +6,12 @@
 //! faithful baseline.
 
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
-/// A one-way, manual-reset boolean flag with a suspension queue.
+/// A one-way boolean flag with a suspension queue.
 ///
 /// Once [`set`](Event::set), every current and future
-/// [`check`](Event::check) returns immediately until [`reset`](Event::reset)
-/// is called. Like the paper's `Condition`, setting is idempotent.
+/// [`check`](Event::check) returns immediately. Like the paper's
+/// `Condition`, setting is idempotent.
 ///
 /// # Example
 ///
@@ -51,39 +50,12 @@ impl Event {
         }
     }
 
-    /// Clears the event.
-    ///
-    /// Unlike a counter, an event is **not** monotonic: a `reset` racing with
-    /// `check` reintroduces exactly the kind of timing-dependent behaviour
-    /// the paper's Section 6 warns about. Takes `&mut self` so that safe code
-    /// cannot race it against concurrent `set`/`check`.
-    pub fn reset(&mut self) {
-        *self.set.get_mut().expect("event lock poisoned") = false;
-    }
-
     /// Suspends the calling thread until the event is set.
     pub fn check(&self) {
         let mut set = self.set.lock().expect("event lock poisoned");
         while !*set {
             set = self.cv.wait(set).expect("event lock poisoned");
         }
-    }
-
-    /// Like [`check`](Event::check) but gives up after `timeout`; returns
-    /// `true` if the event was set in time.
-    pub fn check_timeout(&self, timeout: Duration) -> bool {
-        let set = self.set.lock().expect("event lock poisoned");
-        let (set, _) = self
-            .cv
-            .wait_timeout_while(set, timeout, |set| !*set)
-            .expect("event lock poisoned");
-        *set
-    }
-
-    /// Whether the event is currently set (diagnostics/tests only — racing a
-    /// probe against `set` is precisely the nondeterminism counters avoid).
-    pub fn is_set(&self) -> bool {
-        *self.set.lock().expect("event lock poisoned")
     }
 }
 
@@ -92,19 +64,15 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
-
-    #[test]
-    fn starts_unset() {
-        assert!(!Event::new().is_set());
-    }
+    use std::time::Duration;
 
     #[test]
     fn set_is_idempotent_and_latches() {
         let e = Event::new();
         e.set();
         e.set();
-        assert!(e.is_set());
         e.check(); // must not block
+        e.check();
     }
 
     #[test]
@@ -131,28 +99,5 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn check_timeout_expires_when_unset() {
-        let e = Event::new();
-        assert!(!e.check_timeout(Duration::from_millis(20)));
-    }
-
-    #[test]
-    fn check_timeout_succeeds_when_set() {
-        let e = Event::new();
-        e.set();
-        assert!(e.check_timeout(Duration::from_millis(20)));
-        assert!(e.check_timeout(Duration::MAX), "no deadline, no panic");
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut e = Event::new();
-        e.set();
-        e.reset();
-        assert!(!e.is_set());
-        assert!(!e.check_timeout(Duration::from_millis(10)));
     }
 }

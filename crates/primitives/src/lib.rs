@@ -1,50 +1,25 @@
 //! # Traditional synchronization primitives
 //!
-//! The mechanisms the paper (Thornley & Chandy, IPPS 2000) positions
+//! The mechanisms the paper (Thornley & Chandy, IPPS 2000) measures
 //! monotonic counters against, each built from scratch on
-//! `std::sync::{Mutex, Condvar}` and atomics:
+//! `std::sync::{Mutex, Condvar}`:
 //!
 //! * [`Barrier`] — N-way cyclic barrier with a `pass()` operation, as used by
 //!   `ShortestPaths2` (Section 4.3) and the boundary-exchange simulation
 //!   (Section 5.1).
-//! * [`Event`] — a manual-reset condition flag with `set()`/`check()`, the
+//! * [`Event`] — a set-once condition flag with `set()`/`check()`, the
 //!   `Condition` type of `ShortestPaths3` (Section 4.4).
-//! * [`Semaphore`] — counting semaphore (Dijkstra), the classic
-//!   bounded-buffer mechanism the paper contrasts with broadcast (Section 5.3).
-//! * [`Latch`] — single-use count-down latch.
-//! * [`SingleAssignment`] — a write-once "sync variable" as in CC++/PCN
-//!   (Section 8 related work).
-//! * [`SpinLock`] — a raw test-and-test-and-set lock, used as the
-//!   mutual-exclusion baseline of Section 5.2.
-//! * [`RwLock`] — a writer-preferring readers–writer lock.
-//! * [`Monitor`] — a Hoare-style predicate monitor (Section 8 related work).
-//! * [`Exchanger`] — a two-party rendezvous (Section 8 related work: Ada's
-//!   rendezvous is the canonical statically-bounded-queue mechanism).
 //!
-//! Every primitive here has exactly **one** thread suspension queue (or none);
-//! the point of the paper — and of the experiments in this workspace — is
-//! that a single counter replaces arrays of these objects because it maintains
-//! a *dynamically varying number* of suspension queues.
+//! Each has exactly **one** thread suspension queue; the point of the paper
+//! — and of the experiments in this workspace that compare against these
+//! two — is that a single counter replaces arrays of these objects because
+//! it maintains a *dynamically varying number* of suspension queues.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod barrier;
 mod event;
-mod latch;
-mod monitor;
-mod rendezvous;
-mod rwlock;
-mod semaphore;
-mod single_assignment;
-mod spinlock;
 
 pub use barrier::Barrier;
 pub use event::Event;
-pub use latch::Latch;
-pub use monitor::Monitor;
-pub use rendezvous::Exchanger;
-pub use rwlock::RwLock;
-pub use semaphore::Semaphore;
-pub use single_assignment::SingleAssignment;
-pub use spinlock::SpinLock;

@@ -73,8 +73,12 @@ pub fn run_concrete(sk: &Skeleton, timeout: Duration) -> ConcreteRun {
     // Wait for quiescence: every thread finished, or suspended on a level
     // strictly above its counter's value (i.e. genuinely blocked — a waiter
     // whose level is already satisfied is mid-wakeup and will progress).
+    // A diagnosis samples the counters one after another, so a thread can
+    // increment a counter already sampled and then wait on one sampled
+    // later: only a state two diagnoses in a row agree on is quiescent.
     let deadline = Instant::now() + timeout;
     let nthreads = sk.num_threads();
+    let mut last_state = Vec::new();
     let report = loop {
         let done = finished.load(Ordering::SeqCst);
         if done == nthreads {
@@ -91,7 +95,18 @@ pub fn run_concrete(sk: &Skeleton, timeout: Duration) -> ConcreteRun {
             .counters
             .iter()
             .all(|c| c.waiters.iter().all(|w| w.level > c.value));
-        if done + suspended == nthreads && all_blocked && done == finished.load(Ordering::SeqCst) {
+        let state: Vec<_> = report
+            .counters
+            .iter()
+            .map(|c| (c.value, c.waiters.clone()))
+            .collect();
+        let stable = state == last_state;
+        last_state = state;
+        if stable
+            && done + suspended == nthreads
+            && all_blocked
+            && done == finished.load(Ordering::SeqCst)
+        {
             break report;
         }
         assert!(

@@ -8,9 +8,8 @@
 //!
 //! * [`counter`] — the monotonic counter primitive itself (the paper's core
 //!   contribution, Sections 2 and 7).
-//! * [`primitives`] — the traditional mechanisms the paper compares against
-//!   (barrier, event/condition, semaphore, latch, single-assignment,
-//!   spinlock), built from scratch.
+//! * [`primitives`] — the traditional mechanisms the paper measures against
+//!   (barrier, event/condition), built from scratch.
 //! * [`sthreads`] — the structured multithreading model of Section 3
 //!   (`multithreaded` blocks and for-loops) with a sequential execution mode
 //!   for the Section 6 equivalence results.
@@ -88,9 +87,7 @@ pub mod prelude {
         Broadcast, CheckpointedPipeline, DataflowGraph, Pipeline, RaggedBarrier,
         RestartablePipeline, Sequencer,
     };
-    pub use mc_primitives::{
-        Barrier, Event, Exchanger, Latch, Monitor, Semaphore, SingleAssignment,
-    };
+    pub use mc_primitives::{Barrier, Event};
     pub use mc_sthreads::{
         multithreaded, multithreaded_for, supervised_for, supervised_tasks, ChildSpec,
         ExecutionMode, RestartLimits, RestartPolicy, SupervisionTree,

@@ -55,13 +55,13 @@ fn ragged_barrier_over_every_counter_impl() {
     run::<NaiveCounter>();
 }
 
-/// Counters and traditional primitives coexisting in one program: a latch
+/// Counters and traditional primitives coexisting in one program: a counter
 /// gates startup, a counter sequences the work, a barrier closes the phase,
 /// an event signals completion.
 #[test]
 fn mixed_primitive_program() {
     let n = 6;
-    let start = Arc::new(Latch::new(1));
+    let start = Arc::new(Counter::default());
     let order = Arc::new(Counter::default());
     let phase_end = Arc::new(Barrier::new(n));
     let done = Arc::new(Event::new());
@@ -77,14 +77,14 @@ fn mixed_primitive_program() {
                 Arc::clone(&log),
             );
             s.spawn(move || {
-                start.wait();
+                start.check(1);
                 order.sequenced(i, || log.lock().unwrap().push(i));
                 if phase_end.pass() {
                     done.set();
                 }
             });
         }
-        start.count_down();
+        start.increment(1);
         done.check();
     });
     assert_eq!(*log.lock().unwrap(), (0..n as u64).collect::<Vec<_>>());
@@ -149,9 +149,6 @@ fn prelude_surface() {
     let _set: CounterSet<Counter> = CounterSet::new(2);
     let _bar = Barrier::new(1);
     let _ev = Event::new();
-    let _l = Latch::new(0);
-    let _s = Semaphore::new(1);
-    let _sa: SingleAssignment<u8> = SingleAssignment::new();
     let _rb = RaggedBarrier::new(1);
     let _sq = Sequencer::new();
     let _bc: Broadcast<u8> = Broadcast::new(0);
