@@ -22,8 +22,8 @@
 //! Usage: `cargo run --release -p mc-bench --bin e9_table [--quick] [--json]`
 
 use mc_bench::{Report, Table};
-use mc_counter::{Counter, MonotonicCounter, PoisonPolicy};
-use mc_durable::{DurabilityMode, DurableCounter, DurableOptions, WalStats};
+use mc_counter::{Counter, MonotonicCounter};
+use mc_durable::{DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, WalStats};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

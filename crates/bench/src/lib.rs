@@ -9,10 +9,9 @@
 //! * JSON emission (hand-rolled, no serde dependency) so runs can be archived
 //!   via `--json`.
 //!
-//! Each experiment has two entry points: a `cargo bench -p mc-bench --bench
-//! eN_*` Criterion benchmark for careful timing, and a `cargo run --release
-//! -p mc-bench --bin eN_table` binary that prints the claim-vs-measured
-//! table quickly.
+//! Each experiment is one `cargo run --release -p mc-bench --bin eN_table`
+//! binary that prints the claim-vs-measured table (`--quick` for small
+//! sizes, `--json` to archive the run).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

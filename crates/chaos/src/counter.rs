@@ -3,7 +3,7 @@
 use crate::jitter::Chaos;
 use mc_counter::{
     CheckError, CheckTimeoutError, CounterDiagnostics, CounterOverflowError, FailureInfo,
-    MonotonicCounter, Resettable, StatsSnapshot, Value, WaitingLevel,
+    HealthStatus, MonotonicCounter, Resettable, StatsSnapshot, Value, WaitingLevel,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -176,6 +176,10 @@ impl<C: CounterDiagnostics> CounterDiagnostics for ChaosCounter<C> {
         self.inner.waiters()
     }
 
+    fn health(&self) -> HealthStatus {
+        self.inner.health()
+    }
+
     fn durable_watermark(&self) -> Option<Value> {
         self.inner.durable_watermark()
     }
@@ -229,6 +233,15 @@ mod tests {
         testkit::exercise_all(&c);
         testkit::assert_all_forwarded(c.inner());
         assert_eq!(c.waiters(), c.inner().waiters());
+    }
+
+    #[test]
+    fn forwards_health() {
+        // A supervisor reads a wrapped counter's health through the
+        // wrapper: a degraded inner counter must not read healthy.
+        let chaos = Arc::new(Chaos::new(6));
+        let c = ChaosCounter::new(RecordingCounter::degraded(), chaos);
+        assert!(c.health().is_degraded(), "got {}", c.health());
     }
 
     #[test]

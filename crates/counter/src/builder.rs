@@ -80,24 +80,6 @@ impl MetricsSink {
     }
 }
 
-/// What a durable counter (`mc-durable`'s `DurableCounter`) does when its
-/// write-ahead log still fails after the retry budget is spent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoisonPolicy {
-    /// Poison the counter with the IO error as the cause: every blocked
-    /// waiter wakes with [`CheckError::Poisoned`](crate::CheckError::Poisoned)
-    /// and every later wait that would block fails the same way.
-    #[default]
-    Propagate,
-    /// Degrade instead: the counter keeps serving from memory, reports
-    /// `Degraded` health, and self-heals when the log recovers. Explicit
-    /// `poison` calls still propagate exactly as under [`Propagate`]; the
-    /// policy only reroutes the log's failures.
-    ///
-    /// [`Propagate`]: PoisonPolicy::Propagate
-    Degrade,
-}
-
 /// The resolved knob set a [`CounterBuilder`] hands to
 /// [`Buildable::from_config`].
 ///

@@ -138,7 +138,7 @@ mod traits;
 mod waitlist;
 
 pub use backoff::{backoff, jitter, splitmix64, SPLITMIX64_GAMMA};
-pub use builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink, PoisonPolicy};
+pub use builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink};
 pub use error::{
     CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo, FirstPanic,
     POISONED_PANIC_PREFIX,

@@ -371,8 +371,8 @@ struct SupervisorMetrics {
     verdict_slow: Arc<Event>,
     verdict_never_satisfiable: Arc<Event>,
     verdict_restarting: Arc<Event>,
-    /// Last observed health label per counter name, for transition counting.
-    last_health: Mutex<HashMap<String, &'static str>>,
+    /// Last observed health label per counter address, for transition counting.
+    last_health: Mutex<HashMap<usize, &'static str>>,
 }
 
 impl SupervisorMetrics {
@@ -392,25 +392,27 @@ impl SupervisorMetrics {
         }
     }
 
-    /// Tallies one diagnose pass over `samples`.
+    /// Tallies one diagnose pass over `samples`, rebuilding the health map
+    /// from it as [`Supervisor::tick`] rebuilds its values.
     fn record_diagnosis(&self, samples: &[Sample]) {
         self.diagnoses.incr();
         let mut last = lock_recover(&self.last_health);
-        for (_, c) in samples {
+        let mut health = HashMap::new();
+        for (counter, c) in samples {
             match c.verdict {
                 StallVerdict::Idle => self.verdict_idle.incr(),
                 StallVerdict::Slow => self.verdict_slow.incr(),
                 StallVerdict::NeverSatisfiable => self.verdict_never_satisfiable.incr(),
                 StallVerdict::Restarting { .. } => self.verdict_restarting.incr(),
             }
+            // A counter registered under several names counts once.
+            let key = Arc::as_ptr(counter) as *const () as usize;
             let label = c.health.as_label();
-            if last
-                .insert(c.name.clone(), label)
-                .is_some_and(|p| p != label)
-            {
+            if health.insert(key, label).is_none() && last.get(&key).is_some_and(|p| *p != label) {
                 self.health_transitions.incr();
             }
         }
+        *last = health;
     }
 }
 
@@ -1484,6 +1486,22 @@ mod tests {
         sup.diagnose();
         assert_eq!(registry.event("sup.health_transitions").get(), 1);
         assert!(registry.event("sup.diagnoses").get() >= 4);
+    }
+
+    #[test]
+    fn counters_sharing_a_name_keep_their_own_health() {
+        let registry = Arc::new(Registry::new());
+        let sup = Supervisor::new();
+        sup.attach_metrics(&registry, "sup");
+        let healthy = Arc::new(Counter::default());
+        let degraded = Arc::new(crate::testkit::RecordingCounter::degraded());
+        sup.register("shard", &healthy);
+        sup.register("shard", &degraded);
+        for _ in 0..10 {
+            sup.diagnose();
+        }
+        // Neither counter's health changed, so nothing transitioned.
+        assert_eq!(registry.event("sup.health_transitions").get(), 0);
     }
 
     #[test]

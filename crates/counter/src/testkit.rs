@@ -21,11 +21,11 @@
 use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
 use crate::stats::StatsSnapshot;
 use crate::traits::{
-    CounterDiagnostics, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
+    CounterDiagnostics, HealthStatus, MonotonicCounter, Resettable, ResumableCounter, WaitingLevel,
 };
 use crate::{Counter, Value};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Every [`MonotonicCounter`] method, including the provided ones: the names
 /// [`assert_all_forwarded`] requires to appear in a [`RecordingCounter`] log.
@@ -50,6 +50,8 @@ pub const ALL_METHODS: [&str; 9] = [
 pub struct RecordingCounter {
     inner: Counter,
     calls: Mutex<Vec<&'static str>>,
+    /// What [`CounterDiagnostics::health`] reports.
+    health: HealthStatus,
 }
 
 impl Default for RecordingCounter {
@@ -64,6 +66,20 @@ impl RecordingCounter {
         RecordingCounter {
             inner: Counter::builder().build(),
             calls: Mutex::new(Vec::new()),
+            health: HealthStatus::Healthy,
+        }
+    }
+
+    /// A recording counter whose [`health`](CounterDiagnostics::health)
+    /// always reads [`HealthStatus::Degraded`], for checking that wrappers
+    /// and supervisors pass a counter's health through.
+    pub fn degraded() -> Self {
+        RecordingCounter {
+            health: HealthStatus::Degraded {
+                since: Instant::now(),
+                queued: 1,
+            },
+            ..Self::new()
         }
     }
 
@@ -149,6 +165,7 @@ impl ResumableCounter for RecordingCounter {
         RecordingCounter {
             inner: Counter::resume_from(value),
             calls: Mutex::new(vec!["resume_from"]),
+            health: HealthStatus::Healthy,
         }
     }
 }
@@ -168,6 +185,10 @@ impl CounterDiagnostics for RecordingCounter {
 
     fn waiters(&self) -> Vec<WaitingLevel> {
         self.inner.waiters()
+    }
+
+    fn health(&self) -> HealthStatus {
+        self.health
     }
 }
 

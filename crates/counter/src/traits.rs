@@ -205,7 +205,8 @@ pub enum HealthStatus {
         /// When the counter entered degraded mode.
         since: std::time::Instant,
         /// Unsynced records queued for replay (collapsed: pending monotone
-        /// advances count as one record, plus any queued poison events).
+        /// advances count as one record, plus the cause, while it is not
+        /// yet logged).
         queued: u64,
     },
     /// The counter is poisoned: waits fail with the captured cause.

@@ -15,8 +15,13 @@
 //!   value; a strict-mode writer `wait`s on it for its target value, so one
 //!   fsync acknowledges every increment that enqueued before it (group
 //!   commit).
-//! * `poisons_synced` — advanced per persisted poison event, so `poison`
-//!   returns only after its cause is durable in **both** modes.
+//! * `poisons_synced` — reaches 1 when the counter's one poison cause is
+//!   durable, so `poison` returns only after its cause is durable in
+//!   **both** modes.
+//!
+//! The poison cause itself is a write-once slot: the first `poison` call
+//! fills it, and every caller then poisons memory with that one cause, so
+//! memory, log and snapshot agree and the log holds the cause at most once.
 //!
 //! Monotonicity does the heavy lifting: log records carry *absolute* values
 //! (replay = running max, idempotent), and in batched mode the flusher can
@@ -43,15 +48,16 @@
 //!    *replay-budget*-bounded memory watermark, and
 //!    [`health`](DurableCounter::health) reports
 //!    [`HealthStatus::Degraded`]. Because a monotone counter's unsynced
-//!    state collapses to one absolute value (plus queued poison causes),
-//!    the replay buffer is O(1) regardless of how long the outage lasts.
+//!    state collapses to one absolute value (plus the poison cause, while
+//!    it is not yet logged), the replay buffer is O(1) regardless of how
+//!    long the outage lasts.
 //! 3. **Self-healing** — while degraded the flusher probes the directory
 //!    every `resync_interval`: full [`recover_dir`] (which also repairs any
 //!    torn tail the failed write left — appending after a torn frame would
 //!    strand the new records behind it), reopen through the factory, append
-//!    one collapsed advance plus the queued poisons, fsync, and the counter
-//!    returns to [`HealthStatus::Healthy`]. Every fault site in this path
-//!    is failpoint-instrumented, so chaos schedules can crash a counter
+//!    one collapsed advance plus the unlogged poison cause, fsync, and the
+//!    counter returns to [`HealthStatus::Healthy`]. Every fault site in this
+//!    path is failpoint-instrumented, so chaos schedules can crash a counter
 //!    *during* resync.
 //!
 //! Under the default [`PoisonPolicy::Propagate`], a post-retry failure
@@ -67,14 +73,13 @@ use crate::RetryPolicy;
 use mc_chaos::Failpoints;
 use mc_counter::{
     CheckError, Counter, CounterDiagnostics, CounterOverflowError, CounterRecovery, FailureInfo,
-    HealthStatus, MetricsSink, MonotonicCounter, PoisonPolicy, ResumableCounter, StatsSnapshot,
-    Supervisor, Value, WaitingLevel,
+    HealthStatus, MetricsSink, MonotonicCounter, ResumableCounter, StatsSnapshot, Supervisor,
+    Value, WaitingLevel,
 };
 use mc_metrics::{Event, Histogram};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-// lint:allow(raw-sync): WAL-core plumbing (flusher handoff queues), not protocol synchronization
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -92,6 +97,24 @@ pub enum DurabilityMode {
     /// reordered or inflated — recovery is still a verified monotone
     /// prefix). Poison events remain strict even in this mode.
     Batched,
+}
+
+/// What a [`DurableCounter`] does when its write-ahead log still fails
+/// after the retry budget is spent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PoisonPolicy {
+    /// Poison the counter with the IO error as the cause: every blocked
+    /// waiter wakes with [`CheckError::Poisoned`] and every later wait that
+    /// would block fails the same way.
+    #[default]
+    Propagate,
+    /// Degrade instead: the counter keeps serving from memory, reports
+    /// `Degraded` health, and self-heals when the log recovers. Explicit
+    /// `poison` calls still propagate exactly as under [`Propagate`]; the
+    /// policy only reroutes the log's failures.
+    ///
+    /// [`Propagate`]: PoisonPolicy::Propagate
+    Degrade,
 }
 
 /// Configuration for [`DurableCounter::open`].
@@ -218,20 +241,6 @@ pub struct WalStats {
     pub resyncs: u64,
 }
 
-/// Recovers a mutex whose holder panicked: the protected data (a queue of
-/// poison requests, a join handle) stays structurally valid across a
-/// panicking `push`, so the guard is safe to reuse — but the *event* must
-/// not be silently swallowed. Call sites that drain the queue pair this
-/// with [`Shared::note_queue_poison`] so a panicking writer surfaces as a
-/// counter poison instead of a propagated `PoisonError` panic.
-// lint:allow(raw-sync): poison-recovery shim for the sanctioned WAL-core mutexes
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
-}
-
 struct Shared {
     mode: DurabilityMode,
     policy: PoisonPolicy,
@@ -252,20 +261,21 @@ struct Shared {
     /// Written by the flusher *before* it advances `durable`, so any value
     /// acknowledged through the disk path is already covered here.
     disk_durable: AtomicU64,
-    /// Poison events requested but not yet drained by the flusher.
-    poison_requests: Mutex<Vec<FailureInfo>>, // lint:allow(raw-sync): flusher handoff queue
-    poisons_enqueued: AtomicU64,
-    /// Count of drained-and-acknowledged poison events; `poison` waits on
-    /// it. Degraded mode acknowledges from memory before persistence.
+    /// The counter's one poison cause: filled by the first `poison` call,
+    /// or at open with the restored cause.
+    cause: OnceLock<FailureInfo>,
+    /// Set once `cause` is fsynced in the log (by the flusher), or at open
+    /// with a restored cause, so no later batch logs it again.
+    cause_logged: AtomicBool,
+    /// Reaches 1 when `cause` is durable; `poison` waits on it. Degraded
+    /// mode acknowledges the cause from memory before persistence.
     poisons_synced: Counter,
-    /// Memory-acknowledged poison causes awaiting persistence (degraded).
-    queued_poisons: AtomicU64,
-    /// `Some(entry time)` while degraded. Taken by the flusher, read by
+    /// The zero point of `degraded_since_ns`.
+    epoch: Instant,
+    /// Nanoseconds after `epoch` at which the counter entered degraded
+    /// mode; 0 while healthy. Written only by the flusher, read by
     /// [`DurableCounter::health`].
-    degraded_since: Mutex<Option<Instant>>, // lint:allow(raw-sync): health-probe cell
-    /// Set once if the poison-request mutex is ever found poisoned, so the
-    /// synthesized failure is reported exactly once.
-    queue_poison_reported: AtomicBool,
+    degraded_since_ns: AtomicU64,
     stop: AtomicBool,
     io_retries: AtomicU64,
     fsyncs: AtomicU64,
@@ -319,16 +329,9 @@ impl Shared {
         }
     }
 
-    /// Records (once) that the poison-request mutex was poisoned by a
-    /// panicking holder, returning the synthesized failure to enqueue.
-    fn note_queue_poison(&self) -> Option<FailureInfo> {
-        if self.queue_poison_reported.swap(true, SeqCst) {
-            None
-        } else {
-            Some(FailureInfo::new(
-                "durable poison queue mutex poisoned by a panicking holder",
-            ))
-        }
+    /// The poison cause, while the log does not yet hold it.
+    fn unlogged_cause(&self) -> Option<&FailureInfo> {
+        self.cause.get().filter(|_| !self.cause_logged.load(SeqCst))
     }
 }
 
@@ -346,7 +349,21 @@ impl Shared {
 pub struct DurableCounter<C: MonotonicCounter> {
     inner: Arc<C>,
     shared: Arc<Shared>,
-    flusher: Mutex<Option<JoinHandle<()>>>, // lint:allow(raw-sync): join-handle slot
+    /// Taken and joined by `Drop`.
+    flusher: Option<JoinHandle<()>>,
+}
+
+/// One commit's log records: an `Advance` when the flush target is above
+/// the logged value, then the poison cause while the log lacks it.
+struct Batch {
+    bytes: Vec<u8>,
+    records: u64,
+    /// The sequence number after the batch's last record.
+    next_seq: u64,
+    /// The logged value once the batch is durable.
+    value: Value,
+    /// Whether the log holds the cause once the batch is durable.
+    logs_cause: bool,
 }
 
 struct Flusher<C> {
@@ -370,14 +387,6 @@ struct Flusher<C> {
     /// watermark first, so a torn partial write from the failed attempt can
     /// never precede the retried records as a corrupt frame mid-log.
     synced_len: u64,
-    /// The persisted poison cause, if any (survives into snapshots).
-    poison: Option<FailureInfo>,
-    /// Drained poison requests not yet persisted. Entries survive a failed
-    /// flush here, so no accepted poison cause can be dropped.
-    pending_poisons: Vec<FailureInfo>,
-    /// How many of `pending_poisons` were already memory-acknowledged
-    /// while degraded (their `poisons_synced` bump must not repeat).
-    acked_pending: usize,
     records_since_snapshot: u64,
     snapshot_every: u64,
     /// `Some` when [`DurableOptions::metrics`] was set; see
@@ -443,31 +452,6 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         }
     }
 
-    /// Moves requested poison events into the pending buffer. A poisoned
-    /// request mutex is recovered and surfaced as a synthesized poison —
-    /// the panicking holder translates to counter poison, never to a
-    /// propagated `PoisonError` panic on the flusher.
-    fn drain_requests(&mut self) {
-        let drained = match self.shared.poison_requests.lock() {
-            Ok(mut g) => std::mem::take(&mut *g),
-            Err(p) => {
-                let mut g = p.into_inner();
-                let mut v = std::mem::take(&mut *g);
-                if let Some(info) = self.shared.note_queue_poison() {
-                    // No caller is waiting on this synthesized event, so
-                    // apply the in-memory poison here too.
-                    self.inner.poison(info.clone());
-                    v.push(info);
-                }
-                v
-            }
-        };
-        self.pending_poisons.extend(drained);
-        if self.poison.is_none() {
-            self.poison = self.pending_poisons.first().cloned();
-        }
-    }
-
     /// Mirrors the [`Shared`] stat atomics into the attached registry (a
     /// no-op without one). Called once per flusher round and on every exit
     /// path, so dropping the counter leaves the registry exact.
@@ -477,37 +461,70 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         }
     }
 
-    /// One group-commit round: clear the dirty flag, read the target,
+    /// The one batch builder: the records that bring a log whose last
+    /// record is `seq - 1` and whose logged value is `logged` up to date.
+    /// `cause_on_disk` says the log already holds the cause (appended but
+    /// not yet known synced), so it is synced rather than appended again.
+    fn batch(&self, mut seq: u64, logged: Value, cause_on_disk: bool) -> Batch {
+        let target = self.shared.flush_target(&*self.inner);
+        let mut records = Vec::new();
+        if target > logged {
+            records.push(WalRecord::Advance { seq, value: target });
+            seq += 1;
+        }
+        let cause = self.shared.unlogged_cause();
+        if let Some(info) = cause.filter(|_| !cause_on_disk) {
+            records.push(WalRecord::Poison {
+                seq,
+                thread: info.thread().to_string(),
+                message: info.message().to_string(),
+                level: info.level(),
+            });
+            seq += 1;
+        }
+        Batch {
+            bytes: records.iter().flat_map(WalRecord::encode_framed).collect(),
+            records: records.len() as u64,
+            next_seq: seq,
+            value: logged.max(target),
+            logs_cause: cause.is_some(),
+        }
+    }
+
+    /// The one post-fsync step: `batch` is durable after the log's first
+    /// `base_len` bytes, and the fsync began at `started` (`Some` only
+    /// with metrics attached). Publishes last: the disk watermark
+    /// first (so [`DurableCounter::sync`]'s post-wait check is never
+    /// falsely degraded), then the acknowledgement counter, then the
+    /// cause's acknowledgement.
+    fn commit(&mut self, batch: &Batch, base_len: u64, started: Option<Instant>) {
+        if let (Some(m), Some(t0)) = (self.metrics.as_ref(), started) {
+            m.fsync_ns.record_duration(t0.elapsed());
+            if batch.records > 0 {
+                m.batch_records.record(batch.records);
+            }
+        }
+        self.next_seq = batch.next_seq;
+        self.synced_len = base_len + batch.bytes.len() as u64;
+        self.logged_value = batch.value;
+        self.records_since_snapshot += batch.records;
+        self.shared.fsyncs.fetch_add(1, SeqCst);
+        self.shared.records_logged.fetch_add(batch.records, SeqCst);
+        self.shared.disk_durable.fetch_max(batch.value, SeqCst);
+        self.shared.durable.advance_to(batch.value);
+        if batch.logs_cause {
+            self.shared.cause_logged.store(true, SeqCst);
+            self.shared.poisons_synced.advance_to(1);
+        }
+    }
+
+    /// One group-commit round: clear the dirty flag, build the batch,
     /// append + fsync (with retry), then publish durability to the waiting
     /// counters.
     fn flush_once(&mut self) -> Result<(), WalError> {
         self.shared.dirty.store(false, SeqCst);
-        let target = self.shared.flush_target(&*self.inner);
-        self.drain_requests();
-
-        let mut batch = Vec::new();
-        let mut seq = self.next_seq;
-        let mut records = 0u64;
-        if target > self.logged_value {
-            batch.extend_from_slice(&WalRecord::Advance { seq, value: target }.encode_framed());
-            seq += 1;
-            records += 1;
-        }
-        for info in &self.pending_poisons {
-            batch.extend_from_slice(
-                &WalRecord::Poison {
-                    seq,
-                    thread: info.thread().to_string(),
-                    message: info.message().to_string(),
-                    level: info.level(),
-                }
-                .encode_framed(),
-            );
-            seq += 1;
-            records += 1;
-        }
-
-        if !batch.is_empty() {
+        let batch = self.batch(self.next_seq, self.logged_value, false);
+        if batch.records > 0 {
             let wal = self.wal.as_mut().expect("flush_once requires a live wal");
             // Records are absolute, so a duplicated batch replays as a
             // running-max no-op — but a failed attempt may have left a torn
@@ -527,32 +544,21 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
                         wal.rewind_to(good_len)?;
                     }
                     first_attempt = false;
-                    wal.append(&batch)?;
+                    wal.append(&batch.bytes)?;
                     wal.sync()?;
                     Ok(())
                 },
             )?;
-            if let (Some(m), Some(t0)) = (self.metrics.as_ref(), started) {
-                m.fsync_ns.record_duration(t0.elapsed());
-                m.batch_records.record(records);
-            }
-            self.synced_len = good_len + batch.len() as u64;
-            self.next_seq = seq;
-            self.records_since_snapshot += records;
-            self.shared.fsyncs.fetch_add(1, SeqCst);
-            self.shared.records_logged.fetch_add(records, SeqCst);
-            self.logged_value = self.logged_value.max(target);
+            self.commit(&batch, good_len, started);
         }
-
-        self.publish_durable();
 
         if self.snapshot_every > 0 && self.records_since_snapshot >= self.snapshot_every {
             let (dir, fp, retry) = (&self.dir, &self.fp, &self.retry);
-            let (seq, value, poison) = (
-                self.next_seq.saturating_sub(1),
-                self.logged_value,
-                self.poison.as_ref(),
-            );
+            let (seq, value) = (self.next_seq.saturating_sub(1), self.logged_value);
+            // Only a logged cause: one filled since this round's batch is
+            // logged next round.
+            let logged = self.shared.cause_logged.load(SeqCst);
+            let poison = self.shared.cause.get().filter(|_| logged);
             with_retry(retry, &mut self.jitter, &self.shared.io_retries, || {
                 write_snapshot(dir, seq, value, poison, fp)?;
                 Ok(())
@@ -573,35 +579,16 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         Ok(())
     }
 
-    /// Publishes full durability after a successful append+fsync: the disk
-    /// watermark first (so [`DurableCounter::sync`]'s post-wait check is
-    /// never falsely degraded), then the acknowledgement counter, then the
-    /// poison acknowledgements.
-    fn publish_durable(&mut self) {
-        self.shared
-            .disk_durable
-            .fetch_max(self.logged_value, SeqCst);
-        self.shared.durable.advance_to(self.logged_value);
-        let newly_acked = self.pending_poisons.len() - self.acked_pending;
-        if newly_acked > 0 {
-            self.shared.poisons_synced.increment(newly_acked as u64);
-        }
-        self.pending_poisons.clear();
-        self.acked_pending = 0;
-        self.shared.queued_poisons.store(0, SeqCst);
-    }
-
     /// Switches to degraded mode (dropping the dead log handle) under
     /// [`PoisonPolicy::Degrade`]; otherwise poisons everything with the
     /// cause and reports `false` (the flusher must exit).
     fn enter_degraded(&mut self, e: WalError) -> bool {
         if self.shared.policy == PoisonPolicy::Degrade {
+            // Only a healthy flusher gets here, so this is a new entry.
             self.wal = None;
-            let mut since = lock_recover(&self.shared.degraded_since);
-            if since.is_none() {
-                *since = Some(Instant::now());
-                self.shared.degraded_entries.fetch_add(1, SeqCst);
-            }
+            self.shared.degraded_entries.fetch_add(1, SeqCst);
+            let since = self.shared.epoch.elapsed().as_nanos() as u64;
+            self.shared.degraded_since_ns.store(since.max(1), SeqCst);
             true
         } else {
             let info = FailureInfo::new(format!("durable counter wal failure: {e}"));
@@ -620,20 +607,15 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
     /// the log is down.
     fn serve_from_memory(&mut self) {
         self.shared.dirty.store(false, SeqCst);
-        self.drain_requests();
-        let unacked = self.pending_poisons.len() - self.acked_pending;
-        if unacked > 0 {
-            let first = self.pending_poisons[self.acked_pending].clone();
-            self.shared.queued_poisons.fetch_add(unacked as u64, SeqCst);
-            // Memory-acknowledge: the poison() caller unblocks now and
-            // applies the in-memory poison; persistence happens at resync.
-            self.shared.poisons_synced.increment(unacked as u64);
-            self.acked_pending = self.pending_poisons.len();
-            // A poisoned counter is permanently failed, so strict writers
+        if let Some(cause) = self.shared.unlogged_cause() {
+            // Memory-acknowledge: the `poison` caller unblocks now and
+            // poisons memory; the cause reaches the log at resync. A
+            // poisoned counter is permanently failed, so strict writers
             // blocked past the replay budget must fail with the cause
             // rather than wait for a durability acknowledgement that no
             // longer means anything.
-            self.shared.durable.poison(first);
+            self.shared.durable.poison(cause.clone());
+            self.shared.poisons_synced.advance_to(1);
         }
         // Memory acknowledgement, bounded by the replay budget past the
         // last truly-durable value: beyond it, strict writers block until
@@ -651,12 +633,9 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
     /// degraded backlog, and return to healthy. Failure leaves the counter
     /// degraded for the next tick.
     fn try_resync(&mut self) {
-        if self.wal.is_some() {
-            return;
-        }
         if let Ok(()) = self.resync() {
-            *lock_recover(&self.shared.degraded_since) = None;
             self.shared.resyncs.fetch_add(1, SeqCst);
+            self.shared.degraded_since_ns.store(0, SeqCst);
         }
     }
 
@@ -670,31 +649,12 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         // Rebuild the log view from what recovery actually found on disk,
         // then persist the entire degraded backlog: monotonicity collapses
         // every memory-served increment into ONE absolute advance record.
-        let target = self.shared.flush_target(&*self.inner);
-        let mut seq = recovered.next_seq;
-        let logged = recovered.value;
-        let mut batch = Vec::new();
-        let mut records = 0u64;
-        if target > logged {
-            batch.extend_from_slice(&WalRecord::Advance { seq, value: target }.encode_framed());
-            seq += 1;
-            records += 1;
-        }
-        for info in &self.pending_poisons {
-            batch.extend_from_slice(
-                &WalRecord::Poison {
-                    seq,
-                    thread: info.thread().to_string(),
-                    message: info.message().to_string(),
-                    level: info.level(),
-                }
-                .encode_framed(),
-            );
-            seq += 1;
-            records += 1;
-        }
-        if !batch.is_empty() {
-            wal.append(&batch)?;
+        // A recovered poison is this counter's cause, appended by a failed
+        // attempt: the sync below makes it durable.
+        let on_disk = recovered.poison.is_some();
+        let batch = self.batch(recovered.next_seq, recovered.value, on_disk);
+        if batch.records > 0 {
+            wal.append(&batch.bytes)?;
         }
         // Sync unconditionally, even with nothing new to append: the
         // recovered log may contain frames the failed handle appended but
@@ -703,23 +663,9 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         // as crash-durable.
         let started = self.metrics.as_ref().map(|_| Instant::now());
         wal.sync()?;
-        if let (Some(m), Some(t0)) = (self.metrics.as_ref(), started) {
-            m.fsync_ns.record_duration(t0.elapsed());
-            if records > 0 {
-                m.batch_records.record(records);
-            }
-        }
-        self.shared.fsyncs.fetch_add(1, SeqCst);
-        if records > 0 {
-            self.shared.records_logged.fetch_add(records, SeqCst);
-        }
-        // Committed: swap the live handle back in and publish.
-        self.next_seq = seq;
-        self.logged_value = logged.max(target);
-        self.synced_len = recovered.log_len + batch.len() as u64;
-        self.records_since_snapshot += records;
+        // Committed: publish and swap the live handle back in.
+        self.commit(&batch, recovered.log_len, started);
         self.wal = Some(wal);
-        self.publish_durable();
         Ok(())
     }
 }
@@ -770,6 +716,7 @@ where
         };
 
         let inner = Arc::new(C::resume_from(recovered.value));
+        let restored = recovered.poison.is_some();
         if let Some(info) = recovered.poison.clone() {
             inner.poison(info);
         }
@@ -781,12 +728,11 @@ where
             rounds: Counter::default(),
             durable: Counter::builder().initial(recovered.value).build(),
             disk_durable: AtomicU64::new(recovered.value),
-            poison_requests: Mutex::new(Vec::new()), // lint:allow(raw-sync): flusher handoff queue
-            poisons_enqueued: AtomicU64::new(0),
-            poisons_synced: Counter::default(),
-            queued_poisons: AtomicU64::new(0),
-            degraded_since: Mutex::new(None), // lint:allow(raw-sync): health-probe cell
-            queue_poison_reported: AtomicBool::new(false),
+            cause: recovered.poison.map(OnceLock::from).unwrap_or_default(),
+            cause_logged: AtomicBool::new(restored),
+            poisons_synced: Counter::builder().initial(u64::from(restored)).build(),
+            epoch: Instant::now(),
+            degraded_since_ns: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             io_retries: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
@@ -814,9 +760,6 @@ where
             next_seq: recovered.next_seq,
             logged_value: recovered.value,
             synced_len: recovered.log_len,
-            poison: recovered.poison,
-            pending_poisons: Vec::new(),
-            acked_pending: 0,
             records_since_snapshot: 0,
             snapshot_every: options.snapshot_every,
             metrics: options.metrics.as_ref().map(DurableMetrics::attach),
@@ -829,7 +772,7 @@ where
             DurableCounter {
                 inner,
                 shared,
-                flusher: Mutex::new(Some(handle)), // lint:allow(raw-sync): join-handle slot
+                flusher: Some(handle),
             },
             recovery,
         ))
@@ -887,19 +830,18 @@ impl<C: MonotonicCounter + CounterDiagnostics> DurableCounter<C> {
         if self.inner.poison_info().is_some() {
             return HealthStatus::Poisoned;
         }
-        let since = *lock_recover(&self.shared.degraded_since);
-        match since {
-            Some(since) => {
+        match self.shared.degraded_since_ns.load(SeqCst) {
+            0 => HealthStatus::Healthy,
+            since => {
                 // The unsynced backlog collapses to one absolute advance
-                // (monotonicity) plus the queued poison causes.
+                // (monotonicity) plus the cause, while it is not yet logged.
                 let gap =
                     self.shared.flush_target(&*self.inner) > self.shared.disk_durable.load(SeqCst);
                 HealthStatus::Degraded {
-                    since,
-                    queued: u64::from(gap) + self.shared.queued_poisons.load(SeqCst),
+                    since: self.shared.epoch + Duration::from_nanos(since),
+                    queued: u64::from(gap) + u64::from(self.shared.unlogged_cause().is_some()),
                 }
             }
-            None => HealthStatus::Healthy,
         }
     }
 
@@ -998,31 +940,18 @@ impl<C: MonotonicCounter + CounterDiagnostics> MonotonicCounter for DurableCount
     }
 
     fn poison(&self, info: FailureInfo) {
-        // Persist the cause before poisoning in memory, in both modes:
-        // poison must survive restart. (Degraded mode memory-acknowledges
-        // the event and persists it at resync.)
-        let n = {
-            let mut reqs = match self.shared.poison_requests.lock() {
-                Ok(g) => g,
-                Err(p) => {
-                    // A holder panicked mid-operation; the queue itself is
-                    // still valid. Surface the event as its own poison.
-                    let mut g = p.into_inner();
-                    if let Some(extra) = self.shared.note_queue_poison() {
-                        g.push(extra);
-                        self.shared.poisons_enqueued.fetch_add(1, SeqCst);
-                    }
-                    g
-                }
-            };
-            reqs.push(info.clone());
-            self.shared.poisons_enqueued.fetch_add(1, SeqCst) + 1
-        };
-        self.shared.signal();
+        // The first cause wins the slot, and every caller poisons memory
+        // with the winner. It is durable before memory is poisoned, in both
+        // modes (degraded mode acknowledges it from memory and persists it
+        // at resync).
+        let cause = self.shared.cause.get_or_init(|| info);
+        // Unconditional bump, as in `Drop`: the flusher round it opens
+        // happens after the slot is filled, whatever the dirty flag says.
+        self.shared.rounds.increment(1);
         // If the WAL itself failed terminally, the flusher poisons
         // `poisons_synced`; either way the in-memory poison proceeds.
-        let _ = self.shared.poisons_synced.wait(n);
-        self.inner.poison(info);
+        let _ = self.shared.poisons_synced.wait(1);
+        self.inner.poison(cause.clone());
     }
 
     fn poison_info(&self) -> Option<FailureInfo> {
@@ -1079,7 +1008,7 @@ impl<C: MonotonicCounter> Drop for DurableCounter<C> {
         // Unconditional bump: wake the flusher even if the dirty flag is
         // already set (its owner may have signalled before our stop store).
         self.shared.rounds.increment(1);
-        if let Some(h) = lock_recover(&self.flusher).take() {
+        if let Some(h) = self.flusher.take() {
             let _ = h.join();
         }
     }
@@ -1384,29 +1313,35 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_request_mutex_becomes_counter_poison() {
-        let dir = test_dir("queue-mutex-poison");
-        let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
-        // Poison the request mutex the way production would: a holder
-        // panicking mid-critical-section.
-        {
-            let shared = Arc::clone(&c.shared);
-            let orig = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {})); // keep the log quiet
-            let _ = std::thread::spawn(move || {
-                let _guard = shared.poison_requests.lock().unwrap();
-                panic!("holder dies");
-            })
-            .join();
-            std::panic::set_hook(orig);
+    fn racing_poisons_recover_the_reported_cause() {
+        // Two callers race to poison a fresh counter; whichever cause
+        // memory reports must be the one a restart recovers.
+        const ROUNDS: usize = 300;
+        let dir = test_dir("racing-poisons");
+        let mut diverged = 0;
+        for round in 0..ROUNDS {
+            let _ = std::fs::remove_dir_all(&dir);
+            let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for who in ["a", "b"] {
+                    let (c, barrier) = (&c, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        c.poison(FailureInfo::new(format!("{who} failed")).with_thread(who));
+                    });
+                }
+            });
+            let reported = c.poison_info();
+            drop(c);
+            let (c, recovery) = DurableCounter::<Counter>::open(&dir).unwrap();
+            assert!(recovery.poison_restored, "round {round}: cause lost");
+            diverged += usize::from(c.poison_info() != reported);
         }
-        // The next flusher pass recovers the mutex and translates the
-        // event into a counter poison — no PoisonError propagates.
-        c.increment(1);
-        wait_for("synthesized poison", || c.poison_info().is_some());
-        let info = c.poison_info().unwrap();
-        assert!(info.message().contains("poison queue mutex"), "{info}");
-        drop(c);
         std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            diverged, 0,
+            "{diverged} of {ROUNDS} rounds recovered another cause"
+        );
     }
 }

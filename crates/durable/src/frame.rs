@@ -166,17 +166,7 @@ impl WalRecord {
                 let mut out = Vec::with_capacity(26 + thread.len() + message.len());
                 out.push(TAG_POISON);
                 out.extend_from_slice(&seq.to_le_bytes());
-                match level {
-                    Some(l) => {
-                        out.push(1);
-                        out.extend_from_slice(&l.to_le_bytes());
-                    }
-                    None => out.push(0),
-                }
-                out.extend_from_slice(&(thread.len() as u32).to_le_bytes());
-                out.extend_from_slice(thread.as_bytes());
-                out.extend_from_slice(&(message.len() as u32).to_le_bytes());
-                out.extend_from_slice(message.as_bytes());
+                encode_poison(&mut out, thread, message, *level);
                 out
             }
         }
@@ -209,30 +199,7 @@ impl WalRecord {
             }
             TAG_POISON => {
                 let seq = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
-                let mut at = 8;
-                let level = match *rest.get(at)? {
-                    0 => {
-                        at += 1;
-                        None
-                    }
-                    1 => {
-                        let l = u64::from_le_bytes(rest.get(at + 1..at + 9)?.try_into().ok()?);
-                        at += 9;
-                        Some(l)
-                    }
-                    _ => return None,
-                };
-                let tlen = u32::from_le_bytes(rest.get(at..at + 4)?.try_into().ok()?) as usize;
-                at += 4;
-                let thread = std::str::from_utf8(rest.get(at..at + tlen)?).ok()?;
-                at += tlen;
-                let mlen = u32::from_le_bytes(rest.get(at..at + 4)?.try_into().ok()?) as usize;
-                at += 4;
-                let message = std::str::from_utf8(rest.get(at..at + mlen)?).ok()?;
-                at += mlen;
-                if at != rest.len() {
-                    return None;
-                }
+                let (thread, message, level) = decode_poison(&rest[8..])?;
                 Some(WalRecord::Poison {
                     seq,
                     thread: thread.to_string(),
@@ -243,6 +210,46 @@ impl WalRecord {
             _ => None,
         }
     }
+}
+
+/// Appends the poison fields a [`WalRecord::Poison`] and a snapshot share:
+/// a level tag (`0`, or `1` followed by the level), then the thread and
+/// the message, each prefixed by its `u32` length.
+pub(crate) fn encode_poison(out: &mut Vec<u8>, thread: &str, message: &str, level: Option<Value>) {
+    match level {
+        Some(l) => {
+            out.push(1);
+            out.extend_from_slice(&l.to_le_bytes());
+        }
+        None => out.push(0),
+    }
+    for field in [thread, message] {
+        out.extend_from_slice(&(field.len() as u32).to_le_bytes());
+        out.extend_from_slice(field.as_bytes());
+    }
+}
+
+/// Decodes exactly the bytes [`encode_poison`] writes as
+/// `(thread, message, level)`: `None` for a bad level tag, a short buffer,
+/// invalid UTF-8 or trailing bytes.
+pub(crate) fn decode_poison(bytes: &[u8]) -> Option<(&str, &str, Option<Value>)> {
+    let (level, mut rest) = match bytes.split_first()? {
+        (0, rest) => (None, rest),
+        (1, rest) => {
+            let (l, rest) = rest.split_first_chunk::<8>()?;
+            (Some(u64::from_le_bytes(*l)), rest)
+        }
+        _ => return None,
+    };
+    let mut field = || {
+        let (len, tail) = rest.split_first_chunk::<4>()?;
+        let len = u32::from_le_bytes(*len) as usize;
+        let s = std::str::from_utf8(tail.get(..len)?).ok()?;
+        rest = &tail[len..];
+        Some(s)
+    };
+    let (thread, message) = (field()?, field()?);
+    rest.is_empty().then_some((thread, message, level))
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ mod recover;
 mod retry;
 mod wal;
 
-pub use counter::{DurabilityMode, DurableCounter, DurableOptions, WalStats};
+pub use counter::{DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, WalStats};
 pub use frame::{
     crc32, read_frame, write_frame, FrameRead, WalRecord, FRAME_HEADER, MAX_FRAME_LEN,
 };

@@ -2,7 +2,7 @@
 //! prefix over the snapshot baseline, truncate the torn tail, restore
 //! value and poison state.
 
-use crate::frame::{read_frame, write_frame, FrameRead, WalRecord};
+use crate::frame::{decode_poison, encode_poison, read_frame, write_frame, FrameRead, WalRecord};
 use crate::wal::WalError;
 use mc_chaos::Failpoints;
 use mc_counter::{FailureInfo, Value};
@@ -64,7 +64,7 @@ fn poison_from_parts(thread: &str, message: &str, level: Option<Value>) -> Failu
 }
 
 /// Snapshot payload: magic, last covered sequence number, value, optional
-/// poison (same field encoding as a poison record).
+/// poison (a presence tag, then the poison record's fields).
 pub(crate) fn encode_snapshot(seq: u64, value: Value, poison: Option<&FailureInfo>) -> Vec<u8> {
     let mut payload = Vec::with_capacity(64);
     payload.extend_from_slice(SNAPSHOT_MAGIC);
@@ -74,19 +74,7 @@ pub(crate) fn encode_snapshot(seq: u64, value: Value, poison: Option<&FailureInf
         None => payload.push(0),
         Some(info) => {
             payload.push(1);
-            match info.level() {
-                Some(l) => {
-                    payload.push(1);
-                    payload.extend_from_slice(&l.to_le_bytes());
-                }
-                None => payload.push(0),
-            }
-            let thread = info.thread().as_bytes();
-            payload.extend_from_slice(&(thread.len() as u32).to_le_bytes());
-            payload.extend_from_slice(thread);
-            let message = info.message().as_bytes();
-            payload.extend_from_slice(&(message.len() as u32).to_le_bytes());
-            payload.extend_from_slice(message);
+            encode_poison(&mut payload, info.thread(), info.message(), info.level());
         }
     }
     let mut framed = Vec::with_capacity(payload.len() + crate::frame::FRAME_HEADER);
@@ -102,52 +90,22 @@ fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Value, Option<FailureInfo>), Wa
     if next != bytes.len() {
         return Err(corrupt("trailing bytes after snapshot frame"));
     }
-    if payload.get(..4) != Some(SNAPSHOT_MAGIC.as_slice()) {
+    let Some(body) = payload.strip_prefix(SNAPSHOT_MAGIC.as_slice()) else {
         return Err(corrupt("bad magic"));
-    }
-    let seq = u64::from_le_bytes(payload[4..12].try_into().map_err(|_| corrupt("short"))?);
-    let value = u64::from_le_bytes(payload[12..20].try_into().map_err(|_| corrupt("short"))?);
-    let rest = payload.get(20..).ok_or_else(|| corrupt("short"))?;
-    let poison = match rest.first() {
-        Some(0) if rest.len() == 1 => None,
-        Some(1) => {
-            let rest = &rest[1..];
-            let (level, rest) = match rest.first() {
-                Some(0) => (None, rest.get(1..).ok_or_else(|| corrupt("short"))?),
-                Some(1) => {
-                    let l = rest
-                        .get(1..9)
-                        .ok_or_else(|| corrupt("short"))?
-                        .try_into()
-                        .map_err(|_| corrupt("short"))?;
-                    (
-                        Some(u64::from_le_bytes(l)),
-                        rest.get(9..).ok_or_else(|| corrupt("short"))?,
-                    )
-                }
-                _ => return Err(corrupt("bad poison level tag")),
-            };
-            let read_str = |rest: &[u8]| -> Result<(String, usize), WalError> {
-                let len = u32::from_le_bytes(
-                    rest.get(..4)
-                        .ok_or_else(|| corrupt("short"))?
-                        .try_into()
-                        .map_err(|_| corrupt("short"))?,
-                ) as usize;
-                let s = std::str::from_utf8(rest.get(4..4 + len).ok_or_else(|| corrupt("short"))?)
-                    .map_err(|_| corrupt("bad utf-8"))?;
-                Ok((s.to_string(), 4 + len))
-            };
-            let (thread, used) = read_str(rest)?;
-            let (message, used2) = read_str(&rest[used..])?;
-            if used + used2 != rest.len() {
-                return Err(corrupt("trailing bytes in poison"));
-            }
-            Some(poison_from_parts(&thread, &message, level))
+    };
+    let short = || corrupt("short");
+    let (seq, rest) = body.split_first_chunk::<8>().ok_or_else(short)?;
+    let (value, rest) = rest.split_first_chunk::<8>().ok_or_else(short)?;
+    let poison = match rest {
+        [0] => None,
+        [1, fields @ ..] => {
+            let (thread, message, level) =
+                decode_poison(fields).ok_or_else(|| corrupt("bad poison fields"))?;
+            Some(poison_from_parts(thread, message, level))
         }
         _ => return Err(corrupt("bad poison tag")),
     };
-    Ok((seq, value, poison))
+    Ok((u64::from_le_bytes(*seq), u64::from_le_bytes(*value), poison))
 }
 
 /// Durably writes a snapshot: temp file, fsync, atomic rename, directory
@@ -392,11 +350,41 @@ mod tests {
     fn corrupt_snapshot_is_a_typed_error() {
         let dir = crate::test_dir("recover-corrupt-snap");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(SNAPSHOT_FILE), b"garbage").unwrap();
-        match recover_dir(&dir, &fp()) {
-            Err(WalError::CorruptSnapshot(_)) => {}
-            other => panic!("expected CorruptSnapshot, got {other:?}"),
+        // Garbage, and a checksummed frame too short for its header.
+        let mut short = Vec::new();
+        write_frame(&mut short, b"MCSN\x01\x02");
+        for bytes in [b"garbage".to_vec(), short] {
+            fs::write(dir.join(SNAPSHOT_FILE), bytes).unwrap();
+            match recover_dir(&dir, &fp()) {
+                Err(WalError::CorruptSnapshot(_)) => {}
+                other => panic!("expected CorruptSnapshot, got {other:?}"),
+            }
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn poison_bytes_keep_their_format() {
+        // Pinned bytes: logs and snapshots already on disk must stay
+        // readable, whatever the codec's code looks like.
+        let poison = |seq, thread: &str, message: &str, level| WalRecord::Poison {
+            seq,
+            thread: thread.into(),
+            message: message.into(),
+            level,
+        };
+        let with_level = poison(7, "worker-3", "producer died", Some(42));
+        let without_level = poison(8, "main", "stuck", None);
+        let info = FailureInfo::new("disk gone")
+            .with_thread("flusher")
+            .with_level(9);
+        for (bytes, pinned) in [
+            (with_level.encode_framed(), "2f000000567674fe020700000000000000012a0000000000000008000000776f726b65722d330d00000070726f64756365722064696564"),
+            (without_level.encode_framed(), "1b000000efaaee2902080000000000000000040000006d61696e05000000737475636b"),
+            (encode_snapshot(5, 40, Some(&info)), "360000004d4941184d43534e050000000000000028000000000000000101090000000000000007000000666c7573686572090000006469736b20676f6e65"),
+        ] {
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pinned);
+        }
     }
 }

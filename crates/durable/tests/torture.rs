@@ -19,12 +19,11 @@ use mc_chaos::crash_harness::{self, CrashScenario};
 use mc_chaos::torture::{arm_plan, fault_plan, plan_to_spec};
 use mc_chaos::{FailConfig, Failpoints, FAILPOINTS_ENV};
 use mc_counter::{
-    Counter, CounterDiagnostics, HealthStatus, MonotonicCounter, PoisonPolicy, Supervisor,
-    SupervisorConfig,
+    Counter, CounterDiagnostics, HealthStatus, MonotonicCounter, Supervisor, SupervisorConfig,
 };
 use mc_durable::{
-    DurabilityMode, DurableCounter, DurableOptions, RetryPolicy, SITE_SNAPSHOT_RENAME,
-    SITE_WAL_APPEND, SITE_WAL_FSYNC, SITE_WAL_OPEN, SITE_WAL_TRUNCATE,
+    DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, RetryPolicy,
+    SITE_SNAPSHOT_RENAME, SITE_WAL_APPEND, SITE_WAL_FSYNC, SITE_WAL_OPEN, SITE_WAL_TRUNCATE,
 };
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -28,7 +28,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Mutex; // lint:allow(raw-sync): io-error capture slot
+use std::sync::OnceLock;
 
 /// Magic bytes opening every checkpoint file's header frame.
 const CKPT_MAGIC: &[u8; 4] = b"MCCK";
@@ -156,8 +156,8 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
         let first_stage = resumed_from_stage.map_or(0, |k| k + 1);
         let remaining = &self.pipeline.stages[first_stage..];
 
-        // lint:allow(raw-sync): uncontended io-error capture slot
-        let first_io_error: Mutex<Option<io::Error>> = Mutex::new(None);
+        // Write-once: the first checkpoint error wins.
+        let first_io_error = OnceLock::new();
         let checkpoints_written = AtomicUsize::new(0);
         // Each stage that completes reads back its own output (it pushed the
         // full sequence, so a fresh reader cannot block) and checkpoints it.
@@ -167,17 +167,11 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
                     checkpoints_written.fetch_add(1, Relaxed);
                 }
                 Err(e) => {
-                    let mut slot = first_io_error
-                        .lock()
-                        .expect("checkpoint error slot poisoned");
-                    slot.get_or_insert(e);
+                    let _ = first_io_error.set(e);
                 }
             }
         });
-        if let Some(e) = first_io_error
-            .into_inner()
-            .expect("checkpoint error slot poisoned")
-        {
+        if let Some(e) = first_io_error.into_inner() {
             return Err(e);
         }
         Ok((

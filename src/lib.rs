@@ -75,12 +75,12 @@ pub mod prelude {
         check_all, BTreeCounter, BuildConfig, Buildable, CheckError, CheckTimeoutError, Counter,
         CounterBuilder, CounterDiagnostics, CounterExt, CounterOverflowError, CounterSet,
         DynCounter, FailureInfo, HealthStatus, MeteredCounter, MetricsSink, MonotonicCounter,
-        NaiveCounter, Obligation, PoisonPolicy, Resettable, ShardedCounter, SpinCounter,
-        StallReport, StallVerdict, StatsSnapshot, Supervisor, SupervisorConfig, TracingCounter,
-        Value,
+        NaiveCounter, Obligation, Resettable, ShardedCounter, SpinCounter, StallReport,
+        StallVerdict, StatsSnapshot, Supervisor, SupervisorConfig, TracingCounter, Value,
     };
     pub use mc_durable::{
-        DurabilityMode, DurableCounter, DurableOptions, RetryPolicy, WalError, WalStats,
+        DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, RetryPolicy, WalError,
+        WalStats,
     };
     pub use mc_metrics::Registry;
     pub use mc_patterns::{

@@ -9,15 +9,15 @@
 //! * **Counter-only crates** (`mc-algos`, `mc-patterns`): no locks *and* no
 //!   non-`Relaxed` atomic orderings — the counters provide all ordering.
 //! * **Infrastructure crates** (`mc-durable`, `mc-sthreads`): no locks or
-//!   condition variables outside the sanctioned WAL-core/panic-capture
-//!   sites. Stronger atomic orderings are legitimate here (the WAL flusher
-//!   and watchdog are below the counter abstraction), so only the lock
-//!   tier applies.
+//!   condition variables at all. Stronger atomic orderings are legitimate
+//!   here (the WAL flusher and watchdog are below the counter
+//!   abstraction), so only the lock tier applies.
 //!
-//! Deliberate exceptions (the lock-based comparison baseline, the WAL
-//! flusher's handoff queue, panic-capture slots) carry a
-//! `lint:allow(raw-sync): <reason>` marker on the same or the preceding
-//! line; `#[cfg(test)]` modules and doc comments are exempt wholesale.
+//! Deliberate exceptions carry a `lint:allow(raw-sync): <reason>` marker
+//! on the same or the preceding line; `#[cfg(test)]` modules and doc
+//! comments are exempt wholesale. The only ones left are in the
+//! counter-only tier: the lock-based comparison baseline and the broadcast
+//! claim flags. No WAL handoff-queue or capture-slot exception remains.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -177,31 +177,40 @@ fn durable_and_sthreads_lock_only_in_sanctioned_cores() {
     );
     assert!(
         violations.is_empty(),
-        "raw locks outside the sanctioned WAL-core/panic-capture sites — \
-         coordinate through counters, or mark a deliberate exception with \
-         `{ALLOW_MARKER}: <reason>`:\n{}",
+        "raw locks in an infrastructure crate — coordinate through counters \
+         or write-once cells:\n{}",
         violations.join("\n")
     );
 }
 
 #[test]
 fn sanctioned_sites_are_marked_not_unlimited() {
-    // The infrastructure tier must not quietly grow: count the marked
-    // exception sites so adding one is a conscious, reviewed act.
+    // Neither tier may quietly grow: the exact count makes adding an
+    // exception site a conscious, reviewed act.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for crate_dir in ["crates/durable/src", "crates/sthreads/src"] {
-        rust_sources(&root.join(crate_dir), &mut files);
-    }
-    let mut marked = 0usize;
-    for path in &files {
-        let src = fs::read_to_string(path).expect("readable source file");
-        marked += src.matches(ALLOW_MARKER).count();
-    }
-    assert!(
-        (1..=16).contains(&marked),
-        "expected a small, deliberate set of marked exception sites, found {marked}"
+    let marked = |dirs: [&str; 2]| -> usize {
+        let mut files = Vec::new();
+        for crate_dir in dirs {
+            rust_sources(&root.join(crate_dir), &mut files);
+        }
+        assert!(
+            files.len() >= 4,
+            "the count should see every crate's sources"
+        );
+        let read = |path| fs::read_to_string(path).expect("readable source file");
+        files
+            .iter()
+            .map(|p| read(p).matches(ALLOW_MARKER).count())
+            .sum()
+    };
+    assert_eq!(
+        marked(["crates/durable/src", "crates/sthreads/src"]),
+        0,
+        "the infrastructure crates take no lock, so they need no exception"
     );
+    // Three lock-baseline markers in accumulate.rs, two claim-flag
+    // markers in broadcast.rs.
+    assert_eq!(marked(["crates/algos/src", "crates/patterns/src"]), 5);
 }
 
 #[test]

@@ -22,8 +22,8 @@
 
 use mc_chaos::crash_harness::{self, CrashScenario};
 use mc_chaos::{seed_from_env, Chaos, ChaosCounter, Failpoints};
-use mc_counter::{Counter, CounterDiagnostics, MonotonicCounter, PoisonPolicy, StallVerdict};
-use mc_durable::{DurabilityMode, DurableCounter, DurableOptions, RetryPolicy};
+use mc_counter::{Counter, CounterDiagnostics, MonotonicCounter, StallVerdict};
+use mc_durable::{DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, RetryPolicy};
 use mc_sthreads::{ChildSpec, RestartLimits, SupervisionTree};
 use std::path::PathBuf;
 use std::sync::Arc;
