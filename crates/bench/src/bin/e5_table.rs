@@ -56,11 +56,16 @@ fn main() {
         ],
     );
 
+    // The largest |live wait nodes - levels| and |broadcasts - levels| over
+    // the rows: both claims are exact, so both must read 0.
+    let (mut node_excess, mut broadcast_excess) = (0, 0);
     // Sweep threads at fixed levels: nodes must stay constant.
     let fixed_levels = 4;
     let thread_sweep: &[usize] = if quick { &[8, 32] } else { &[8, 32, 128] };
     for &t in thread_sweep {
         let (nodes, notifies, dt) = park_and_release(t, fixed_levels);
+        node_excess = node_excess.max(nodes.abs_diff(fixed_levels as u64));
+        broadcast_excess = broadcast_excess.max(notifies.abs_diff(fixed_levels as u64));
         table.row(vec![
             t.to_string(),
             fixed_levels.to_string(),
@@ -74,6 +79,8 @@ fn main() {
     let level_sweep: &[usize] = if quick { &[1, 8, 32] } else { &[1, 8, 32, 128] };
     for &l in level_sweep {
         let (nodes, notifies, dt) = park_and_release(fixed_threads, l);
+        node_excess = node_excess.max(nodes.abs_diff(l as u64));
+        broadcast_excess = broadcast_excess.max(notifies.abs_diff(l as u64));
         table.row(vec![
             fixed_threads.to_string(),
             l.to_string(),
@@ -84,6 +91,8 @@ fn main() {
     }
     let mut report = Report::new("e5", &args);
     report.table(table);
+    report.metric("node_excess", node_excess as f64);
+    report.metric("broadcast_excess", broadcast_excess as f64);
 
     // Also time uncontended operations vs list length (the O(levels) walk of
     // the sorted list).
@@ -126,5 +135,6 @@ fn main() {
         "Shape check (paper): live wait nodes == distinct levels in every row, independent\n\
          of thread count; broadcasts == levels (one notify_all per satisfied level).",
     );
+    report.shape_check(node_excess == 0 && broadcast_excess == 0);
     report.finish();
 }

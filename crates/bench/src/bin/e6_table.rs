@@ -62,12 +62,13 @@ fn main() {
         h
     };
     let heat_distinct = distinct_outcomes(runs, || heat_hash(&heat::with_ragged(&rod, 50)));
+    let heat_equal = heat_hash(&heat_seq) == heat_hash(&heat::with_ragged(&rod, 50));
     table.row(vec![
         "heat (16 cells, 50 steps)".into(),
         "counter (ragged)".into(),
         runs.to_string(),
         heat_distinct.to_string(),
-        (heat_hash(&heat_seq) == heat_hash(&heat::with_ragged(&rod, 50))).to_string(),
+        heat_equal.to_string(),
     ]);
 
     // Ordered accumulation: counter vs lock.
@@ -104,6 +105,13 @@ fn main() {
     ]);
     let mut report = Report::new("e6", &args);
     report.table(table);
+    let counter_distinct_max = fw_distinct.max(heat_distinct).max(counter_distinct);
+    let counter_matches = fw_equal && heat_equal && counter_eq;
+    report.metric("counter_distinct_max", counter_distinct_max as f64);
+    report.metric(
+        "counter_matches_sequential",
+        u8::from(counter_matches).into(),
+    );
 
     // Happens-before conditions: the paper's Section 6 example and its
     // erroneous variant, through the dynamic checker.
@@ -168,10 +176,14 @@ fn main() {
         },
     ]);
     report.table(table2);
+    let verdicts_right = verdict_ok.is_clean() && !verdict_racy.is_clean();
+    report.metric("checker_verdicts_right", u8::from(verdicts_right).into());
     report.note(
         "Shape check (paper): every counter-synchronized program shows exactly 1 distinct\n\
          outcome equal to its sequential execution; the lock program shows several; the\n\
-         checker passes the correct Section 6 program and flags the erroneous one.",
+         checker passes the correct Section 6 program and flags the erroneous one. Gated:\n\
+         the counter rows and the checker; the lock row is nondeterministic by design.",
     );
+    report.shape_check(counter_distinct_max == 1 && counter_matches && verdicts_right);
     report.finish();
 }

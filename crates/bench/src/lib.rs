@@ -134,43 +134,6 @@ impl Table {
         }
         out
     }
-
-    /// Serializes the table as a pretty-printed JSON object with `title`,
-    /// `headers`, and `rows` keys.
-    pub fn to_json(&self) -> String {
-        use json::quote;
-        fn string_array(items: &[String], indent: &str) -> String {
-            if items.is_empty() {
-                return "[]".into();
-            }
-            let cells: Vec<String> = items.iter().map(|s| json::quote(s)).collect();
-            format!(
-                "[\n{indent}  {}\n{indent}]",
-                cells.join(&format!(",\n{indent}  "))
-            )
-        }
-        let rows = if self.rows.is_empty() {
-            "[]".into()
-        } else {
-            let rendered: Vec<String> = self.rows.iter().map(|r| string_array(r, "    ")).collect();
-            format!("[\n    {}\n  ]", rendered.join(",\n    "))
-        };
-        format!(
-            "{{\n  \"title\": {},\n  \"headers\": {},\n  \"rows\": {}\n}}",
-            quote(&self.title),
-            string_array(&self.headers, "  "),
-            rows
-        )
-    }
-
-    /// Prints the table to stdout; with `--json` in `args`, also prints the
-    /// JSON record.
-    pub fn emit(&self, args: &[String]) {
-        println!("{}", self.render());
-        if args.iter().any(|a| a == "--json") {
-            println!("{}", self.to_json());
-        }
-    }
 }
 
 /// Ratio of two durations as `x.xx` speedup text ("2.10x").
@@ -217,16 +180,6 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = Table::new("T", &["a"]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn json_escapes_and_round_trips_structure() {
-        let mut t = Table::new("quote \"q\" and\nnewline", &["h1", "h2"]);
-        t.row(vec!["a\\b".into(), "c".into()]);
-        let j = t.to_json();
-        assert!(j.contains(r#""title": "quote \"q\" and\nnewline""#));
-        assert!(j.contains(r#""a\\b""#));
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
     }
 
     #[test]

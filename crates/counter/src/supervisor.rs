@@ -520,7 +520,8 @@ impl Supervisor {
     }
 
     /// Registers `counter` under `name`. The supervisor holds only a weak
-    /// reference: a dropped counter silently leaves the registry.
+    /// reference: a dropped counter leaves every diagnosis at once, and the
+    /// registry at the next registration.
     pub fn register<C>(&self, name: impl Into<String>, counter: &Arc<C>)
     where
         C: SupervisedCounter + 'static,
@@ -533,7 +534,9 @@ impl Supervisor {
     /// type-erased (`Arc<dyn SupervisedCounter>`) — how supervision trees
     /// register the counters their child specs collected.
     pub fn register_dyn(&self, name: impl Into<String>, counter: &Arc<dyn SupervisedCounter>) {
-        lock_recover(&self.shared.entries).push(Entry {
+        let mut entries = lock_recover(&self.shared.entries);
+        entries.retain(|e| e.counter.strong_count() > 0);
+        entries.push(Entry {
             name: name.into(),
             counter: Arc::downgrade(counter),
             obligations: Arc::new(AtomicU64::new(0)),
@@ -593,8 +596,8 @@ impl Supervisor {
     /// Returns `None` when no live counter is registered under `name`.
     pub fn obligation(&self, name: &str, amount: Value) -> Option<SupervisedObligation> {
         let entries = lock_recover(&self.shared.entries);
-        let entry = entries.iter().find(|e| e.name == name)?;
-        SupervisedObligation::new(entry, amount, Settle::Poison)
+        let mut named = entries.iter().filter(|e| e.name == name);
+        named.find_map(|e| SupervisedObligation::new(e, amount, Settle::Poison))
     }
 
     /// Like [`obligation`](Self::obligation), but the unwind-drop behavior
@@ -612,8 +615,8 @@ impl Supervisor {
         amount: Value,
     ) -> Option<SupervisedObligation> {
         let entries = lock_recover(&self.shared.entries);
-        let entry = entries.iter().find(|e| e.name == name)?;
-        SupervisedObligation::new(entry, amount, Settle::RollBack)
+        let mut named = entries.iter().filter(|e| e.name == name);
+        named.find_map(|e| SupervisedObligation::new(e, amount, Settle::RollBack))
     }
 
     /// Samples every live registered counter and classifies its stall state.
@@ -918,9 +921,9 @@ impl SupervisedObligation {
     }
 
     /// Rolls the obligation back explicitly — accounting released, counter
-    /// untouched — consuming the guard. Useful when a worker observes a
-    /// cooperative abort and wants to hand its outstanding work back before
-    /// returning normally.
+    /// untouched — consuming the guard. Useful when a worker sees its
+    /// supervision tree going down (`ResumeCtx::aborted` in mc-sthreads)
+    /// and hands its outstanding work back before returning normally.
     pub fn rollback(mut self) {
         self.resolve(Settle::RollBack);
     }
@@ -1004,6 +1007,31 @@ mod tests {
         sup.register("gone", &c);
         drop(c);
         assert!(sup.diagnose().counters.is_empty());
+    }
+
+    #[test]
+    fn obligations_reach_a_counter_registered_under_a_dropped_counters_name() {
+        let sup = Supervisor::new();
+        let old = Arc::new(Counter::default());
+        sup.register("c", &old);
+        let c = Arc::new(Counter::default());
+        sup.register("c", &c);
+        drop(old);
+        sup.obligation("c", 1).expect("live counter").fulfill();
+        sup.restartable_obligation("c", 2)
+            .expect("live counter")
+            .fulfill();
+        assert_eq!(c.debug_value(), 3);
+    }
+
+    #[test]
+    fn register_and_drop_rounds_do_not_grow_the_registry() {
+        let sup = Supervisor::new();
+        for _ in 0..1_000 {
+            sup.register("c", &Arc::new(Counter::default()));
+        }
+        let n = lock_recover(&sup.shared.entries).len();
+        assert!(n <= 1, "{n} entries");
     }
 
     #[test]

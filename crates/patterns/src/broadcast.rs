@@ -728,7 +728,7 @@ mod tests {
     #[test]
     fn writer_role_can_pass_through_a_clean_drop() {
         // A restartable writer dropped without panicking also releases the
-        // role (e.g. a OneForAll sibling asked to abort mid-sequence).
+        // role (e.g. a stage that stops early once its tree escalates).
         let b = Broadcast::new(3);
         {
             let mut w = b.resume_writer();

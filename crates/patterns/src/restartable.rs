@@ -118,7 +118,7 @@ impl<T: Send + Sync + 'static> RestartablePipeline<T> {
                     let mut writer = out.resume_writer();
                     for i in writer.written()..n {
                         if ctx.aborted() {
-                            return; // group restart: the successor resumes
+                            return; // the tree escalated: stop early
                         }
                         writer.push(f(input.get(i)));
                     }

@@ -39,8 +39,8 @@ pub use mode::ExecutionMode;
 pub use run::{multithreaded_chunks, multithreaded_for, multithreaded_tasks, par_for};
 pub use supervise::{supervised_for, supervised_tasks};
 pub use tree::{
-    ChildReport, ChildSpec, RestartLimits, RestartPolicy, ResumeCtx, ResumedCounter,
-    SupervisionTree, SupervisionTreeBuilder, TreeFailure, TreeReport, WaitInterrupted,
+    ChildReport, ChildSpec, RestartLimits, ResumeCtx, ResumedCounter, SupervisionTree,
+    SupervisionTreeBuilder, TreeFailure, TreeReport,
 };
 pub use watchdog::{run_with_deadline, DeadlineExceeded};
 

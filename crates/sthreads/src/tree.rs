@@ -1,19 +1,18 @@
-//! Supervision trees: restart policies, backoff escalation, and durable
+//! Supervision trees: restarts with backoff, escalation, and durable
 //! resume for supervised thread programs.
 //!
 //! [`supervised_for`](crate::supervised_for) made worker failure *visible*
 //! (panic → poison → fail-fast); a [`SupervisionTree`] makes it
-//! *survivable*. Named child workers run under a restart policy
-//! ([`RestartPolicy`]): a panicking child is restarted with exponential
+//! *survivable*. A panicking child is restarted alone, with exponential
 //! backoff and deterministic jitter (the [`mc_counter::backoff`] schedule
 //! and [`mc_counter::jitter`] stream the durable layer's retries use too),
-//! bounded by a sliding-window restart intensity; when the intensity is
-//! exhausted — or the policy says so — the failure **escalates**: every
-//! counter the tree registered is poisoned with a cause that preserves the
-//! original panic message, so blocked threads fail with the root cause
-//! instead of hanging. A child that panics on a poisoned counter
-//! ([`FailureInfo::is_cascade`]) escalates at once: its restart would only
-//! block on the same poison.
+//! bounded by a sliding-window restart intensity ([`RestartLimits`]); when
+//! the intensity is exhausted the failure **escalates**: every counter the
+//! tree registered is poisoned with a cause that preserves the original
+//! panic message, so blocked threads fail with the root cause instead of
+//! hanging. `max_restarts: 0` escalates on the first failure. A child that
+//! panics on a poisoned counter ([`FailureInfo::is_cascade`]) escalates at
+//! once: its restart would only block on the same poison.
 //!
 //! The counters are what make restart *correct* rather than merely
 //! convenient. A replacement worker does not rerun from zero: its
@@ -29,10 +28,11 @@
 //! [`StallVerdict::Restarting`] so the watch thread never
 //! mistakes the gap for a provably-stuck counter.
 //!
-//! Poison doubles as cancellation (the CQS lesson: abortable waiting is the
-//! key enabler for restartable coordination): escalation releases every
-//! blocked waiter with the cause, and [`ResumeCtx::wait_abortable`] lets
-//! `OneForAll` siblings observe a group restart while suspended.
+//! Poison is the tree's only cancellation (the CQS lesson: abortable
+//! waiting is the key enabler for restartable coordination): escalation
+//! poisons every registered counter, which releases each blocked waiter
+//! with the cause at once, and [`ResumeCtx::aborted`] tells a body that
+//! waits on nothing that the tree is going down.
 //!
 //! # Example
 //!
@@ -65,10 +65,7 @@
 //! assert_eq!(report.total_restarts(), 1);
 //! ```
 
-use mc_counter::{
-    jitter, CheckError, FailureInfo, MonotonicCounter, SupervisedCounter, SupervisedObligation,
-    Supervisor, Value,
-};
+use mc_counter::{jitter, FailureInfo, SupervisedCounter, SupervisedObligation, Supervisor, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -77,29 +74,6 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How a [`SupervisionTree`] reacts when a child panics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RestartPolicy {
-    /// Restart only the failed child; siblings keep running. The default.
-    #[default]
-    OneForOne,
-    /// Restart the failed child **and** every sibling that has not yet
-    /// completed: running siblings are signalled to abort (observe it via
-    /// [`ResumeCtx::aborted`] / [`ResumeCtx::wait_abortable`]), and no
-    /// replacement starts until every interrupted sibling has exited
-    /// (quiesce, then restart). A sibling run that saw the abort rejoins at
-    /// the failed child's backoff deadline; one that returned without
-    /// seeing it completed its work and stays completed, as do children
-    /// that finished before the failure — rerunning completed work is
-    /// exactly the double-counting restart semantics must exclude. Bodies
-    /// must therefore wait through [`ResumeCtx::wait_abortable`]: a sibling
-    /// stuck in a plain wait on the failed child's counter holds the group
-    /// restart back.
-    OneForAll,
-    /// Never restart: the first child failure escalates immediately.
-    Escalate,
-}
 
 /// Bounds on how hard a tree tries to keep a child alive — the
 /// `RetryPolicy` shape of the durable layer (base delay doubling to a
@@ -161,33 +135,9 @@ pub struct ResumeCtx {
     attempt: u32,
     cause: Option<FailureInfo>,
     counters: Vec<ResumedCounter>,
-    abort: Arc<AbortFlag>,
+    /// The tree's escalation flag, shared by every run.
+    aborted: Arc<AtomicBool>,
     supervisor: Supervisor,
-}
-
-/// One run's cooperative-abort handshake: the tree sets `requested`, and
-/// the run sets `observed` when it sees the request, so the tree can tell
-/// an aborted run from one that completed before noticing.
-#[derive(Default)]
-struct AbortFlag {
-    requested: AtomicBool,
-    observed: AtomicBool,
-}
-
-impl AbortFlag {
-    fn request(&self) {
-        self.requested.store(true, Relaxed);
-    }
-}
-
-/// Why an abortable wait returned without its level being reached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WaitInterrupted {
-    /// The tree asked this run to stop (a group restart or an escalation is
-    /// in progress): hand back any obligations and return promptly.
-    Aborted,
-    /// The counter was poisoned with this cause.
-    Poisoned(FailureInfo),
 }
 
 impl ResumeCtx {
@@ -234,17 +184,13 @@ impl ResumeCtx {
             .and_then(|c| c.durable)
     }
 
-    /// Whether the tree has asked this run to stop (a `OneForAll` group
-    /// restart, or an escalation in progress). Long-running bodies should
-    /// poll this at convenient boundaries and return promptly when set;
-    /// the replacement run re-acquires the remaining work from counter
-    /// state.
+    /// Whether the tree is going down: set when a child's failure
+    /// escalates, and never cleared. A body blocked on a registered counter
+    /// is released by the escalation's poison; a long-running body that
+    /// waits on nothing should poll this at convenient boundaries and
+    /// return promptly when set.
     pub fn aborted(&self) -> bool {
-        let requested = self.abort.requested.load(Relaxed);
-        if requested {
-            self.abort.observed.store(true, Relaxed);
-        }
-        requested
+        self.aborted.load(Relaxed)
     }
 
     /// Takes a restart-aware increment obligation on the counter registered
@@ -255,29 +201,6 @@ impl ResumeCtx {
     pub fn obligation(&self, name: &str, amount: Value) -> Option<SupervisedObligation> {
         self.supervisor.restartable_obligation(name, amount)
     }
-
-    /// Waits for `counter` to reach `level`, but remains responsive to the
-    /// tree: returns [`WaitInterrupted::Aborted`] when this run is asked to
-    /// stop, and [`WaitInterrupted::Poisoned`] when the counter fails — the
-    /// abortable waiting that makes `OneForAll` restart (and clean
-    /// escalation) possible for suspended siblings.
-    pub fn wait_abortable(
-        &self,
-        counter: &dyn MonotonicCounter,
-        level: Value,
-    ) -> Result<(), WaitInterrupted> {
-        const POLL: Duration = Duration::from_millis(5);
-        loop {
-            if self.aborted() {
-                return Err(WaitInterrupted::Aborted);
-            }
-            match counter.wait_timeout(level, POLL) {
-                Ok(()) => return Ok(()),
-                Err(CheckError::Timeout(_)) => continue,
-                Err(CheckError::Poisoned(info)) => return Err(WaitInterrupted::Poisoned(info)),
-            }
-        }
-    }
 }
 
 type ChildBody = dyn Fn(&ResumeCtx) + Send + Sync;
@@ -287,7 +210,7 @@ type ChildBody = dyn Fn(&ResumeCtx) + Send + Sync;
 ///
 /// Register every counter the body waits on: escalation poisons exactly the
 /// registered counters, and that poison is what releases a child suspended
-/// in a plain (non-abortable) wait when the tree goes down.
+/// in a wait when the tree goes down.
 pub struct ChildSpec {
     name: String,
     counters: Vec<(String, Arc<dyn SupervisedCounter>)>,
@@ -333,8 +256,8 @@ impl ChildSpec {
 pub struct ChildReport {
     /// The child's name.
     pub name: String,
-    /// How many replacement runs were started (own failures and `OneForAll`
-    /// group rejoins).
+    /// How many replacement runs were started: one per failure of this
+    /// child that did not escalate.
     pub restarts: u32,
     /// Whether the child's last run returned normally.
     pub completed: bool,
@@ -391,7 +314,6 @@ impl std::error::Error for TreeFailure {}
 /// Builder for a [`SupervisionTree`].
 #[derive(Default)]
 pub struct SupervisionTreeBuilder {
-    policy: RestartPolicy,
     limits: RestartLimits,
     seed: u64,
     supervisor: Option<Supervisor>,
@@ -399,13 +321,8 @@ pub struct SupervisionTreeBuilder {
 }
 
 impl SupervisionTreeBuilder {
-    /// Sets the restart policy (default [`RestartPolicy::OneForOne`]).
-    pub fn policy(mut self, policy: RestartPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the restart intensity and backoff bounds.
+    /// Sets the restart intensity and backoff bounds; `max_restarts: 0`
+    /// escalates on the first failure.
     pub fn limits(mut self, limits: RestartLimits) -> Self {
         self.limits = limits;
         self
@@ -436,7 +353,6 @@ impl SupervisionTreeBuilder {
     /// Builds the tree.
     pub fn build(self) -> SupervisionTree {
         SupervisionTree {
-            policy: self.policy,
             limits: self.limits,
             seed: self.seed,
             supervisor: self.supervisor.unwrap_or_default(),
@@ -445,11 +361,10 @@ impl SupervisionTreeBuilder {
     }
 }
 
-/// A supervision tree: named children with restart policies, bounded
-/// restart intensity, backoff escalation, and durable resume. See the
-/// module docs.
+/// A supervision tree: named children, each restarted alone when it fails,
+/// with bounded restart intensity, backoff escalation, and durable resume.
+/// See the module docs.
 pub struct SupervisionTree {
-    policy: RestartPolicy,
     limits: RestartLimits,
     seed: u64,
     supervisor: Supervisor,
@@ -467,8 +382,8 @@ impl SupervisionTree {
         &self.supervisor
     }
 
-    /// Runs every child to completion, restarting per the policy; blocks
-    /// until the tree settles.
+    /// Runs every child to completion, restarting each failed child alone;
+    /// blocks until the tree settles.
     ///
     /// Returns [`TreeReport`] when every child completed (possibly after
     /// restarts), or [`TreeFailure`] when a failure escalated — in which
@@ -476,7 +391,6 @@ impl SupervisionTree {
     /// root cause, so no thread blocked on tree state hangs.
     pub fn run(self) -> Result<TreeReport, TreeFailure> {
         let SupervisionTree {
-            policy,
             limits,
             seed,
             supervisor,
@@ -489,7 +403,6 @@ impl SupervisionTree {
         }
         let (tx, rx) = mpsc::channel();
         let mut run = TreeRun {
-            policy,
             limits,
             supervisor,
             children: children
@@ -499,13 +412,12 @@ impl SupervisionTree {
                     state: ChildState::Running,
                     restarts: 0,
                     failures: VecDeque::new(),
-                    abort: Arc::default(),
-                    rejoin_at: None,
                     last_cause: None,
                     handle: None,
                 })
                 .collect(),
             pending: BinaryHeap::new(),
+            aborted: Arc::default(),
             tx,
             rng: seed ^ 0x6d63_2d74_7265_6531, // decorrelate seed 0 from the site streams
             failure: None,
@@ -517,26 +429,17 @@ impl SupervisionTree {
             if run.settled() {
                 break;
             }
-            // Start any replacement whose backoff has elapsed, but only once
-            // every sibling interrupted by a group restart has exited:
-            // a replacement that ran beside a still-running interrupted
-            // sibling could satisfy that sibling's wait, and the sibling's
-            // effect would then happen in both of its runs.
-            let quiescing = run.quiescing();
             let now = Instant::now();
             while let Some(&Reverse((due, idx))) = run.pending.peek() {
-                if quiescing || due > now {
+                if due > now {
                     break;
                 }
                 run.pending.pop();
-                if matches!(run.children[idx].state, ChildState::Backoff) {
-                    run.spawn(idx);
-                }
+                run.spawn(idx);
             }
             let timeout = run
                 .pending
                 .peek()
-                .filter(|_| !quiescing)
                 .map(|&Reverse((due, _))| due.saturating_duration_since(Instant::now()))
                 .unwrap_or(Duration::from_millis(500));
             match rx.recv_timeout(timeout) {
@@ -574,26 +477,24 @@ enum ChildState {
 struct ChildRt {
     spec: ChildSpec,
     state: ChildState,
-    /// Replacement runs started (own failures + group rejoins).
+    /// Replacement runs started, one per restarted failure.
     restarts: u32,
-    /// Own-failure instants inside the sliding intensity window.
+    /// Failure instants inside the sliding intensity window.
     failures: VecDeque<Instant>,
-    /// The current run's cooperative-abort flag.
-    abort: Arc<AbortFlag>,
-    /// Set while a `OneForAll` group restart has interrupted this child's
-    /// run; the instant is when the group restarts.
-    rejoin_at: Option<Instant>,
     last_cause: Option<FailureInfo>,
     handle: Option<JoinHandle<()>>,
 }
 
 struct TreeRun {
-    policy: RestartPolicy,
     limits: RestartLimits,
     supervisor: Supervisor,
     children: Vec<ChildRt>,
-    /// Min-heap of (due, child) replacement starts.
+    /// Min-heap of (due, child) replacement starts, one per child in
+    /// backoff.
     pending: BinaryHeap<Reverse<(Instant, usize)>>,
+    /// Set by [`escalate`](Self::escalate); every run's
+    /// [`ResumeCtx::aborted`] reads it.
+    aborted: Arc<AtomicBool>,
     tx: mpsc::Sender<(usize, Result<(), FailureInfo>)>,
     rng: u64,
     failure: Option<TreeFailure>,
@@ -606,24 +507,13 @@ impl TreeRun {
             .all(|c| matches!(c.state, ChildState::Done | ChildState::Dead))
     }
 
-    /// Whether a group restart is still waiting for an interrupted sibling
-    /// to exit.
-    fn quiescing(&self) -> bool {
-        self.children
-            .iter()
-            .any(|c| matches!(c.state, ChildState::Running) && c.rejoin_at.is_some())
-    }
-
     /// Starts (or restarts) child `idx`'s body in a fresh thread, with a
-    /// fresh counter snapshot and a fresh abort flag.
+    /// fresh counter snapshot.
     fn spawn(&mut self, idx: usize) {
         let rt = &mut self.children[idx];
-        rt.rejoin_at = None;
         for (name, _) in &rt.spec.counters {
             self.supervisor.clear_restarting(name);
         }
-        let abort = Arc::new(AbortFlag::default());
-        rt.abort = Arc::clone(&abort);
         let ctx = ResumeCtx {
             child: rt.spec.name.clone(),
             attempt: rt.restarts,
@@ -638,7 +528,7 @@ impl TreeRun {
                     durable: c.durable_watermark(),
                 })
                 .collect(),
-            abort,
+            aborted: Arc::clone(&self.aborted),
             supervisor: self.supervisor.clone(),
         };
         let body = Arc::clone(&rt.spec.body);
@@ -663,45 +553,23 @@ impl TreeRun {
         if let Some(handle) = self.children[idx].handle.take() {
             let _ = handle.join();
         }
-        if self.failure.is_some() {
-            // The tree is going down: every late exit — normal, aborted, or
-            // a cascade of the escalation poison — is terminal.
-            self.children[idx].state = if outcome.is_ok() {
-                ChildState::Done
-            } else {
-                ChildState::Dead
-            };
-            return;
-        }
-        let rt = &mut self.children[idx];
-        // A run that returned without seeing the abort finished its work
-        // before the request reached it: it is done, not part of the group.
-        let rejoin = match outcome {
-            Ok(()) if !rt.abort.observed.load(Relaxed) => None,
-            _ => rt.rejoin_at.take(),
-        };
-        match (outcome, rejoin) {
-            // The run was asked to abort for a group restart and came back
-            // (normally or by unwinding): rejoin at the group deadline
-            // without charging this child's own intensity window.
-            (_, Some(due)) => self.schedule(idx, None, due.max(Instant::now())),
-            (Ok(()), None) => rt.state = ChildState::Done,
-            (Err(cause), None) => self.fail(idx, cause),
+        match outcome {
+            Ok(()) => self.children[idx].state = ChildState::Done,
+            // The tree is going down: a late failure — typically a cascade
+            // of the escalation poison — is terminal.
+            Err(_) if self.failure.is_some() => self.children[idx].state = ChildState::Dead,
+            Err(cause) => self.fail(idx, cause),
         }
     }
 
-    /// A child's own failure: cascade check, intensity check, then either a
-    /// backoff restart or escalation.
+    /// A child's failure: cascade check, intensity check, then either a
+    /// backoff restart of this child alone or escalation.
     fn fail(&mut self, idx: usize, cause: FailureInfo) {
         // A panic raised by a poisoned dependency is a cascade casualty:
         // restarting would only re-block on the same poison, so the root
         // cause escalates instead (the cascade rule `FirstPanic` ranks by).
         if cause.is_cascade() {
             self.escalate(idx, cause, "failed on a poisoned dependency");
-            return;
-        }
-        if matches!(self.policy, RestartPolicy::Escalate) {
-            self.escalate(idx, cause, "failed under RestartPolicy::Escalate");
             return;
         }
         let now = Instant::now();
@@ -726,50 +594,18 @@ impl TreeRun {
         rt.failures.push_back(now);
         let exponent = rt.failures.len() as u32 - 1;
         let delay = jitter(&mut self.rng, self.limits.backoff(exponent));
-        let due = now + delay;
-        self.schedule(idx, Some(cause), due);
-        if matches!(self.policy, RestartPolicy::OneForAll) {
-            self.interrupt_siblings(idx, due);
-        }
-    }
-
-    /// Puts child `idx` into backoff until `due` and records the pending
-    /// restart with the supervisor.
-    fn schedule(&mut self, idx: usize, cause: Option<FailureInfo>, due: Instant) {
-        let rt = &mut self.children[idx];
         rt.restarts += 1;
         rt.state = ChildState::Backoff;
-        rt.rejoin_at = None;
-        if cause.is_some() {
-            rt.last_cause = cause;
-        }
-        let attempt = rt.restarts;
-        let backoff = due.saturating_duration_since(Instant::now());
+        rt.last_cause = Some(cause);
         for (name, _) in &rt.spec.counters {
             self.supervisor
-                .note_restarting(name.clone(), attempt, backoff);
+                .note_restarting(name.clone(), rt.restarts, delay);
         }
-        self.pending.push(Reverse((due, idx)));
-    }
-
-    /// `OneForAll`: asks every incomplete sibling of `failed` to abort and
-    /// rejoin at the group deadline. Siblings already in backoff are pulled
-    /// to the same deadline implicitly (their own pending entries fire no
-    /// earlier than their state allows); completed siblings stay completed.
-    fn interrupt_siblings(&mut self, failed: usize, due: Instant) {
-        for (idx, rt) in self.children.iter_mut().enumerate() {
-            if idx == failed {
-                continue;
-            }
-            if matches!(rt.state, ChildState::Running) {
-                rt.rejoin_at = Some(due);
-                rt.abort.request();
-            }
-        }
+        self.pending.push(Reverse((now + delay, idx)));
     }
 
     /// Brings the tree down: marks the failure, cancels pending restarts,
-    /// aborts running children, and poisons every registered counter with a
+    /// raises the abort flag, and poisons every registered counter with a
     /// cause that preserves the original panic message — releasing every
     /// blocked waiter with the root cause instead of a hang.
     fn escalate(&mut self, idx: usize, cause: FailureInfo, reason: &str) {
@@ -787,12 +623,11 @@ impl TreeRun {
             restarts: self.children[idx].restarts,
         });
         self.children[idx].state = ChildState::Dead;
+        self.aborted.store(true, Relaxed);
         let mut targets = Vec::new();
         for rt in &mut self.children {
-            match rt.state {
-                ChildState::Backoff => rt.state = ChildState::Dead,
-                ChildState::Running => rt.abort.request(),
-                _ => {}
+            if matches!(rt.state, ChildState::Backoff) {
+                rt.state = ChildState::Dead;
             }
             for (counter_name, counter) in &rt.spec.counters {
                 self.supervisor.clear_restarting(counter_name);
@@ -811,7 +646,7 @@ impl TreeRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_counter::{Counter, CounterDiagnostics, StallVerdict};
+    use mc_counter::{Counter, CounterDiagnostics, MonotonicCounter, StallVerdict};
     use std::sync::atomic::AtomicU32;
 
     fn fast_limits() -> RestartLimits {
@@ -976,10 +811,13 @@ mod tests {
     }
 
     #[test]
-    fn escalate_policy_fails_fast_on_first_panic() {
+    fn zero_max_restarts_fails_fast_on_first_panic() {
         let out = Arc::new(Counter::default());
         let failure = SupervisionTree::builder()
-            .policy(RestartPolicy::Escalate)
+            .limits(RestartLimits {
+                max_restarts: 0,
+                ..fast_limits()
+            })
             .child(ChildSpec::new("fragile", |_| panic!("no second chances")).counter("out", &out))
             .build()
             .run()
@@ -998,7 +836,10 @@ mod tests {
         let feed = Arc::new(Counter::default());
         let f = Arc::clone(&feed);
         let failure = SupervisionTree::builder()
-            .policy(RestartPolicy::Escalate)
+            .limits(RestartLimits {
+                max_restarts: 0,
+                ..fast_limits()
+            })
             .child(ChildSpec::new("producer", |_| panic!("source exploded")).counter("feed", &feed))
             .child(ChildSpec::new("consumer", move |_ctx| {
                 f.check(1); // plain wait: released only by the poison
@@ -1035,129 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn one_for_all_restarts_incomplete_siblings_together() {
-        let gate = Arc::new(Counter::default());
-        let done = Arc::new(Counter::default());
-        let (g1, g2, d2) = (Arc::clone(&gate), Arc::clone(&gate), Arc::clone(&done));
-        let report = SupervisionTree::builder()
-            .policy(RestartPolicy::OneForAll)
-            .limits(fast_limits())
-            .child(
-                ChildSpec::new("flaky", move |ctx| {
-                    if ctx.is_first_run() {
-                        panic!("flaky first run");
-                    }
-                    g1.increment(1);
-                })
-                .counter("gate", &gate),
-            )
-            .child(
-                ChildSpec::new("watcher", move |ctx| {
-                    match ctx.wait_abortable(g2.as_ref(), 1) {
-                        Ok(()) => d2.increment(1),
-                        Err(WaitInterrupted::Aborted) => (), // group restart
-                        Err(WaitInterrupted::Poisoned(info)) => {
-                            panic!("unexpected poison: {info}")
-                        }
-                    }
-                })
-                .counter("done", &done),
-            )
-            .build()
-            .run()
-            .unwrap();
-        assert_eq!(
-            done.debug_value(),
-            1,
-            "watcher completed after the group restart"
-        );
-        assert_eq!(gate.debug_value(), 1);
-        assert!(report.child("flaky").unwrap().restarts >= 1);
-        assert!(
-            report.child("watcher").unwrap().restarts >= 1,
-            "the incomplete sibling must rejoin the group restart"
-        );
-        assert!(report.children.iter().all(|c| c.completed));
-    }
-
-    /// The failed child's backoff is far below `wait_abortable`'s 5 ms
-    /// poll, so a replacement started beside the interrupted watcher would
-    /// satisfy its wait before it saw the abort, and the rejoin would then
-    /// run the effect a second time. Quiescing first makes it happen
-    /// exactly once.
-    #[test]
-    fn one_for_all_effect_happens_once_when_backoff_beats_the_abort_poll() {
-        let limits = RestartLimits {
-            base_delay: Duration::from_micros(1),
-            max_delay: Duration::from_micros(1),
-            ..fast_limits()
-        };
-        for round in 0..20 {
-            let gate = Arc::new(Counter::default());
-            let effects = Arc::new(AtomicU32::new(0));
-            let (g1, g2, e) = (Arc::clone(&gate), Arc::clone(&gate), Arc::clone(&effects));
-            let report = SupervisionTree::builder()
-                .policy(RestartPolicy::OneForAll)
-                .limits(limits)
-                .child(
-                    ChildSpec::new("flaky", move |ctx| {
-                        if ctx.is_first_run() {
-                            panic!("flaky first run");
-                        }
-                        g1.increment(1);
-                    })
-                    .counter("gate", &gate),
-                )
-                .child(ChildSpec::new("watcher", move |ctx| {
-                    if ctx.wait_abortable(g2.as_ref(), 1).is_ok() {
-                        e.fetch_add(1, Relaxed);
-                    }
-                }))
-                .build()
-                .run()
-                .unwrap();
-            assert_eq!(effects.load(Relaxed), 1, "round {round}: effect repeated");
-            assert_eq!(report.child("watcher").unwrap().restarts, 1);
-            assert!(report.children.iter().all(|c| c.completed));
-        }
-    }
-
-    #[test]
-    fn one_for_all_sibling_that_finishes_unaware_of_the_abort_is_done() {
-        let crashed = Arc::new(AtomicBool::new(false));
-        let runs = Arc::new(AtomicU32::new(0));
-        let (c1, c2, r) = (
-            Arc::clone(&crashed),
-            Arc::clone(&crashed),
-            Arc::clone(&runs),
-        );
-        let report = SupervisionTree::builder()
-            .policy(RestartPolicy::OneForAll)
-            .limits(fast_limits())
-            .child(ChildSpec::new("flaky", move |ctx| {
-                if ctx.is_first_run() {
-                    c1.store(true, Relaxed);
-                    panic!("flaky first run");
-                }
-            }))
-            .child(ChildSpec::new("steady", move |_| {
-                // Finish after the failure, likely after the abort request,
-                // without ever looking at it.
-                while !c2.load(Relaxed) {
-                    std::thread::yield_now();
-                }
-                std::thread::sleep(Duration::from_millis(20));
-                r.fetch_add(1, Relaxed);
-            }))
-            .build()
-            .run()
-            .unwrap();
-        assert_eq!(runs.load(Relaxed), 1, "a completed run must not rerun");
-        assert_eq!(report.child("steady").unwrap().restarts, 0);
-        assert_eq!(report.child("flaky").unwrap().restarts, 1);
-    }
-
-    #[test]
     fn one_for_one_leaves_completed_siblings_alone() {
         let runs = Arc::new(AtomicU32::new(0));
         let r = Arc::clone(&runs);
@@ -1177,6 +895,33 @@ mod tests {
         assert_eq!(runs.load(Relaxed), 1, "steady child must run exactly once");
         assert_eq!(report.child("steady").unwrap().restarts, 0);
         assert_eq!(report.child("flaky").unwrap().restarts, 1);
+    }
+
+    #[test]
+    fn trees_sharing_a_supervisor_reach_their_own_counters() {
+        // Each run registers a fresh counter under the same name on one
+        // supervisor; by the second run the first counter is gone, and the
+        // second child's obligation must still reach its own counter.
+        let sup = Supervisor::new();
+        for run in 0..2 {
+            let done = Arc::new(Counter::default());
+            SupervisionTree::builder()
+                .supervisor(&sup)
+                .limits(fast_limits())
+                .child(
+                    ChildSpec::new("worker", |ctx| {
+                        let ob = ctx
+                            .obligation("done", 1)
+                            .expect("live counter under 'done'");
+                        ob.fulfill();
+                    })
+                    .counter("done", &done),
+                )
+                .build()
+                .run()
+                .unwrap_or_else(|failure| panic!("run {run}: {failure}"));
+            assert_eq!(done.debug_value(), 1, "run {run}");
+        }
     }
 
     #[test]

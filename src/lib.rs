@@ -90,6 +90,6 @@ pub mod prelude {
     pub use mc_primitives::{Barrier, Event};
     pub use mc_sthreads::{
         multithreaded, multithreaded_for, supervised_for, supervised_tasks, ChildSpec,
-        ExecutionMode, RestartLimits, RestartPolicy, SupervisionTree,
+        ExecutionMode, RestartLimits, SupervisionTree,
     };
 }
