@@ -18,6 +18,22 @@
 //! * `poisons_synced` — reaches 1 when the counter's one poison cause is
 //!   durable, so `poison` returns only after its cause is durable in
 //!   **both** modes.
+//! * `enqueues` — every strict enqueue bumps it by one; the flusher reads
+//!   it to count the writers a round covers and, with one timed check,
+//!   holds the next round open until they have all enqueued again.
+//!
+//! Two closed-loop writers otherwise fall out of phase: one starts a
+//! round alone and the other, arriving during that fsync, waits for it and
+//! then for its own. So a healthy strict round first *holds*: when the
+//! previous round saw `siblings ≥ 2` writers active (those it covered plus
+//! those that enqueued during its fsync, counted before its commit
+//! released anyone) and at least one enqueue is not yet covered, the
+//! flusher calls `enqueues.wait_timeout(covered + siblings, budget)`, where
+//! `budget` is half a running estimate of one append+fsync. A lone writer
+//! never holds (`siblings == 1`), a writer that leaves costs one timed-out
+//! hold, and rounds opened by `sync`, `poison` or `Drop` (nothing
+//! uncovered, a cause unlogged, or stopping) never hold. The counts are
+//! estimates: a wrong one costs at most one `budget`, never correctness.
 //!
 //! The poison cause itself is a write-once slot: the first `poison` call
 //! fills it, and every caller then poisons memory with that one cause, so
@@ -178,6 +194,8 @@ struct DurableMetrics {
     retries: Arc<Event>,
     degraded_entries: Arc<Event>,
     resyncs: Arc<Event>,
+    holds: Arc<Event>,
+    hold_timeouts: Arc<Event>,
     /// Latency of one append+fsync round (the group-commit critical path).
     fsync_ns: Arc<Histogram>,
     /// Records coalesced into each non-empty flush batch.
@@ -194,6 +212,8 @@ impl DurableMetrics {
             retries: sink.event("wal.retries"),
             degraded_entries: sink.event("wal.degraded_entries"),
             resyncs: sink.event("wal.resyncs"),
+            holds: sink.event("wal.holds"),
+            hold_timeouts: sink.event("wal.hold_timeouts"),
             fsync_ns: sink.histogram("wal.fsync_ns"),
             batch_records: sink.histogram("wal.batch_records"),
             last: WalStats::default(),
@@ -203,14 +223,7 @@ impl DurableMetrics {
     /// Publishes everything the [`Shared`] atomics gained since the last
     /// call.
     fn sync_from(&mut self, shared: &Shared) {
-        let now = WalStats {
-            fsyncs: shared.fsyncs.load(SeqCst),
-            records_logged: shared.records_logged.load(SeqCst),
-            snapshots: shared.snapshots.load(SeqCst),
-            retries: shared.io_retries.load(SeqCst),
-            degraded_entries: shared.degraded_entries.load(SeqCst),
-            resyncs: shared.resyncs.load(SeqCst),
-        };
+        let now = shared.wal_stats();
         self.fsyncs.add(now.fsyncs - self.last.fsyncs);
         self.records_logged
             .add(now.records_logged - self.last.records_logged);
@@ -219,6 +232,9 @@ impl DurableMetrics {
         self.degraded_entries
             .add(now.degraded_entries - self.last.degraded_entries);
         self.resyncs.add(now.resyncs - self.last.resyncs);
+        self.holds.add(now.holds - self.last.holds);
+        self.hold_timeouts
+            .add(now.hold_timeouts - self.last.hold_timeouts);
         self.last = now;
     }
 }
@@ -239,6 +255,11 @@ pub struct WalStats {
     pub degraded_entries: u64,
     /// Successful resyncs (degraded → healthy transitions).
     pub resyncs: u64,
+    /// Strict rounds the flusher held open for a sibling writer's enqueue
+    /// (see the module docs).
+    pub holds: u64,
+    /// Holds whose budget ran out before every sibling had enqueued.
+    pub hold_timeouts: u64,
 }
 
 struct Shared {
@@ -253,6 +274,10 @@ struct Shared {
     dirty: AtomicBool,
     /// Flush-round signal: writers bump, the flusher waits.
     rounds: Counter,
+    /// Strict enqueues so far, bumped after each one's `enqueued` RMW: the
+    /// flusher counts the writers a round covers with it and holds the
+    /// next round on it.
+    enqueues: Counter,
     /// The last *acknowledged*-durable value; strict writers wait on it.
     /// Healthy: equals the fsynced value. Degraded: may run up to
     /// `replay_budget` ahead of [`Self::disk_durable`].
@@ -283,9 +308,24 @@ struct Shared {
     snapshots: AtomicU64,
     degraded_entries: AtomicU64,
     resyncs: AtomicU64,
+    holds: AtomicU64,
+    hold_timeouts: AtomicU64,
 }
 
 impl Shared {
+    fn wal_stats(&self) -> WalStats {
+        WalStats {
+            fsyncs: self.fsyncs.load(SeqCst),
+            records_logged: self.records_logged.load(SeqCst),
+            snapshots: self.snapshots.load(SeqCst),
+            retries: self.io_retries.load(SeqCst),
+            degraded_entries: self.degraded_entries.load(SeqCst),
+            resyncs: self.resyncs.load(SeqCst),
+            holds: self.holds.load(SeqCst),
+            hold_timeouts: self.hold_timeouts.load(SeqCst),
+        }
+    }
+
     /// Signals the flusher that new work is enqueued, bumping `rounds` at
     /// most once per flush round. All operations are `SeqCst`: the flusher
     /// clears `dirty` *before* reading the target, so in the seq-cst total
@@ -308,7 +348,10 @@ impl Shared {
                 .enqueued
                 .compare_exchange_weak(cur, next, SeqCst, SeqCst)
             {
-                Ok(_) => return Ok(next),
+                Ok(_) => {
+                    self.enqueues.increment(1);
+                    return Ok(next);
+                }
                 Err(actual) => cur = actual,
             }
         }
@@ -318,6 +361,7 @@ impl Shared {
     /// effective target.
     fn enqueue_to(&self, target: Value) -> Value {
         let prev = self.enqueued.fetch_max(target, SeqCst);
+        self.enqueues.increment(1);
         prev.max(target)
     }
 
@@ -389,6 +433,16 @@ struct Flusher<C> {
     synced_len: u64,
     records_since_snapshot: u64,
     snapshot_every: u64,
+    /// The `enqueues` count the last `flush_once` read after clearing the
+    /// dirty flag: every enqueue up to it is in that round's batch.
+    covered: u64,
+    /// Writers active during the last fsync round: the enqueues after the
+    /// `covered` of the round before it, read before `commit` released
+    /// anyone (a released writer re-enqueues at once and would count
+    /// twice).
+    siblings: u64,
+    /// Running estimate of one append+fsync; holds wait half of it.
+    fsync_estimate: Duration,
     /// `Some` when [`DurableOptions::metrics`] was set; see
     /// [`DurableMetrics`] for the publication protocol.
     metrics: Option<DurableMetrics>,
@@ -492,14 +546,13 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
     }
 
     /// The one post-fsync step: `batch` is durable after the log's first
-    /// `base_len` bytes, and the fsync began at `started` (`Some` only
-    /// with metrics attached). Publishes last: the disk watermark
-    /// first (so [`DurableCounter::sync`]'s post-wait check is never
-    /// falsely degraded), then the acknowledgement counter, then the
-    /// cause's acknowledgement.
-    fn commit(&mut self, batch: &Batch, base_len: u64, started: Option<Instant>) {
-        if let (Some(m), Some(t0)) = (self.metrics.as_ref(), started) {
-            m.fsync_ns.record_duration(t0.elapsed());
+    /// `base_len` bytes, and its append and fsync took `took`. Publishes
+    /// last: the disk watermark first (so [`DurableCounter::sync`]'s
+    /// post-wait check is never falsely degraded), then the
+    /// acknowledgement counter, then the cause's acknowledgement.
+    fn commit(&mut self, batch: &Batch, base_len: u64, took: Duration) {
+        if let Some(m) = self.metrics.as_ref() {
+            m.fsync_ns.record_duration(took);
             if batch.records > 0 {
                 m.batch_records.record(batch.records);
             }
@@ -518,11 +571,41 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         }
     }
 
-    /// One group-commit round: clear the dirty flag, build the batch,
-    /// append + fsync (with retry), then publish durability to the waiting
-    /// counters.
+    /// Holds a strict round open until the `siblings` writers the last
+    /// round saw active have all enqueued again, for at most half an
+    /// append+fsync (see the module docs). Only a live log reaches here;
+    /// a lone writer, a round with nothing uncovered (opened by `sync`),
+    /// an unlogged poison cause and a stopping counter never hold, and a
+    /// `poison` or `Drop` that arrives during a hold waits out its budget
+    /// at most.
+    fn hold(&self) {
+        let shared = &self.shared;
+        let open = shared.mode == DurabilityMode::Strict
+            && self.siblings >= 2
+            && shared.enqueues.debug_value() > self.covered
+            && !shared.stop.load(SeqCst)
+            && shared.unlogged_cause().is_none();
+        if !open {
+            return;
+        }
+        shared.holds.fetch_add(1, SeqCst);
+        let level = self.covered.saturating_add(self.siblings);
+        if let Err(CheckError::Timeout(_)) =
+            shared.enqueues.wait_timeout(level, self.fsync_estimate / 2)
+        {
+            shared.hold_timeouts.fetch_add(1, SeqCst);
+        }
+    }
+
+    /// One group-commit round: hold for sibling writers, clear the dirty
+    /// flag, build the batch, append + fsync (with retry), then publish
+    /// durability to the waiting counters.
     fn flush_once(&mut self) -> Result<(), WalError> {
+        self.hold();
         self.shared.dirty.store(false, SeqCst);
+        // Read before the target: every enqueue counted here bumped
+        // `enqueued` first, so the batch covers it.
+        let covered = self.shared.enqueues.debug_value();
         let batch = self.batch(self.next_seq, self.logged_value, false);
         if batch.records > 0 {
             let wal = self.wal.as_mut().expect("flush_once requires a live wal");
@@ -533,24 +616,37 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
             // corrupt frame at recovery. Rewind to the last synced length
             // first so every attempt starts at a verified frame boundary.
             let good_len = self.synced_len;
-            let mut first_attempt = true;
-            let started = self.metrics.as_ref().map(|_| Instant::now());
+            let mut attempts = 0;
+            let started = Instant::now();
             with_retry(
                 &self.retry,
                 &mut self.jitter,
                 &self.shared.io_retries,
                 || {
-                    if !first_attempt {
+                    if attempts > 0 {
                         wal.rewind_to(good_len)?;
                     }
-                    first_attempt = false;
+                    attempts += 1;
                     wal.append(&batch.bytes)?;
                     wal.sync()?;
                     Ok(())
                 },
             )?;
-            self.commit(&batch, good_len, started);
+            let took = started.elapsed();
+            // A retried round timed a backoff sleep, not an fsync. The
+            // estimate is a 1/8-weighted moving average, as TCP smooths
+            // its round-trip time.
+            if attempts == 1 {
+                self.fsync_estimate = if self.fsync_estimate.is_zero() {
+                    took
+                } else {
+                    (self.fsync_estimate * 7 + took) / 8
+                };
+            }
+            self.siblings = self.shared.enqueues.debug_value() - self.covered;
+            self.commit(&batch, good_len, took);
         }
+        self.covered = covered;
 
         if self.snapshot_every > 0 && self.records_since_snapshot >= self.snapshot_every {
             let (dir, fp, retry) = (&self.dir, &self.fp, &self.retry);
@@ -661,10 +757,10 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         // never fsynced (an append that succeeded before the fsync fault),
         // and returning to Healthy must never claim page-cache-only bytes
         // as crash-durable.
-        let started = self.metrics.as_ref().map(|_| Instant::now());
+        let started = Instant::now();
         wal.sync()?;
         // Committed: publish and swap the live handle back in.
-        self.commit(&batch, recovered.log_len, started);
+        self.commit(&batch, recovered.log_len, started.elapsed());
         self.wal = Some(wal);
         Ok(())
     }
@@ -726,6 +822,7 @@ where
             enqueued: AtomicU64::new(recovered.value),
             dirty: AtomicBool::new(false),
             rounds: Counter::default(),
+            enqueues: Counter::default(),
             durable: Counter::builder().initial(recovered.value).build(),
             disk_durable: AtomicU64::new(recovered.value),
             cause: recovered.poison.map(OnceLock::from).unwrap_or_default(),
@@ -740,6 +837,8 @@ where
             snapshots: AtomicU64::new(0),
             degraded_entries: AtomicU64::new(0),
             resyncs: AtomicU64::new(0),
+            holds: AtomicU64::new(0),
+            hold_timeouts: AtomicU64::new(0),
         });
         let wal: Box<dyn WalFile> = Box::new(FailpointWal::new(
             factory(&dir.join(WAL_FILE))?,
@@ -762,6 +861,9 @@ where
             synced_len: recovered.log_len,
             records_since_snapshot: 0,
             snapshot_every: options.snapshot_every,
+            covered: 0,
+            siblings: 0,
+            fsync_estimate: Duration::ZERO,
             metrics: options.metrics.as_ref().map(DurableMetrics::attach),
         };
         let handle = std::thread::Builder::new()
@@ -803,16 +905,9 @@ impl<C: MonotonicCounter + CounterDiagnostics> DurableCounter<C> {
     }
 
     /// Durability-layer statistics: fsync rounds, records logged,
-    /// snapshots, retries, degraded-mode entries and resyncs.
+    /// snapshots, retries, degraded-mode entries, resyncs and holds.
     pub fn wal_stats(&self) -> WalStats {
-        WalStats {
-            fsyncs: self.shared.fsyncs.load(SeqCst),
-            records_logged: self.shared.records_logged.load(SeqCst),
-            snapshots: self.shared.snapshots.load(SeqCst),
-            retries: self.shared.io_retries.load(SeqCst),
-            degraded_entries: self.shared.degraded_entries.load(SeqCst),
-            resyncs: self.shared.resyncs.load(SeqCst),
-        }
+        self.shared.wal_stats()
     }
 
     /// The last value known to be fsync-durable — what a crash right now
@@ -845,9 +940,10 @@ impl<C: MonotonicCounter + CounterDiagnostics> DurableCounter<C> {
         }
     }
 
-    /// Blocks until everything enqueued so far is *fsync*-durable. A no-op
-    /// in healthy strict mode (increments are already acked durable); in
-    /// batched mode this is the explicit persistence point.
+    /// Blocks until everything enqueued so far is *fsync*-durable. In
+    /// strict mode that is every increment any writer has enqueued, acked
+    /// or still waiting, so it can take one fsync; in batched mode this is
+    /// the explicit persistence point.
     ///
     /// # Errors
     ///
@@ -1029,6 +1125,109 @@ mod tests {
         }
     }
 
+    /// A real log whose fsync takes 2 ms longer, so a released writer
+    /// always re-enqueues while another round's fsync could still run:
+    /// without the hold, writers fall out of phase.
+    struct SlowWal(crate::FsWal);
+
+    impl WalFile for SlowWal {
+        fn append(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.0.append(buf)
+        }
+
+        fn sync(&mut self) -> io::Result<()> {
+            std::thread::sleep(Duration::from_millis(2));
+            self.0.sync()
+        }
+
+        fn truncate_all(&mut self) -> io::Result<()> {
+            self.0.truncate_all()
+        }
+
+        fn rewind_to(&mut self, len: u64) -> io::Result<()> {
+            self.0.rewind_to(len)
+        }
+    }
+
+    fn open_slow(dir: &Path) -> DurableCounter<Counter> {
+        let factory: Box<WalFactory> =
+            Box::new(|path| Ok(Box::new(SlowWal(crate::FsWal::open(path)?)) as Box<dyn WalFile>));
+        let (c, _) =
+            DurableCounter::<Counter>::open_with_wal(dir, DurableOptions::default(), factory)
+                .unwrap();
+        c
+    }
+
+    /// `writers` closed-loop strict writers, released together, each
+    /// acking `acks` increments; returns the fsyncs, holds and hold
+    /// timeouts they added.
+    fn closed_loop(c: &DurableCounter<Counter>, writers: usize, acks: usize) -> WalStats {
+        let before = c.wal_stats();
+        let gate = std::sync::Barrier::new(writers);
+        std::thread::scope(|s| {
+            for _ in 0..writers {
+                s.spawn(|| {
+                    gate.wait();
+                    for _ in 0..acks {
+                        c.increment(1);
+                    }
+                });
+            }
+        });
+        let after = c.wal_stats();
+        WalStats {
+            fsyncs: after.fsyncs - before.fsyncs,
+            holds: after.holds - before.holds,
+            hold_timeouts: after.hold_timeouts - before.hold_timeouts,
+            ..WalStats::default()
+        }
+    }
+
+    #[test]
+    fn lone_writer_never_holds() {
+        let dir = test_dir("lone-writer");
+        let c = open_slow(&dir);
+        let stats = closed_loop(&c, 1, 300);
+        assert_eq!(stats.holds, 0, "{stats:?}");
+        assert_eq!(stats.fsyncs, 300, "one fsync per lone ack: {stats:?}");
+        drop(c);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn writers_commit_in_phase() {
+        // With every writer in phase one fsync acks all of them: 1/2 and
+        // 1/3 fsyncs per ack. Out of phase, a writer arriving during
+        // another's fsync waits for it and then for its own.
+        for (writers, most_per_ack) in [(2, 0.6), (3, 0.4)] {
+            let dir = test_dir(&format!("in-phase-{writers}"));
+            let c = open_slow(&dir);
+            let stats = closed_loop(&c, writers, 100);
+            let per_ack = stats.fsyncs as f64 / (writers * 100) as f64;
+            assert!(
+                per_ack <= most_per_ack,
+                "{writers} writers: {per_ack:.3} fsyncs per ack > {most_per_ack} ({stats:?})"
+            );
+            drop(c);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_departing_writer_ends_the_holds() {
+        let dir = test_dir("departing-writer");
+        let c = open_slow(&dir);
+        let paired = closed_loop(&c, 2, 100);
+        assert!(paired.holds > 0, "two writers never held: {paired:?}");
+        // The first lone round holds for the departed sibling, times out,
+        // and counts one writer; later rounds do not hold.
+        let lone = closed_loop(&c, 1, 50);
+        assert!(lone.hold_timeouts <= 2, "{lone:?}");
+        assert!(lone.holds <= 2, "{lone:?}");
+        drop(c);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     fn degrade_options(fp: &Arc<Failpoints>) -> DurableOptions {
         DurableOptions {
             poison_policy: PoisonPolicy::Degrade,
@@ -1062,6 +1261,11 @@ mod tests {
             stats.records_logged
         );
         assert_eq!(registry.event("dur.wal.degraded_entries").get(), 0);
+        assert_eq!(registry.event("dur.wal.holds").get(), stats.holds);
+        assert_eq!(
+            registry.event("dur.wal.hold_timeouts").get(),
+            stats.hold_timeouts
+        );
         let fsync_ns = registry.histogram("dur.wal.fsync_ns").snapshot();
         assert!(fsync_ns.count() >= 1, "fsync latency must be recorded");
         let batches = registry.histogram("dur.wal.batch_records").snapshot();
