@@ -153,7 +153,7 @@ pub use supervisor::{
     CounterRecovery, CounterReport, RecoveredCounter, RecoveryReport, StallReport, StallVerdict,
     SupervisedCounter, SupervisedObligation, Supervisor, SupervisorConfig,
 };
-pub use trace::{CounterSnapshot, NodeSnapshot, TracingCounter};
+pub use trace::{CounterSnapshot, NodeSnapshot, Traced, TracingCounter};
 pub use traits::{
     CounterDiagnostics, CounterExt, HealthStatus, MonotonicCounter, Resettable, ResumableCounter,
     WaitingLevel,

@@ -354,7 +354,7 @@ impl ShardedCounter {
         // them — an early `?` here would strand them in `Condvar::wait`.
         let result = self.fast().locked_add(&mut inner.wide, amount);
         if let Ok(new_value) = result {
-            self.core.stats.record_increment();
+            inner.stats.increments += 1;
             satisfied.append(&mut self.core.sweep(&mut inner, new_value));
         }
         self.core.release(inner, satisfied);
@@ -476,7 +476,7 @@ impl MonotonicCounter for ShardedCounter {
         let pending = self.drain_cells();
         let mut satisfied = self.publish_locked(&mut inner, pending).1;
         if let Some(new_value) = fast.locked_advance(&mut inner.wide, target) {
-            self.core.stats.record_increment();
+            inner.stats.increments += 1;
             satisfied.append(&mut self.core.sweep(&mut inner, new_value));
         }
         self.core.release(inner, satisfied);

@@ -5,6 +5,12 @@
 //! number of waiting threads". These statistics make that claim *measurable*:
 //! experiment E5 reads them to show live wait-node counts tracking the number
 //! of distinct levels.
+//!
+//! They come in two halves. What the slow path records ([`Tallies`]) is
+//! plain fields of the counter's locked state, bumped under the lock the
+//! step already holds; what the lock-free tiers record ([`Stats`]) is
+//! relaxed per-thread stripes. A snapshot copies the first under the lock
+//! and sums the second, so it agrees with itself.
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
@@ -68,47 +74,19 @@ struct FastTallies {
     spin_checks: AtomicU64,
 }
 
-/// Internal statistics accumulator shared by all counter implementations.
+/// A counter's lock-free tallies: the fast increments, fast checks, spin
+/// checks and cursor flushes, which no lock orders.
 ///
-/// All fields are updated with relaxed atomics; the counters' own locks
-/// already order the updates, and readers only need eventually-consistent
-/// aggregate numbers.
-///
-/// Slow-path and fast-path operations bump *separate* counters and the
-/// totals are derived at snapshot time. The three lock-free tallies are
-/// striped: a fast increment, satisfied check or spin-satisfied check is
-/// one `fetch_add` on the calling thread's own 128-byte stripe, so
-/// lock-free operations on different threads share no stats line, and
-/// [`snapshot`](Self::snapshot) sums the stripes, so the counts stay
-/// exact. The stripes cost a fixed 1 KiB per counter, and the E8 tables
-/// measure the fast path with them.
+/// Each is one relaxed `fetch_add` on the calling thread's own 128-byte
+/// stripe, so lock-free operations on different threads share no stats
+/// line, and [`snapshot`](Self::snapshot) sums the stripes, so the counts
+/// stay exact. The stripes cost a fixed 1 KiB per counter, and the E8
+/// tables measure the fast path with them.
 #[derive(Debug, Default)]
 pub(crate) struct Stats {
     /// The fast-path tallies, one stripe per [`thread_slot`] modulo
     /// [`STRIPES`].
     stripes: Box<[CachePadded<FastTallies>; STRIPES]>,
-    slow_increments: AtomicU64,
-    slow_checks: AtomicU64,
-    slow_immediate_checks: AtomicU64,
-    suspensions: AtomicU64,
-    nodes_created: AtomicU64,
-    nodes_freed: AtomicU64,
-    live_nodes: AtomicU64,
-    max_live_nodes: AtomicU64,
-    live_waiters: AtomicU64,
-    max_live_waiters: AtomicU64,
-    notifies: AtomicU64,
-    slow_path_entries: AtomicU64,
-}
-
-fn bump_max(max: &AtomicU64, candidate: u64) {
-    let mut cur = max.load(Relaxed);
-    while candidate > cur {
-        match max.compare_exchange_weak(cur, candidate, Relaxed, Relaxed) {
-            Ok(_) => break,
-            Err(c) => cur = c,
-        }
-    }
 }
 
 impl Stats {
@@ -120,41 +98,6 @@ impl Stats {
     /// Every stripe's tallies.
     fn tallies(&self) -> impl Iterator<Item = &FastTallies> {
         self.stripes.iter().map(|t| &t.0)
-    }
-
-    pub(crate) fn record_increment(&self) {
-        self.slow_increments.fetch_add(1, Relaxed);
-    }
-
-    pub(crate) fn record_check_immediate(&self) {
-        self.slow_checks.fetch_add(1, Relaxed);
-        self.slow_immediate_checks.fetch_add(1, Relaxed);
-    }
-
-    pub(crate) fn record_check_suspended(&self) {
-        self.slow_checks.fetch_add(1, Relaxed);
-        self.suspensions.fetch_add(1, Relaxed);
-        let live = self.live_waiters.fetch_add(1, Relaxed) + 1;
-        bump_max(&self.max_live_waiters, live);
-    }
-
-    pub(crate) fn record_waiter_resumed(&self) {
-        self.live_waiters.fetch_sub(1, Relaxed);
-    }
-
-    pub(crate) fn record_node_created(&self) {
-        self.nodes_created.fetch_add(1, Relaxed);
-        let live = self.live_nodes.fetch_add(1, Relaxed) + 1;
-        bump_max(&self.max_live_nodes, live);
-    }
-
-    pub(crate) fn record_node_freed(&self) {
-        self.nodes_freed.fetch_add(1, Relaxed);
-        self.live_nodes.fetch_sub(1, Relaxed);
-    }
-
-    pub(crate) fn record_notify(&self) {
-        self.notifies.fetch_add(1, Relaxed);
     }
 
     /// An `increment`/`advance_to` that completed on the lock-free fast path.
@@ -193,34 +136,74 @@ impl Stats {
         stripe.checks.fetch_add(checks, Relaxed);
     }
 
-    /// Any operation that acquired the slow-path mutex.
-    pub(crate) fn record_slow_entry(&self) {
-        self.slow_path_entries.fetch_add(1, Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
+    /// The totals: `slow`, copied under the counter's lock, plus the
+    /// stripes' sums. A lock-free check adds to `checks` and
+    /// `immediate_checks` alike, so the sums leave the snapshot as
+    /// consistent as `slow`.
+    pub(crate) fn snapshot(&self, slow: &Tallies) -> StatsSnapshot {
         let fast_increments = self.tallies().map(|t| t.increments.load(Relaxed)).sum();
         let fast_checks = self.tallies().map(|t| t.checks.load(Relaxed)).sum();
         let spin_checks = self.tallies().map(|t| t.spin_checks.load(Relaxed)).sum();
         let lock_free_checks = fast_checks + spin_checks;
         StatsSnapshot {
-            increments: self.slow_increments.load(Relaxed) + fast_increments,
-            checks: self.slow_checks.load(Relaxed) + lock_free_checks,
-            immediate_checks: self.slow_immediate_checks.load(Relaxed) + lock_free_checks,
-            suspensions: self.suspensions.load(Relaxed),
-            nodes_created: self.nodes_created.load(Relaxed),
-            nodes_freed: self.nodes_freed.load(Relaxed),
-            live_nodes: self.live_nodes.load(Relaxed),
-            max_live_nodes: self.max_live_nodes.load(Relaxed),
-            live_waiters: self.live_waiters.load(Relaxed),
-            max_live_waiters: self.max_live_waiters.load(Relaxed),
-            notifies: self.notifies.load(Relaxed),
+            increments: slow.increments + fast_increments,
+            checks: slow.checks + lock_free_checks,
+            immediate_checks: slow.immediate_checks + lock_free_checks,
+            suspensions: slow.suspensions,
+            nodes_created: slow.nodes_created,
+            nodes_freed: slow.nodes_freed,
+            live_nodes: slow.nodes_created - slow.nodes_freed,
+            max_live_nodes: slow.max_live_nodes,
+            live_waiters: slow.live_waiters,
+            max_live_waiters: slow.max_live_waiters,
+            notifies: slow.notifies,
             fast_increments,
             fast_checks,
             spin_checks,
-            slow_path_entries: self.slow_path_entries.load(Relaxed),
+            slow_path_entries: slow.slow_path_entries,
             io_retries: 0,
         }
+    }
+}
+
+/// What the slow path records: plain counts in the counter's locked state,
+/// bumped by the thread that holds the lock, so a copy taken under it
+/// agrees with itself.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Tallies {
+    /// Increments applied under the lock.
+    pub(crate) increments: u64,
+    /// Checks decided under the lock: `immediate_checks + suspensions`.
+    pub(crate) checks: u64,
+    pub(crate) immediate_checks: u64,
+    pub(crate) suspensions: u64,
+    pub(crate) nodes_created: u64,
+    pub(crate) nodes_freed: u64,
+    pub(crate) max_live_nodes: u64,
+    pub(crate) live_waiters: u64,
+    pub(crate) max_live_waiters: u64,
+    pub(crate) notifies: u64,
+    /// Operations of any kind that took the lock through the slow path.
+    pub(crate) slow_path_entries: u64,
+}
+
+impl Tallies {
+    pub(crate) fn check_immediate(&mut self) {
+        self.checks += 1;
+        self.immediate_checks += 1;
+    }
+
+    pub(crate) fn check_suspended(&mut self) {
+        self.checks += 1;
+        self.suspensions += 1;
+        self.live_waiters += 1;
+        self.max_live_waiters = self.max_live_waiters.max(self.live_waiters);
+    }
+
+    pub(crate) fn node_created(&mut self) {
+        self.nodes_created += 1;
+        let live = self.nodes_created - self.nodes_freed;
+        self.max_live_nodes = self.max_live_nodes.max(live);
     }
 }
 
@@ -321,10 +304,10 @@ mod tests {
 
     #[test]
     fn snapshot_display_is_compact_one_liner() {
-        let s = Stats::default();
-        s.record_increment();
-        s.record_check_immediate();
-        let text = s.snapshot().to_string();
+        let mut t = Tallies::default();
+        t.increments += 1;
+        t.check_immediate();
+        let text = Stats::default().snapshot(&t).to_string();
         assert!(text.contains("inc 1"), "{text}");
         assert!(text.contains("chk 1"), "{text}");
         assert!(!text.contains('\n'));
@@ -333,15 +316,15 @@ mod tests {
     #[test]
     fn snapshot_starts_zeroed() {
         let s = Stats::default();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
+        assert_eq!(s.snapshot(&Tallies::default()), StatsSnapshot::default());
     }
 
     #[test]
     fn immediate_check_counts() {
-        let s = Stats::default();
-        s.record_check_immediate();
-        s.record_check_immediate();
-        let snap = s.snapshot();
+        let mut t = Tallies::default();
+        t.check_immediate();
+        t.check_immediate();
+        let snap = Stats::default().snapshot(&t);
         assert_eq!(snap.checks, 2);
         assert_eq!(snap.immediate_checks, 2);
         assert_eq!(snap.suspensions, 0);
@@ -349,12 +332,12 @@ mod tests {
 
     #[test]
     fn node_lifecycle_tracks_live_and_max() {
-        let s = Stats::default();
-        s.record_node_created();
-        s.record_node_created();
-        s.record_node_freed();
-        s.record_node_created();
-        let snap = s.snapshot();
+        let mut t = Tallies::default();
+        t.node_created();
+        t.node_created();
+        t.nodes_freed += 1;
+        t.node_created();
+        let snap = Stats::default().snapshot(&t);
         assert_eq!(snap.nodes_created, 3);
         assert_eq!(snap.nodes_freed, 1);
         assert_eq!(snap.live_nodes, 2);
@@ -363,12 +346,12 @@ mod tests {
 
     #[test]
     fn waiter_lifecycle_tracks_live_and_max() {
-        let s = Stats::default();
-        s.record_check_suspended();
-        s.record_check_suspended();
-        s.record_check_suspended();
-        s.record_waiter_resumed();
-        let snap = s.snapshot();
+        let mut t = Tallies::default();
+        t.check_suspended();
+        t.check_suspended();
+        t.check_suspended();
+        t.live_waiters -= 1;
+        let snap = Stats::default().snapshot(&t);
         assert_eq!(snap.suspensions, 3);
         assert_eq!(snap.live_waiters, 2);
         assert_eq!(snap.max_live_waiters, 3);
@@ -377,12 +360,13 @@ mod tests {
     #[test]
     fn fast_and_slow_path_counters() {
         let s = Stats::default();
+        let mut t = Tallies::default();
         s.record_fast_increment();
         s.record_fast_increment();
         s.record_fast_check();
-        s.record_slow_entry();
-        s.record_increment();
-        let snap = s.snapshot();
+        t.slow_path_entries += 1;
+        t.increments += 1;
+        let snap = s.snapshot(&t);
         assert_eq!(snap.fast_increments, 2);
         assert_eq!(snap.increments, 3, "fast increments count as increments");
         assert_eq!(snap.fast_checks, 1);
@@ -395,7 +379,7 @@ mod tests {
         let s = Stats::default();
         s.record_spin_check();
         s.record_fast_check();
-        let snap = s.snapshot();
+        let snap = s.snapshot(&Tallies::default());
         assert_eq!(snap.spin_checks, 1);
         assert_eq!(snap.fast_checks, 1);
         assert_eq!((snap.checks, snap.immediate_checks), (2, 2));
@@ -436,16 +420,7 @@ mod tests {
         assert_eq!((inc.load(Relaxed), chk.load(Relaxed)), (1, 1));
         let line = |word: &AtomicU64| word as *const AtomicU64 as usize / 128;
         assert_ne!(line(inc), line(chk), "slots {a} and {b} share a line");
-        let snap = s.snapshot();
+        let snap = s.snapshot(&Tallies::default());
         assert_eq!((snap.fast_increments, snap.fast_checks), (1, 1));
-    }
-
-    #[test]
-    fn bump_max_is_monotonic() {
-        let m = AtomicU64::new(5);
-        bump_max(&m, 3);
-        assert_eq!(m.load(Relaxed), 5);
-        bump_max(&m, 9);
-        assert_eq!(m.load(Relaxed), 9);
     }
 }

@@ -371,8 +371,9 @@ struct SupervisorMetrics {
     verdict_slow: Arc<Event>,
     verdict_never_satisfiable: Arc<Event>,
     verdict_restarting: Arc<Event>,
-    /// Last observed health label per counter address, for transition counting.
-    last_health: Mutex<HashMap<usize, &'static str>>,
+    /// Last observed health label per counter address, for transition
+    /// counting; guarded, like the rest, by [`Shared::metrics`].
+    last_health: HashMap<usize, &'static str>,
 }
 
 impl SupervisorMetrics {
@@ -388,15 +389,14 @@ impl SupervisorMetrics {
             verdict_slow: sink.event("verdict.slow"),
             verdict_never_satisfiable: sink.event("verdict.never_satisfiable"),
             verdict_restarting: sink.event("verdict.restarting"),
-            last_health: Mutex::new(HashMap::new()),
+            last_health: HashMap::new(),
         }
     }
 
     /// Tallies one diagnose pass over `samples`, rebuilding the health map
     /// from it as [`Supervisor::tick`] rebuilds its values.
-    fn record_diagnosis(&self, samples: &[Sample]) {
+    fn record_diagnosis(&mut self, samples: &[Sample]) {
         self.diagnoses.incr();
-        let mut last = lock_recover(&self.last_health);
         let mut health = HashMap::new();
         for (counter, c) in samples {
             match c.verdict {
@@ -408,11 +408,13 @@ impl SupervisorMetrics {
             // A counter registered under several names counts once.
             let key = Arc::as_ptr(counter) as *const () as usize;
             let label = c.health.as_label();
-            if health.insert(key, label).is_none() && last.get(&key).is_some_and(|p| *p != label) {
+            if health.insert(key, label).is_none()
+                && self.last_health.get(&key).is_some_and(|p| *p != label)
+            {
                 self.health_transitions.incr();
             }
         }
-        *last = health;
+        self.last_health = health;
     }
 }
 
@@ -428,8 +430,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn with_metrics(&self, f: impl FnOnce(&SupervisorMetrics)) {
-        if let Some(m) = lock_recover(&self.metrics).as_ref() {
+    fn with_metrics(&self, f: impl FnOnce(&mut SupervisorMetrics)) {
+        if let Some(m) = lock_recover(&self.metrics).as_mut() {
             f(m);
         }
     }
@@ -712,36 +714,22 @@ impl Supervisor {
         })
     }
 
-    /// Force-poisons every registered counter that has been
-    /// [`HealthStatus::Degraded`] for at least `deadline`, with `info` as
-    /// the cause; returns how many were poisoned. The watch thread calls
-    /// this automatically when [`SupervisorConfig::degrade_deadline`] is
-    /// set.
-    pub fn poison_degraded(&self, deadline: Duration, info: FailureInfo) -> usize {
-        let samples = Self::diagnose_shared(&self.shared);
-        Self::poison_degraded_shared(&self.shared, &samples, deadline, Some(info))
-    }
-
-    fn poison_degraded_shared(
-        shared: &Shared,
-        samples: &[Sample],
-        deadline: Duration,
-        info: Option<FailureInfo>,
-    ) -> usize {
+    /// Force-poisons every sampled counter that has been
+    /// [`HealthStatus::Degraded`] for at least `deadline`; the watch
+    /// thread's step when [`SupervisorConfig::degrade_deadline`] is set.
+    fn poison_degraded(shared: &Shared, samples: &[Sample], deadline: Duration) {
         Self::poison(shared, samples, |c| {
             let HealthStatus::Degraded { since, queued } = c.health else {
                 return None;
             };
             (since.elapsed() >= deadline).then(|| {
-                info.clone().unwrap_or_else(|| {
-                    FailureInfo::new(format!(
-                        "supervisor: counter '{}' degraded beyond deadline ({deadline:?}, \
-                         {queued} queued record(s) unsynced)",
-                        c.name
-                    ))
-                })
+                FailureInfo::new(format!(
+                    "supervisor: counter '{}' degraded beyond deadline ({deadline:?}, \
+                     {queued} queued record(s) unsynced)",
+                    c.name
+                ))
             })
-        })
+        });
     }
 
     /// The one poisoning step: poisons each sampled counter that `cause`
@@ -833,7 +821,7 @@ impl Supervisor {
         // the no-progress detector: a degraded counter can keep making
         // in-memory progress forever while its replay queue never drains.
         if let Some(deadline) = shared.config.degrade_deadline {
-            Self::poison_degraded_shared(shared, &samples, deadline, None);
+            Self::poison_degraded(shared, &samples, deadline);
         }
         let values: HashMap<usize, Value> = samples
             .iter()

@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn tracing_counter_forwards_the_full_surface() {
-        // TracingCounter wraps the concrete `Counter` directly, so the
+        // TracingCounter is the waitlist counter on its own queue, so the
         // recording technique cannot interpose; instead verify behaviorally
         // that the full surface works through it.
         let c = crate::TracingCounter::default();

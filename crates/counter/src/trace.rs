@@ -12,20 +12,19 @@
 //! | (f) | first level-5 waiter resumes | 7 | (5, 1, **set**) → (9, 1, unset) |
 //! | (g) | second level-5 waiter resumes | 7 | (9, 1, unset) |
 //!
-//! A [`TracingCounter`] appends a [`CounterSnapshot`] to its log at every
-//! structural transition *while holding the counter's lock*, so the exact
-//! sequence of states is captured even though thread scheduling is
-//! nondeterministic.
+//! A [`TracingCounter`] is the waitlist counter on the [`Traced`] queue. It
+//! appends a [`CounterSnapshot`] to a log kept in its locked state at every
+//! structural transition, *under the lock that makes the transition*, so
+//! the exact sequence of states is captured even though thread scheduling
+//! is nondeterministic.
 
-use crate::builder::{BuildConfig, Buildable, CounterBuilder};
-use crate::error::{CheckError, CheckTimeoutError, CounterOverflowError, FailureInfo};
-use crate::stats::StatsSnapshot;
-use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, WaitingLevel};
-use crate::waitlist::{Counter, Inner, WaitQueue};
+use crate::list::SortedList;
+use crate::node::WaitNode;
+use crate::waitlist::queue::Queue;
+use crate::waitlist::{Inner, WaitQueue, WaitlistCounter};
 use crate::Value;
 use std::fmt;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// The state of one wait node, as drawn in Figure 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,21 +83,6 @@ impl fmt::Display for CounterSnapshot {
     }
 }
 
-/// Shared log of snapshots, appended under the counter's lock.
-#[derive(Debug, Default)]
-pub(crate) struct TraceLog {
-    snapshots: Mutex<Vec<CounterSnapshot>>,
-}
-
-impl TraceLog {
-    pub(crate) fn push(&self, snap: CounterSnapshot) {
-        self.snapshots
-            .lock()
-            .expect("trace log poisoned")
-            .push(snap);
-    }
-}
-
 /// Builds a snapshot from a counter's locked state. The value is passed
 /// separately because `Inner` only stores the exact value in the saturated
 /// regime; the caller decodes it from the packed word under the lock.
@@ -118,119 +102,63 @@ pub(crate) fn snapshot_of<Q: WaitQueue>(inner: &Inner<Q>, value: Value) -> Count
     CounterSnapshot { value, nodes }
 }
 
-/// A [`Counter`] that records a [`CounterSnapshot`] at every structural
-/// transition: construction, waiter registration, increment, and waiter
-/// resumption. Used to reproduce Figure 2 and to debug synchronization
-/// structure; not intended for performance-sensitive code.
-pub struct TracingCounter {
-    counter: Counter,
-    log: Arc<TraceLog>,
-}
+/// The queue of [`TracingCounter`]: the paper's [`SortedList`], on a
+/// counter that logs its structure at every transition.
+#[derive(Default)]
+pub struct Traced(SortedList);
 
-impl Default for TracingCounter {
-    fn default() -> Self {
-        Self::builder().build()
+impl Queue for Traced {
+    const NAMES: [&'static str; 2] = ["waitlist-traced"; 2];
+    const TRACED: bool = true;
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn find_or_insert(&mut self, level: Value) -> (Arc<WaitNode>, bool) {
+        self.0.find_or_insert(level)
+    }
+
+    fn remove_satisfied(&mut self, value: Value) -> Vec<Arc<WaitNode>> {
+        self.0.remove_satisfied(value)
+    }
+
+    fn remove_level(&mut self, level: Value) -> Option<Arc<WaitNode>> {
+        self.0.remove_level(level)
+    }
+
+    fn nodes(&self) -> Vec<Arc<WaitNode>> {
+        self.0.nodes()
     }
 }
 
-impl Buildable for TracingCounter {
-    fn from_config(cfg: &BuildConfig) -> Self {
-        let (counter, log) = Counter::new_traced(cfg);
-        TracingCounter { counter, log }
-    }
-}
+/// A [`Counter`](crate::Counter) that records a [`CounterSnapshot`] at
+/// every structural transition: construction, waiter registration,
+/// increment, and waiter resumption. Its fast tier is off, so every
+/// operation takes the lock and reaches the log. Used to reproduce
+/// Figure 2 and to debug synchronization structure; not intended for
+/// performance-sensitive code. The [`Traced`] instantiation of
+/// [`WaitlistCounter`].
+pub type TracingCounter = WaitlistCounter<Traced>;
 
-impl TracingCounter {
-    /// Starts building a counter; see [`CounterBuilder`]. The log starts with
-    /// the construction state (Figure 2 (a)).
-    pub fn builder() -> CounterBuilder<Self> {
-        CounterBuilder::new()
-    }
-
-    /// The sequence of structure snapshots recorded so far, oldest first.
+impl WaitlistCounter<Traced> {
+    /// The sequence of structure snapshots recorded so far, oldest first;
+    /// the first is the construction state (Figure 2 (a)).
     pub fn log(&self) -> Vec<CounterSnapshot> {
-        self.log
-            .snapshots
-            .lock()
-            .expect("trace log poisoned")
-            .clone()
+        self.lock().trace.clone()
     }
 
     /// The current structure of the counter.
     pub fn snapshot(&self) -> CounterSnapshot {
-        self.counter.with_inner(snapshot_of)
-    }
-}
-
-impl MonotonicCounter for TracingCounter {
-    fn increment(&self, amount: Value) {
-        self.counter.increment(amount);
-    }
-
-    fn try_increment(&self, amount: Value) -> Result<(), CounterOverflowError> {
-        self.counter.try_increment(amount)
-    }
-
-    fn advance_to(&self, target: Value) {
-        self.counter.advance_to(target);
-    }
-
-    fn wait(&self, level: Value) -> Result<(), CheckError> {
-        self.counter.wait(level)
-    }
-
-    fn wait_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckError> {
-        self.counter.wait_timeout(level, timeout)
-    }
-
-    fn poison(&self, info: FailureInfo) {
-        self.counter.poison(info);
-    }
-
-    fn poison_info(&self) -> Option<FailureInfo> {
-        self.counter.poison_info()
-    }
-
-    fn check(&self, level: Value) {
-        self.counter.check(level);
-    }
-
-    fn check_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckTimeoutError> {
-        self.counter.check_timeout(level, timeout)
-    }
-}
-
-impl Resettable for TracingCounter {
-    fn reset(&mut self) {
-        self.counter.reset();
-    }
-}
-
-impl CounterDiagnostics for TracingCounter {
-    fn debug_value(&self) -> Value {
-        self.counter.debug_value()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.counter.stats()
-    }
-
-    fn impl_name(&self) -> &'static str {
-        "waitlist-traced"
-    }
-
-    fn waiters(&self) -> Vec<WaitingLevel> {
-        self.counter.waiters()
-    }
-
-    fn durable_watermark(&self) -> Option<Value> {
-        self.counter.durable_watermark()
+        let inner = self.lock();
+        snapshot_of(&inner, self.fast.locked_value(inner.wide))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MonotonicCounter;
     use std::thread;
 
     #[test]

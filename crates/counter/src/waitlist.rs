@@ -19,11 +19,14 @@
 //! [`Counter`] keeps the paper's sorted linked list ([`SortedList`]),
 //! [`BTreeCounter`] a `BTreeMap` with O(log L) level lookup,
 //! [`NaiveCounter`] one node that every change sweeps ([`OneLevel`]), and
-//! [`SpinCounter`] no node at all ([`Polling`]). Each queue fixes how its
-//! waiters wait ([`Wait`](queue::Wait)); poison, timeouts, statistics and
-//! diagnostics are this one type's. The slow-path steps here (sweep,
-//! suspend, poison) also serve [`crate::ShardedCounter`], whose combiner
-//! publishes into a [`BTreeCounter`]'s word and waitlist.
+//! [`SpinCounter`] no node at all ([`Polling`]); [`Traced`] is the sorted
+//! list of [`TracingCounter`](crate::TracingCounter), which logs Figure 2.
+//! Each queue fixes how its waiters wait ([`Wait`](queue::Wait)); poison,
+//! timeouts, statistics, the trace and diagnostics are this one type's, and
+//! the slow path records them under the lock that orders every change to
+//! the wait structure. The slow-path steps here (sweep, suspend, poison)
+//! also serve [`crate::ShardedCounter`], whose combiner publishes into a
+//! [`BTreeCounter`]'s word and waitlist.
 
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
 use crate::error::{
@@ -32,8 +35,8 @@ use crate::error::{
 use crate::fastpath::{FastAdvance, FastIncrement, FastWord, Poll, FAST_CAP};
 use crate::list::SortedList;
 use crate::node::WaitNode;
-use crate::stats::{Stats, StatsSnapshot};
-use crate::trace::{snapshot_of, TraceLog};
+use crate::stats::{Stats, StatsSnapshot, Tallies};
+use crate::trace::{snapshot_of, CounterSnapshot, Traced};
 use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, WaitingLevel};
 use crate::Value;
 use queue::{Queue, Wait};
@@ -144,6 +147,11 @@ pub(crate) mod queue {
         /// How the counter's waiters wait.
         const WAIT: Wait = Wait::OwnLevel;
 
+        /// Whether the counter logs its structure at every transition
+        /// (Figure 2). Its fast tier is then off, because the fast path
+        /// bypasses the lock the log is kept under.
+        const TRACED: bool = false;
+
         /// Number of nodes (distinct levels).
         fn len(&self) -> usize;
 
@@ -169,18 +177,20 @@ pub(crate) mod queue {
 /// The waiting structure a [`WaitlistCounter`] suspends threads on: one wait
 /// node per distinct waited level, in ascending level order.
 ///
-/// Sealed. It is implemented by the four queue strategies experiment E7
-/// ablates: [`SortedList`], the paper's sorted linked list (Figure 2);
+/// Sealed. It is implemented by five queue strategies. Experiment E7
+/// ablates four: [`SortedList`], the paper's sorted linked list (Figure 2);
 /// `BTreeMap`; [`OneLevel`], the naive single queue; and [`Polling`], which
-/// holds nothing because its waiters poll. Each strategy also fixes how its
-/// waiters wait, so [`CounterBuilder::spin_before_suspend`] only applies to
-/// the first two.
+/// holds nothing because its waiters poll. The fifth, [`Traced`], is the
+/// sorted list of a counter that logs its structure to reproduce Figure 2.
+/// Each strategy also fixes how its waiters wait, so
+/// [`CounterBuilder::spin_before_suspend`] only applies to the first two.
 pub trait WaitQueue: Queue {}
 
 impl WaitQueue for SortedList {}
 impl WaitQueue for WaitMap {}
 impl WaitQueue for OneLevel {}
 impl WaitQueue for Polling {}
+impl WaitQueue for Traced {}
 
 /// The queue of [`NaiveCounter`]: at most one node, one above the counter
 /// value. Every waiter registers there, so the next change wakes them all
@@ -301,13 +311,19 @@ pub(crate) struct Inner<Q> {
     pub(crate) draining: Vec<Arc<WaitNode>>,
     /// The first poisoning cause, if any. Set at most once.
     pub(crate) poisoned: Option<FailureInfo>,
+    /// What the slow path records, bumped under this lock.
+    pub(crate) stats: Tallies,
+    /// The structure after every transition, oldest first, on a
+    /// [`Traced`] queue; always empty on the others.
+    pub(crate) trace: Vec<CounterSnapshot>,
 }
 
 /// A monotonic counter: a packed-word fast path over one lock plus an
 /// ordered queue `Q` of condition-variable nodes, the structure of the
 /// paper's Section 7 and Figure 2. Use it as [`Counter`] or
 /// [`BTreeCounter`]; [`NaiveCounter`] and [`SpinCounter`] are the E7
-/// baselines on the same type, whose queues change how waiters wait.
+/// baselines on the same type, whose queues change how waiters wait, and
+/// [`TracingCounter`](crate::TracingCounter) logs its structure.
 ///
 /// * `check` with a satisfied level returns after a single atomic load.
 /// * `increment` with no registered waiters is a single CAS.
@@ -332,14 +348,12 @@ pub struct WaitlistCounter<Q: WaitQueue> {
     /// while tracing (every transition must be recorded under the lock).
     fast_enabled: bool,
     inner: Mutex<Inner<Q>>,
+    /// The lock-free tiers' tallies; the slow path's are in `inner`.
     pub(crate) stats: Stats,
     /// Spinning was requested and the building thread saw more than one
     /// CPU ([`spin_enabled`]). Read only by the cold
     /// [`wait_until`](Self::wait_until).
     spin: bool,
-    /// When present (via [`crate::TracingCounter`]), a structure snapshot is
-    /// appended at every transition, under the lock.
-    trace: Option<Arc<TraceLog>>,
 }
 
 impl<Q: WaitQueue> Default for WaitlistCounter<Q> {
@@ -353,13 +367,21 @@ impl<Q: WaitQueue> Buildable for WaitlistCounter<Q> {
         WaitlistCounter {
             fast: FastWord::new(cfg.initial()),
             // A naive waiter sleeps one above the value, so every change
-            // must take the lock to wake it.
-            fast_enabled: Q::WAIT != Wait::NextValue,
+            // must take the lock to wake it; a traced counter logs every
+            // change under the lock.
+            fast_enabled: Q::WAIT != Wait::NextValue && !Q::TRACED,
             inner: Mutex::new(Inner {
                 wide: cfg.initial(),
                 waiting: Q::default(),
                 draining: Vec::new(),
                 poisoned: None,
+                stats: Tallies::default(),
+                // The log opens with the construction state, Figure 2 (a).
+                trace: if Q::TRACED {
+                    vec![CounterSnapshot::of(cfg.initial(), &[])]
+                } else {
+                    Vec::new()
+                },
             }),
             stats: Stats::default(),
             // Decided here, on the building thread: a waiter pinned to one
@@ -367,7 +389,6 @@ impl<Q: WaitQueue> Buildable for WaitlistCounter<Q> {
             spin: spin_enabled(cfg.spin_before_suspend(), || {
                 std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
             }),
-            trace: None,
         }
     }
 }
@@ -415,29 +436,16 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         }
     }
 
-    /// Creates a counter that records structure snapshots into the returned
-    /// log (used by [`crate::TracingCounter`]). Tracing needs every value
-    /// transition to appear in the log, so the fast path (which bypasses the
-    /// lock, and therefore the log) is disabled.
-    pub(crate) fn new_traced(cfg: &BuildConfig) -> (Self, Arc<TraceLog>) {
-        let log = Arc::new(TraceLog::default());
-        let counter = WaitlistCounter {
-            trace: Some(Arc::clone(&log)),
-            fast_enabled: false,
-            ..Self::from_config(cfg)
-        };
-        counter.record(&counter.lock());
-        (counter, log)
-    }
-
-    /// Appends the current structure to the trace log, if tracing.
-    fn record(&self, inner: &Inner<Q>) {
-        if let Some(log) = &self.trace {
-            log.push(snapshot_of(inner, self.fast.locked_value(inner.wide)));
+    /// Appends the current structure to the trace log, on a [`Traced`]
+    /// queue.
+    fn record(&self, inner: &mut Inner<Q>) {
+        if Q::TRACED {
+            let snapshot = snapshot_of(inner, self.fast.locked_value(inner.wide));
+            inner.trace.push(snapshot);
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner<Q>> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner<Q>> {
         // Lock poisoning can only arise from a panic inside these short
         // critical sections, which would indicate a bug in this crate, not in
         // user code; propagating the panic is the correct response.
@@ -446,8 +454,8 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
 
     /// Takes the lock for a slow-path step and counts the entry.
     pub(crate) fn enter(&self) -> MutexGuard<'_, Inner<Q>> {
-        let inner = self.lock();
-        self.stats.record_slow_entry();
+        let mut inner = self.lock();
+        inner.stats.slow_path_entries += 1;
         inner
     }
 
@@ -461,7 +469,7 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         for node in &satisfied {
             node.signal();
             inner.draining.push(Arc::clone(node));
-            self.stats.record_notify();
+            inner.stats.notifies += 1;
         }
         satisfied
     }
@@ -471,11 +479,11 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     /// and only then broadcasts to the swept nodes. Their flag is already
     /// set under the lock, so a waiter that re-checks before the notify
     /// arrives simply leaves its wait loop; nobody can miss the wakeup.
-    pub(crate) fn release(&self, inner: MutexGuard<'_, Inner<Q>>, woken: Vec<Arc<WaitNode>>) {
+    pub(crate) fn release(&self, mut inner: MutexGuard<'_, Inner<Q>>, woken: Vec<Arc<WaitNode>>) {
         if inner.waiting.is_empty() {
             self.fast.clear_waiters();
         }
-        self.record(&inner);
+        self.record(&mut inner);
         drop(inner);
         for node in woken {
             node.cv.notify_all();
@@ -506,7 +514,7 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     fn raise(&self, amount: Value) -> Result<(), CounterOverflowError> {
         let mut inner = self.enter();
         let new_value = self.fast.locked_add(&mut inner.wide, amount)?;
-        self.stats.record_increment();
+        inner.stats.increments += 1;
         let satisfied = self.sweep(&mut inner, new_value);
         self.release(inner, satisfied);
         Ok(())
@@ -530,7 +538,7 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
             if inner.waiting.is_empty() {
                 self.fast.clear_waiters();
             }
-            self.stats.record_check_immediate();
+            inner.stats.check_immediate();
             return Ok(());
         }
         // A wait that would suspend on a poisoned counter fails immediately:
@@ -544,11 +552,11 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         }
         let (node, inserted) = inner.waiting.find_or_insert(level);
         if inserted {
-            self.stats.record_node_created();
+            inner.stats.node_created();
         }
         node.add_waiter();
-        self.stats.record_check_suspended();
-        self.record(&inner);
+        inner.stats.check_suspended();
+        self.record(&mut inner);
         // Satisfied and poisoned exclude each other (both sweeps take the
         // node off the waiting queue), and either one ends the wait before
         // the deadline is consulted: a poisoned node already left the queue,
@@ -567,15 +575,15 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
                         // node must leave the waiting queue, or a future
                         // increment would signal a dead node (harmless)
                         // while the queue length misreports storage.
-                        self.stats.record_waiter_resumed();
+                        inner.stats.live_waiters -= 1;
                         if node.remove_waiter() {
                             inner.waiting.remove_level(level);
-                            self.stats.record_node_freed();
+                            inner.stats.nodes_freed += 1;
                             if inner.waiting.is_empty() {
                                 self.fast.clear_waiters();
                             }
                         }
-                        self.record(&inner);
+                        self.record(&mut inner);
                         return Err(CheckError::Timeout(CheckTimeoutError { level }));
                     }
                     node.cv
@@ -587,12 +595,12 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         }
         // Deregister; the last waiter removes the node from the draining
         // list.
-        self.stats.record_waiter_resumed();
+        inner.stats.live_waiters -= 1;
         if node.remove_waiter() {
             inner.draining.retain(|n| !Arc::ptr_eq(n, &node));
-            self.stats.record_node_freed();
+            inner.stats.nodes_freed += 1;
         }
-        self.record(&inner);
+        self.record(&mut inner);
         if node.is_poisoned() {
             return Err(poisoned(&inner));
         }
@@ -669,14 +677,16 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     /// The [`Polling`] queue's wait: [`poll_until`](Self::poll_until) the
     /// level is satisfied, the counter poisoned or `deadline` past, without
     /// registering, so incrementers stay on their CAS. The poller counts as
-    /// a live waiter meanwhile.
+    /// a live waiter meanwhile: it takes the lock to tally its start and
+    /// its end, not as a slow-path entry.
     fn poll_wait(&self, level: Value, deadline: Option<Instant>) -> Result<(), CheckError> {
-        self.stats.record_check_suspended();
+        self.lock().stats.check_suspended();
         let poll = self.poll_until(level, deadline, true);
-        self.stats.record_waiter_resumed();
+        let mut inner = self.lock();
+        inner.stats.live_waiters -= 1;
         match poll {
             Poll::Satisfied => Ok(()),
-            Poll::Poisoned => Err(poisoned(&self.lock())),
+            Poll::Poisoned => Err(poisoned(&inner)),
             Poll::Pending => Err(CheckError::Timeout(CheckTimeoutError { level })),
         }
     }
@@ -742,7 +752,7 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         for node in inner.waiting.remove_satisfied(Value::MAX) {
             node.poison();
             inner.draining.push(Arc::clone(&node));
-            self.stats.record_notify();
+            inner.stats.notifies += 1;
             swept.push(node);
         }
         self.release(inner, swept);
@@ -758,12 +768,6 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     pub fn live_nodes(&self) -> usize {
         let inner = self.lock();
         inner.waiting.len() + inner.draining.len()
-    }
-
-    pub(crate) fn with_inner<R>(&self, f: impl FnOnce(&Inner<Q>, Value) -> R) -> R {
-        let inner = self.lock();
-        let value = self.fast.locked_value(inner.wide);
-        f(&inner, value)
     }
 
     /// One thread's [`Cursor`] on this counter: its checks at or below the
@@ -901,7 +905,7 @@ impl<Q: WaitQueue> MonotonicCounter for WaitlistCounter<Q> {
         let Some(new_value) = self.fast.locked_advance(&mut inner.wide, target) else {
             return;
         };
-        self.stats.record_increment();
+        inner.stats.increments += 1;
         let satisfied = self.sweep(&mut inner, new_value);
         self.release(inner, satisfied);
     }
@@ -963,8 +967,11 @@ impl<Q: WaitQueue> CounterDiagnostics for WaitlistCounter<Q> {
         }
     }
 
+    /// One lock for the slow path's tallies, so the snapshot agrees with
+    /// itself; the stripes are summed after it is released.
     fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        let slow = self.lock().stats;
+        self.stats.snapshot(&slow)
     }
 
     fn impl_name(&self) -> &'static str {

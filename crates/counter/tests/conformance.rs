@@ -334,6 +334,61 @@ fn poison_reclaims_waiter_nodes<C: Conformant + 'static>() {
     );
 }
 
+/// A `stats()` snapshot taken while threads wait, time out and wake agrees
+/// with itself: every check either returned at once or suspended, no node
+/// was freed before it was created, and no live count exceeds its
+/// high-water mark.
+fn stats_snapshot_agrees_with_itself<C: Conformant + 'static>() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const ROUNDS: u64 = 40;
+    let c = C::default();
+    let done = AtomicBool::new(false);
+    let bad = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut bad = Vec::new();
+            while !done.load(Ordering::Relaxed) {
+                let s = c.stats();
+                if s.checks != s.immediate_checks + s.suspensions
+                    || s.nodes_freed > s.nodes_created
+                    || s.live_nodes > s.max_live_nodes
+                    || s.live_waiters > s.max_live_waiters
+                {
+                    bad.push(s);
+                }
+            }
+            bad
+        });
+        let waiters: Vec<_> = (0..6)
+            .map(|_| {
+                s.spawn(|| {
+                    for level in 1..=ROUNDS {
+                        if level % 7 == 0 {
+                            let _ = c.wait_timeout(level, Duration::from_micros(50));
+                        } else {
+                            c.check(level);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..ROUNDS {
+            std::thread::sleep(Duration::from_millis(1));
+            c.increment(1);
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        sampler.join().unwrap()
+    });
+    assert!(
+        bad.is_empty(),
+        "{} inconsistent snapshots, first: {}",
+        bad.len(),
+        bad[0]
+    );
+}
+
 macro_rules! conformance {
     ($module:ident, $ty:ty) => {
         mod $module {
@@ -422,6 +477,10 @@ macro_rules! conformance {
             #[test]
             fn poison_reclaims_waiter_nodes() {
                 super::poison_reclaims_waiter_nodes::<$ty>();
+            }
+            #[test]
+            fn stats_snapshot_agrees_with_itself() {
+                super::stats_snapshot_agrees_with_itself::<$ty>();
             }
             #[test]
             fn resume_from_restores_value() {
