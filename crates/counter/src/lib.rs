@@ -145,13 +145,13 @@ pub use error::{
 };
 pub use list::SortedList;
 pub use metered::{MeteredCounter, SAMPLE_EVERY};
-pub use multi::{check_all, CounterSet};
-pub use obligation::Obligation;
+pub use multi::check_all;
+pub use obligation::{Obligation, SupervisedObligation};
 pub use sharded::ShardedCounter;
 pub use stats::StatsSnapshot;
 pub use supervisor::{
     CounterRecovery, CounterReport, RecoveredCounter, RecoveryReport, StallReport, StallVerdict,
-    SupervisedCounter, SupervisedObligation, Supervisor, SupervisorConfig,
+    SupervisedCounter, Supervisor, SupervisorConfig,
 };
 pub use trace::{CounterSnapshot, NodeSnapshot, Traced, TracingCounter};
 pub use traits::{

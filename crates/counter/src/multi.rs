@@ -1,4 +1,4 @@
-//! Waiting on several counters, and indexed counter collections.
+//! Waiting on several counters.
 //!
 //! Monotonicity gives multi-counter waits a property no traditional
 //! primitive has: checking a set of `(counter, level)` conditions **one at a
@@ -36,87 +36,9 @@ where
     }
 }
 
-/// A fixed-size indexed family of counters, e.g. one per thread or per cell,
-/// as used by the ragged-barrier pattern of the paper's Section 5.1
-/// (`Counter c[N]`).
-///
-/// # Example
-///
-/// ```
-/// use mc_counter::{Counter, CounterSet, MonotonicCounter};
-/// let set: CounterSet<Counter> = CounterSet::new(3);
-/// set.increment(0, 2);
-/// set.check(0, 2);
-/// set.check_pairs(&[(0, 1), (0, 2)]);
-/// assert_eq!(set.len(), 3);
-/// ```
-pub struct CounterSet<C> {
-    counters: Vec<C>,
-}
-
-impl<C: MonotonicCounter + Default> CounterSet<C> {
-    /// Creates `n` fresh counters, all zero.
-    pub fn new(n: usize) -> Self {
-        CounterSet {
-            counters: (0..n).map(|_| C::default()).collect(),
-        }
-    }
-}
-
-impl<C: MonotonicCounter> CounterSet<C> {
-    /// Number of counters in the set.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
-    /// The counter at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn get(&self, index: usize) -> &C {
-        &self.counters[index]
-    }
-
-    /// Increments counter `index` by `amount`.
-    pub fn increment(&self, index: usize, amount: Value) {
-        self.counters[index].increment(amount);
-    }
-
-    /// Suspends until counter `index` reaches `level`.
-    pub fn check(&self, index: usize, level: Value) {
-        self.counters[index].check(level);
-    }
-
-    /// Suspends until every `(index, level)` pair is satisfied
-    /// (see [`check_all`]).
-    pub fn check_pairs(&self, pairs: &[(usize, Value)]) {
-        check_all(pairs.iter().map(|&(i, level)| (&self.counters[i], level)));
-    }
-
-    /// Iterates over the counters.
-    pub fn iter(&self) -> impl Iterator<Item = &C> {
-        self.counters.iter()
-    }
-}
-
-impl<C: MonotonicCounter> std::ops::Index<usize> for CounterSet<C> {
-    type Output = C;
-
-    fn index(&self, index: usize) -> &C {
-        &self.counters[index]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::CounterDiagnostics;
     use crate::Counter;
     use std::sync::Arc;
     use std::thread;
@@ -144,44 +66,5 @@ mod tests {
         );
         b.increment(3);
         h.join().unwrap();
-    }
-
-    #[test]
-    fn counter_set_independent_counters() {
-        let set: CounterSet<Counter> = CounterSet::new(4);
-        set.increment(1, 5);
-        assert_eq!(set.get(0).debug_value(), 0);
-        assert_eq!(set.get(1).debug_value(), 5);
-        assert_eq!(set.len(), 4);
-        assert!(!set.is_empty());
-    }
-
-    #[test]
-    fn counter_set_check_pairs() {
-        let set: CounterSet<Counter> = CounterSet::new(2);
-        set.increment(0, 1);
-        set.increment(1, 1);
-        set.check_pairs(&[(0, 1), (1, 1)]);
-    }
-
-    #[test]
-    fn counter_set_indexing() {
-        let set: CounterSet<Counter> = CounterSet::new(2);
-        set[0].increment(7);
-        assert_eq!(set[0].debug_value(), 7);
-    }
-
-    #[test]
-    #[should_panic]
-    fn counter_set_out_of_bounds_panics() {
-        let set: CounterSet<Counter> = CounterSet::new(1);
-        set.check(3, 0);
-    }
-
-    #[test]
-    fn empty_set() {
-        let set: CounterSet<Counter> = CounterSet::new(0);
-        assert!(set.is_empty());
-        assert_eq!(set.iter().count(), 0);
     }
 }

@@ -7,18 +7,25 @@
 //! — poisons the counter, so the threads depending on the increment fail
 //! with a cause instead of hanging forever. This is the "who still owes
 //! counts" discipline of the CountDownLatch verification literature, checked
-//! at runtime instead of in a proof system.
+//! at runtime instead of in a proof system; a [`SupervisedObligation`] also
+//! keeps that ledger for the [`Supervisor`](crate::Supervisor).
 
 use crate::error::FailureInfo;
+use crate::supervisor::SupervisedCounter;
 use crate::traits::MonotonicCounter;
 use crate::Value;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// An RAII guard for the duty to increment a counter by a fixed amount.
 ///
-/// Created by [`CounterExt::obligation`](crate::CounterExt::obligation). On a
-/// normal drop the increment is delivered; on a drop during a panic unwind
-/// the counter is poisoned instead, with the owed amount recorded as level
-/// context. [`fulfill`](Self::fulfill) delivers early; [`abandon`](Self::abandon)
+/// `H` holds the counter: a reference from
+/// [`CounterExt::obligation`](crate::CounterExt::obligation), or an `Arc`
+/// from the supervisor ([`SupervisedObligation`]). On a normal drop the
+/// increment is delivered; on a drop during a panic unwind the counter is
+/// poisoned instead, with the owed amount recorded as level context.
+/// [`fulfill`](Self::fulfill) delivers early; [`abandon`](Self::abandon)
 /// poisons deliberately.
 ///
 /// # Example
@@ -32,17 +39,40 @@ use crate::Value;
 /// } // guard dropped normally: increment(2) delivered here
 /// c.check(2);
 /// ```
-pub struct Obligation<'c, C: MonotonicCounter + ?Sized> {
-    counter: &'c C,
-    /// Amount still owed; zero once fulfilled or abandoned.
+pub struct Obligation<H: Deref<Target: MonotonicCounter>> {
+    counter: H,
+    /// Amount still owed; zero once settled.
     owed: Value,
+    /// The amount counted in a supervisor's ledger, if supervised.
+    _ledger: Option<Ledger>,
+    /// Whether a drop during a panic rolls back instead of poisoning.
+    roll_back_on_unwind: bool,
 }
 
-impl<'c, C: MonotonicCounter + ?Sized> Obligation<'c, C> {
-    pub(crate) fn new(counter: &'c C, amount: Value) -> Self {
+/// An [`Obligation`] taken through a [`Supervisor`](crate::Supervisor):
+/// while it lives, its amount is counted in
+/// [`CounterReport::outstanding_obligations`](crate::CounterReport::outstanding_obligations).
+/// One from [`Supervisor::restartable_obligation`](crate::Supervisor::restartable_obligation)
+/// rolls back on an unwind instead of poisoning.
+pub type SupervisedObligation = Obligation<Arc<dyn SupervisedCounter>>;
+
+impl<H: Deref<Target: MonotonicCounter>> Obligation<H> {
+    /// Takes on `amount`, counted in `ledger` until the guard drops.
+    pub(crate) fn new(
+        counter: H,
+        amount: Value,
+        ledger: Option<&Arc<AtomicU64>>,
+        roll_back_on_unwind: bool,
+    ) -> Self {
+        let hold = |ledger: &Arc<AtomicU64>| {
+            ledger.fetch_add(amount, Ordering::Relaxed);
+            Ledger(Arc::clone(ledger), amount)
+        };
         Obligation {
             counter,
             owed: amount,
+            _ledger: ledger.map(hold),
+            roll_back_on_unwind,
         }
     }
 
@@ -51,7 +81,9 @@ impl<'c, C: MonotonicCounter + ?Sized> Obligation<'c, C> {
         self.owed
     }
 
-    /// Delivers the owed increment now, consuming the guard.
+    /// Delivers the owed increment now, consuming the guard. If the
+    /// delivery panics the amount is still owed, so the guard's drop in
+    /// that unwind poisons or rolls back.
     pub fn fulfill(mut self) {
         self.counter.increment(self.owed);
         self.owed = 0;
@@ -67,12 +99,24 @@ impl<'c, C: MonotonicCounter + ?Sized> Obligation<'c, C> {
     }
 }
 
-impl<C: MonotonicCounter + ?Sized> Drop for Obligation<'_, C> {
+impl SupervisedObligation {
+    /// Rolls the obligation back explicitly — ledger released, counter
+    /// untouched — consuming the guard. Useful when a worker sees its
+    /// supervision tree going down (`ResumeCtx::aborted` in mc-sthreads)
+    /// and hands its outstanding work back before returning normally.
+    pub fn rollback(mut self) {
+        self.owed = 0;
+    }
+}
+
+impl<H: Deref<Target: MonotonicCounter>> Drop for Obligation<H> {
     fn drop(&mut self) {
         if self.owed == 0 {
             return;
         }
-        if std::thread::panicking() {
+        if !std::thread::panicking() {
+            self.counter.increment(self.owed);
+        } else if !self.roll_back_on_unwind {
             // The panic payload is not reachable from Drop; supervised
             // execution (mc-sthreads) catches the panic and re-poisons with
             // the real payload — first-poison-wins makes that racy path
@@ -82,9 +126,21 @@ impl<C: MonotonicCounter + ?Sized> Drop for Obligation<'_, C> {
                 FailureInfo::new("increment obligation abandoned by panicking thread")
                     .with_level(self.owed),
             );
-        } else {
-            self.counter.increment(self.owed);
         }
+    }
+}
+
+/// An amount counted in a supervisor's ledger. As a field of its guard it
+/// is released after the guard settles, even if the delivery panics
+/// (overflow, a failed durable write), so value + outstanding never reads
+/// short of what is owed. `Release` pairs with the `Acquire` load of the
+/// supervisor's sampling pass: a sample that sees the amount gone also sees
+/// the increment delivered before it.
+struct Ledger(Arc<AtomicU64>, Value);
+
+impl Drop for Ledger {
+    fn drop(&mut self) {
+        self.0.fetch_sub(self.1, Ordering::Release);
     }
 }
 
@@ -129,6 +185,15 @@ mod tests {
         let info = c.poison_info().expect("unwind drop must poison");
         assert_eq!(info.level(), Some(7));
         assert!(info.message().contains("obligation abandoned"));
+    }
+
+    #[test]
+    fn fulfill_that_panics_settles_as_an_unwind() {
+        let c = Counter::builder().initial(u64::MAX - 1).build();
+        let ob = c.obligation(5);
+        assert!(catch_unwind(AssertUnwindSafe(|| ob.fulfill())).is_err());
+        let info = c.poison_info().expect("the undelivered amount poisons");
+        assert_eq!(info.level(), Some(5));
     }
 
     #[test]

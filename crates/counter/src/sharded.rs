@@ -20,10 +20,10 @@
 //! [`BTreeCounter`], so the read side is completely unchanged: a satisfied
 //! `check` is still a single `Acquire` load, and the suspend/wake slow path is
 //! that counter's Section 7 waitlist (one node per distinct level, satisfied
-//! nodes swept on publication), entered through the same sweep, suspend and
-//! poison steps. Only the write side changes: an increment lands in a
-//! striped cell and becomes *visible to checks* when a combiner publishes the
-//! accumulated deltas into the word.
+//! nodes swept on publication), entered through the same locked value
+//! change, suspend and poison steps. Only the write side changes: an
+//! increment lands in a striped cell and becomes *visible to checks* when a
+//! combiner publishes the accumulated deltas into the word.
 //!
 //! # Publication rules (the combiner)
 //!
@@ -98,7 +98,7 @@ use crate::fastpath::{FastAdvance, FastIncrement, FastWord};
 use crate::node::WaitNode;
 use crate::stats::{thread_slot, CachePadded, StatsSnapshot};
 use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, WaitingLevel};
-use crate::waitlist::{BTreeCounter, Inner, WaitMap};
+use crate::waitlist::{BTreeCounter, Change, Inner, WaitMap};
 use crate::Value;
 use mc_metrics::{Event, Histogram};
 use std::sync::atomic::{
@@ -305,9 +305,8 @@ impl ShardedCounter {
                 // lock so the sweep runs (`publish_locked` absorbs the
                 // saturation corner, so no error can surface here).
                 FastIncrement::Contended | FastIncrement::Overflow(_) => {
-                    let mut inner = self.core.enter();
-                    let satisfied = self.publish_locked(&mut inner, pending).1;
-                    self.core.release(inner, satisfied);
+                    let publish = |inner: &mut _| self.publish_locked(inner, pending).1;
+                    let _ = self.core.change(Change::Publish, publish);
                 }
             }
         }
@@ -319,10 +318,21 @@ impl ShardedCounter {
     /// so drain and publish under the lock, waking whoever the new value
     /// satisfies.
     fn flush_for_waiters(&self) {
-        let mut inner = self.core.enter();
+        let _ = self.change(Change::Publish);
+    }
+
+    /// The core's locked value change, with the cells drained and published
+    /// first, so `change` applies to the true value.
+    fn change(&self, change: Change) -> Result<(), CounterOverflowError> {
+        self.core
+            .change(change, |inner| self.publish_pending(inner))
+    }
+
+    /// Drains the cells and publishes them under the lock, returning the
+    /// swept nodes.
+    fn publish_pending(&self, inner: &mut Inner<WaitMap>) -> Vec<Arc<WaitNode>> {
         let pending = self.drain_cells();
-        let satisfied = self.publish_locked(&mut inner, pending).1;
-        self.core.release(inner, satisfied);
+        self.publish_locked(inner, pending).1
     }
 
     /// Grows the adaptive threshold after a flush no waiter was hurt by.
@@ -346,19 +356,7 @@ impl ShardedCounter {
     /// with exact overflow checking, sweeping and waking as one atomic step
     /// under the lock.
     fn raise(&self, amount: Value) -> Result<(), CounterOverflowError> {
-        let mut inner = self.core.enter();
-        let pending = self.drain_cells();
-        let mut satisfied = self.publish_locked(&mut inner, pending).1;
-        // The pending publication may have signalled waiters (already
-        // removed from the map), so the overflow arm must still notify
-        // them — an early `?` here would strand them in `Condvar::wait`.
-        let result = self.fast().locked_add(&mut inner.wide, amount);
-        if let Ok(new_value) = result {
-            inner.stats.increments += 1;
-            satisfied.append(&mut self.core.sweep(&mut inner, new_value));
-        }
-        self.core.release(inner, satisfied);
-        result.map(drop)
+        self.change(Change::Add(amount))
     }
 
     /// Registers the waiter bit, drains the cells (the fence pair with the
@@ -472,14 +470,7 @@ impl MonotonicCounter for ShardedCounter {
             FastAdvance::NoOp => return,
             FastAdvance::Contended => {}
         }
-        let mut inner = self.core.enter();
-        let pending = self.drain_cells();
-        let mut satisfied = self.publish_locked(&mut inner, pending).1;
-        if let Some(new_value) = fast.locked_advance(&mut inner.wide, target) {
-            inner.stats.increments += 1;
-            satisfied.append(&mut self.core.sweep(&mut inner, new_value));
-        }
-        self.core.release(inner, satisfied);
+        let _ = self.change(Change::AdvanceTo(target));
     }
 
     fn wait(&self, level: Value) -> Result<(), CheckError> {
@@ -500,10 +491,8 @@ impl MonotonicCounter for ShardedCounter {
         // Publish pending deltas first: waiters whose levels the true value
         // already satisfies wake successfully (satisfied-first semantics),
         // only genuinely unsatisfiable ones are poisoned.
-        self.core.poison_with(info, |inner| {
-            let pending = self.drain_cells();
-            self.publish_locked(inner, pending).1
-        });
+        self.core
+            .poison_with(info, |inner| self.publish_pending(inner));
     }
 
     fn poison_info(&self) -> Option<FailureInfo> {

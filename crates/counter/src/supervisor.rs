@@ -14,15 +14,13 @@
 
 use crate::builder::MetricsSink;
 use crate::error::FailureInfo;
+use crate::obligation::{Obligation, SupervisedObligation};
 use crate::traits::{CounterDiagnostics, HealthStatus, MonotonicCounter, WaitingLevel};
 use crate::{Counter, Value};
 use mc_metrics::{Event, Registry};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{
-    AtomicU64,
-    Ordering::{Acquire, Relaxed, Release},
-};
+use std::sync::atomic::{AtomicU64, Ordering::Acquire};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -597,9 +595,7 @@ impl Supervisor {
     ///
     /// Returns `None` when no live counter is registered under `name`.
     pub fn obligation(&self, name: &str, amount: Value) -> Option<SupervisedObligation> {
-        let entries = lock_recover(&self.shared.entries);
-        let mut named = entries.iter().filter(|e| e.name == name);
-        named.find_map(|e| SupervisedObligation::new(e, amount, Settle::Poison))
+        self.take_obligation(name, amount, false)
     }
 
     /// Like [`obligation`](Self::obligation), but the unwind-drop behavior
@@ -616,9 +612,20 @@ impl Supervisor {
         name: &str,
         amount: Value,
     ) -> Option<SupervisedObligation> {
+        self.take_obligation(name, amount, true)
+    }
+
+    fn take_obligation(
+        &self,
+        name: &str,
+        amount: Value,
+        rolls_back: bool,
+    ) -> Option<SupervisedObligation> {
         let entries = lock_recover(&self.shared.entries);
         let mut named = entries.iter().filter(|e| e.name == name);
-        named.find_map(|e| SupervisedObligation::new(e, amount, Settle::RollBack))
+        let (counter, e) = named.find_map(|e| Some((e.counter.upgrade()?, e)))?;
+        let ledger = Some(&e.obligations);
+        Some(Obligation::new(counter, amount, ledger, rolls_back))
     }
 
     /// Samples every live registered counter and classifies its stall state.
@@ -858,108 +865,6 @@ impl Supervisor {
     }
 }
 
-/// How a [`SupervisedObligation`] settles.
-#[derive(Clone, Copy)]
-enum Settle {
-    Deliver,
-    RollBack,
-    Poison,
-}
-
-/// A supervised increment obligation: the RAII contract of
-/// [`Obligation`](crate::Obligation) (deliver on normal drop), plus
-/// supervisor accounting — while the guard lives its amount is counted in
-/// [`CounterReport::outstanding_obligations`].
-///
-/// What an unwind-drop does is fixed when the guard is taken: one from
-/// [`Supervisor::obligation`] poisons the counter, and one from
-/// [`Supervisor::restartable_obligation`] **rolls back** — accounting
-/// released, counter untouched — so the supervision tree owning the worker
-/// either starts a replacement (which re-acquires the obligation) or
-/// escalates and poisons with the root cause itself.
-pub struct SupervisedObligation {
-    counter: Arc<dyn SupervisedCounter>,
-    tracker: Arc<AtomicU64>,
-    owed: Value,
-    on_unwind: Settle,
-}
-
-impl SupervisedObligation {
-    /// Takes on `amount` for `entry`'s counter, settling as `on_unwind` if
-    /// dropped during a panic; `None` when the counter is gone.
-    fn new(entry: &Entry, amount: Value, on_unwind: Settle) -> Option<Self> {
-        let counter = entry.counter.upgrade()?;
-        entry.obligations.fetch_add(amount, Relaxed);
-        Some(SupervisedObligation {
-            counter,
-            tracker: Arc::clone(&entry.obligations),
-            owed: amount,
-            on_unwind,
-        })
-    }
-
-    /// The amount this obligation will deliver.
-    pub fn owed(&self) -> Value {
-        self.owed
-    }
-
-    /// Delivers the owed increment now, consuming the guard.
-    pub fn fulfill(mut self) {
-        self.resolve(Settle::Deliver);
-    }
-
-    /// Rolls the obligation back explicitly — accounting released, counter
-    /// untouched — consuming the guard. Useful when a worker sees its
-    /// supervision tree going down (`ResumeCtx::aborted` in mc-sthreads)
-    /// and hands its outstanding work back before returning normally.
-    pub fn rollback(mut self) {
-        self.resolve(Settle::RollBack);
-    }
-
-    fn resolve(&mut self, how: Settle) {
-        if self.owed == 0 {
-            return;
-        }
-        let owed = self.owed;
-        self.owed = 0;
-        // Deliver before releasing the accounting, so value + outstanding
-        // never reads short of what is owed. The guard releases it even if
-        // the delivery panics (overflow, a failed durable write).
-        let _release = ReleaseOnDrop(&self.tracker, owed);
-        match how {
-            Settle::Deliver => self.counter.increment(owed),
-            Settle::RollBack => {}
-            Settle::Poison => self.counter.poison(
-                FailureInfo::new("increment obligation abandoned by panicking thread")
-                    .with_level(owed),
-            ),
-        }
-    }
-}
-
-/// Releases an obligation's amount from the supervisor's accounting when
-/// dropped. `Release` pairs with the `Acquire` load in
-/// [`Supervisor::sample`], so a sample that sees the amount gone also sees
-/// the increment delivered before it.
-struct ReleaseOnDrop<'a>(&'a AtomicU64, Value);
-
-impl Drop for ReleaseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(self.1, Release);
-    }
-}
-
-impl Drop for SupervisedObligation {
-    fn drop(&mut self) {
-        let panicking = std::thread::panicking();
-        self.resolve(if panicking {
-            self.on_unwind
-        } else {
-            Settle::Deliver
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1092,6 +997,17 @@ mod tests {
             0,
             "abandoned obligation must release its accounting"
         );
+    }
+
+    #[test]
+    fn ledger_is_released_when_delivery_panics() {
+        let sup = Supervisor::new();
+        let c = Arc::new(Counter::builder().initial(u64::MAX - 1).build());
+        sup.register("c", &c);
+        let ob = sup.obligation("c", 5).unwrap();
+        let delivery = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ob.fulfill()));
+        assert!(delivery.is_err(), "the delivery overflows");
+        assert_eq!(sup.diagnose().counters[0].outstanding_obligations, 0);
     }
 
     #[test]

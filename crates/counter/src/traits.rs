@@ -347,8 +347,8 @@ pub trait CounterExt: MonotonicCounter {
     /// **poisons** the counter when dropped during a panic unwind — so a
     /// crashing thread converts the hang it would have caused into a
     /// propagated failure.
-    fn obligation(&self, amount: Value) -> crate::Obligation<'_, Self> {
-        crate::Obligation::new(self, amount)
+    fn obligation(&self, amount: Value) -> crate::Obligation<&Self> {
+        crate::Obligation::new(self, amount, None, false)
     }
 }
 

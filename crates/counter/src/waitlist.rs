@@ -24,9 +24,9 @@
 //! Each queue fixes how its waiters wait ([`Wait`](queue::Wait)); poison,
 //! timeouts, statistics, the trace and diagnostics are this one type's, and
 //! the slow path records them under the lock that orders every change to
-//! the wait structure. The slow-path steps here (sweep, suspend, poison)
-//! also serve [`crate::ShardedCounter`], whose combiner publishes into a
-//! [`BTreeCounter`]'s word and waitlist.
+//! the wait structure. The slow-path steps here (the locked value change,
+//! suspend, poison) also serve [`crate::ShardedCounter`], whose combiner
+//! publishes into a [`BTreeCounter`]'s word and waitlist.
 
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
 use crate::error::{
@@ -297,6 +297,17 @@ impl Queue for WaitMap {
     }
 }
 
+/// What a [locked value change](WaitlistCounter::change) does after its
+/// publish hook.
+pub(crate) enum Change {
+    /// Adds the amount; the one change that can fail (overflow).
+    Add(Value),
+    /// Raises the value to the target, if it is below it.
+    AdvanceTo(Value),
+    /// Nothing: the hook's publication is the whole change.
+    Publish,
+}
+
 pub(crate) struct Inner<Q> {
     /// The exact value once the packed hint has saturated at
     /// [`FAST_CAP`]; stale (and unused) below that. See the `fastpath`
@@ -512,12 +523,37 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     /// it is inlined.
     #[cold]
     fn raise(&self, amount: Value) -> Result<(), CounterOverflowError> {
+        self.change(Change::Add(amount), |_| Vec::new())
+    }
+
+    /// The one locked value change, under [`enter`](Self::enter): `publish`
+    /// runs first, as in [`poison_with`](Self::poison_with), then `change`;
+    /// a moved value tallies one increment and is swept. Swept nodes are
+    /// woken even if the add overflows; a step that swept nothing and moved
+    /// nothing only unlocks.
+    pub(crate) fn change(
+        &self,
+        change: Change,
+        publish: impl FnOnce(&mut Inner<Q>) -> Vec<Arc<WaitNode>>,
+    ) -> Result<(), CounterOverflowError> {
         let mut inner = self.enter();
-        let new_value = self.fast.locked_add(&mut inner.wide, amount)?;
-        inner.stats.increments += 1;
-        let satisfied = self.sweep(&mut inner, new_value);
-        self.release(inner, satisfied);
-        Ok(())
+        let mut woken = publish(&mut inner);
+        let moved = match change {
+            Change::Add(amount) => self.fast.locked_add(&mut inner.wide, amount).map(Some),
+            Change::AdvanceTo(target) => Ok(self.fast.locked_advance(&mut inner.wide, target)),
+            Change::Publish => Ok(None),
+        };
+        if let Ok(Some(value)) = moved {
+            inner.stats.increments += 1;
+            // Keeps the sweep's vector: no allocation when the hook swept
+            // nothing.
+            let published = std::mem::replace(&mut woken, self.sweep(&mut inner, value));
+            woken.extend(published);
+        }
+        if matches!(moved, Ok(Some(_))) || !woken.is_empty() {
+            self.release(inner, woken);
+        }
+        moved.map(drop)
     }
 
     /// The one suspension path. Called with the lock held and the waiters
@@ -901,13 +937,7 @@ impl<Q: WaitQueue> MonotonicCounter for WaitlistCounter<Q> {
                 FastAdvance::Contended => {}
             }
         }
-        let mut inner = self.enter();
-        let Some(new_value) = self.fast.locked_advance(&mut inner.wide, target) else {
-            return;
-        };
-        inner.stats.increments += 1;
-        let satisfied = self.sweep(&mut inner, new_value);
-        self.release(inner, satisfied);
+        let _ = self.change(Change::AdvanceTo(target), |_| Vec::new());
     }
 
     fn wait(&self, level: Value) -> Result<(), CheckError> {

@@ -98,7 +98,7 @@ impl<T> Broadcast<T> {
     pub fn writer_with_block(&self, block: usize) -> BroadcastWriter<'_, T> {
         assert!(block > 0, "block size must be positive");
         assert!(
-            // lint:allow(raw-sync): one-shot writer-claim flag, ordering-insensitive
+            // lint:allow(raw-sync): one-shot writer-claim flag; carries no data
             !self.writer_claimed.swap(true, Ordering::SeqCst),
             "broadcast already has a writer"
         );
@@ -111,7 +111,7 @@ impl<T> Broadcast<T> {
     /// read after the claim is won.
     fn attach(&self, block: usize, restartable: bool) -> BroadcastWriter<'_, T> {
         assert!(
-            // lint:allow(raw-sync): one-shot liveness flag, ordering-insensitive
+            // lint:allow(raw-sync): liveness flag; acquires the last writer's Release
             !self.writer_attached.swap(true, Ordering::SeqCst),
             "broadcast already has a live writer"
         );
@@ -311,7 +311,8 @@ impl<T> Drop for BroadcastWriter<'_, T> {
         // already pushed are fully constructed, so the exact written prefix
         // is published even when the writer is unwinding.
         self.flush();
-        self.buffer.writer_attached.store(false, Ordering::Relaxed);
+        // lint:allow(raw-sync): Release, so the next writer's claim sees this flush
+        self.buffer.writer_attached.store(false, Ordering::Release);
         if self.restartable {
             // A successor may resume at `published()`; whether this death
             // becomes a poison is the supervisor's call, not ours.

@@ -12,7 +12,7 @@
 //! monotonic, the result is deterministic and equal to sequential execution
 //! in dependency order (Section 6 applied to the generated program).
 
-use mc_counter::{Counter, CounterSet};
+use mc_counter::{check_all, Counter, MonotonicCounter};
 use std::sync::OnceLock;
 
 /// Handle to a node added to a [`DataflowGraph`].
@@ -134,20 +134,18 @@ impl<T: Send + Sync> DataflowGraph<T> {
     /// [`NodeId::index`].
     pub fn run(&self) -> Vec<T> {
         let n = self.nodes.len();
-        let done: CounterSet<Counter> = CounterSet::new(n);
+        let done: Vec<Counter> = (0..n).map(|_| Counter::default()).collect();
         let results: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
         std::thread::scope(|scope| {
             for (i, node) in self.nodes.iter().enumerate() {
                 let (done, results) = (&done, &results);
                 scope.spawn(move || {
-                    for d in &node.deps {
-                        done.check(d.0, 1);
-                    }
+                    check_all(node.deps.iter().map(|d| (&done[d.0], 1)));
                     let value = Self::execute_node(node, results);
                     results[i]
                         .set(value)
                         .unwrap_or_else(|_| unreachable!("node {i} computed twice"));
-                    done.increment(i, 1);
+                    done[i].increment(1);
                 });
             }
         });

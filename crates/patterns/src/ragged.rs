@@ -8,7 +8,7 @@
 //! value **is** the thread's published progress.
 
 use mc_counter::{
-    CheckError, Counter, CounterDiagnostics, CounterExt, CounterSet, FailureInfo, MonotonicCounter,
+    check_all, CheckError, Counter, CounterDiagnostics, CounterExt, FailureInfo, MonotonicCounter,
     Obligation, Value,
 };
 
@@ -45,7 +45,7 @@ use mc_counter::{
 /// for i in 0..n { assert_eq!(rb.progress(i), 10); }
 /// ```
 pub struct RaggedBarrier<C: MonotonicCounter = Counter> {
-    counters: CounterSet<C>,
+    counters: Vec<C>,
 }
 
 impl RaggedBarrier<Counter> {
@@ -61,7 +61,7 @@ impl<C: MonotonicCounter + Default> RaggedBarrier<C> {
     /// implementation (for the ablation experiments).
     pub fn with_counter(participants: usize) -> Self {
         RaggedBarrier {
-            counters: CounterSet::new(participants),
+            counters: (0..participants).map(|_| C::default()).collect(),
         }
     }
 }
@@ -74,32 +74,32 @@ impl<C: MonotonicCounter> RaggedBarrier<C> {
 
     /// Publishes one step of progress for participant `i`.
     pub fn arrive(&self, i: usize) {
-        self.counters.increment(i, 1);
+        self.counters[i].increment(1);
     }
 
     /// Publishes `steps` steps at once — e.g. the paper's boundary cells,
     /// which never change, publish their entire lifetime of progress up
     /// front (`c[0].Increment(2*numSteps)`).
     pub fn arrive_many(&self, i: usize, steps: Value) {
-        self.counters.increment(i, steps);
+        self.counters[i].increment(steps);
     }
 
     /// Suspends until participant `i` has published at least `level` steps.
     pub fn wait(&self, i: usize, level: Value) {
-        self.counters.check(i, level);
+        self.counters[i].check(level);
     }
 
     /// Suspends until every `(participant, level)` dependency is satisfied.
     /// Correct as a conjunction because progress is monotonic.
     pub fn wait_all(&self, deps: &[(usize, Value)]) {
-        self.counters.check_pairs(deps);
+        check_all(deps.iter().map(|&(i, level)| (&self.counters[i], level)));
     }
 
     /// Like [`wait`](Self::wait), but returns [`CheckError::Poisoned`]
     /// instead of panicking when participant `i` fails before reaching
     /// `level`.
     pub fn try_wait(&self, i: usize, level: Value) -> Result<(), CheckError> {
-        self.counters.get(i).wait(level)
+        self.counters[i].wait(level)
     }
 
     /// Takes on the obligation for participant `i` to publish `steps` more
@@ -110,34 +110,34 @@ impl<C: MonotonicCounter> RaggedBarrier<C> {
     ///
     /// Typical use: a worker claims `obligation(i, steps_per_phase)` before
     /// entering a phase and lets the drop publish its arrival.
-    pub fn obligation(&self, i: usize, steps: Value) -> Obligation<'_, C> {
-        self.counters.get(i).obligation(steps)
+    pub fn obligation(&self, i: usize, steps: Value) -> Obligation<&C> {
+        self.counters[i].obligation(steps)
     }
 
     /// Marks participant `i` as failed, releasing every thread waiting on
     /// its progress with the given cause.
     pub fn fail(&self, i: usize, info: FailureInfo) {
-        self.counters.get(i).poison(info);
+        self.counters[i].poison(info);
     }
 
     /// Marks every participant as failed — for tearing down a stencil whose
     /// continuation is known to be impossible.
     pub fn fail_all(&self, info: FailureInfo) {
-        for i in 0..self.counters.len() {
-            self.counters.get(i).poison(info.clone());
+        for counter in &self.counters {
+            counter.poison(info.clone());
         }
     }
 
     /// The failure cause recorded for participant `i`, if any.
     pub fn failure(&self, i: usize) -> Option<FailureInfo> {
-        self.counters.get(i).poison_info()
+        self.counters[i].poison_info()
     }
 }
 
 impl<C: MonotonicCounter + CounterDiagnostics> RaggedBarrier<C> {
     /// Participant `i`'s published progress (diagnostics/tests only).
     pub fn progress(&self, i: usize) -> Value {
-        self.counters.get(i).debug_value()
+        self.counters[i].debug_value()
     }
 }
 

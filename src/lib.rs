@@ -73,10 +73,10 @@ pub mod prelude {
     pub use mc_chaos::{FailConfig, Failpoints};
     pub use mc_counter::{
         check_all, BTreeCounter, BuildConfig, Buildable, CheckError, CheckTimeoutError, Counter,
-        CounterBuilder, CounterDiagnostics, CounterExt, CounterOverflowError, CounterSet,
-        DynCounter, FailureInfo, HealthStatus, MeteredCounter, MetricsSink, MonotonicCounter,
-        NaiveCounter, Obligation, Resettable, ShardedCounter, SpinCounter, StallReport,
-        StallVerdict, StatsSnapshot, Supervisor, SupervisorConfig, TracingCounter, Value,
+        CounterBuilder, CounterDiagnostics, CounterExt, CounterOverflowError, DynCounter,
+        FailureInfo, HealthStatus, MeteredCounter, MetricsSink, MonotonicCounter, NaiveCounter,
+        Obligation, Resettable, ShardedCounter, SpinCounter, StallReport, StallVerdict,
+        StatsSnapshot, Supervisor, SupervisorConfig, TracingCounter, Value,
     };
     pub use mc_durable::{
         DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, RetryPolicy, WalError,

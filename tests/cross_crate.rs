@@ -146,7 +146,6 @@ fn prelude_surface() {
     let _b: BTreeCounter = BTreeCounter::default();
     let _sh: ShardedCounter = ShardedCounter::builder().shards(4).build();
     let _dyn: DynCounter = Arc::new(Counter::builder().build());
-    let _set: CounterSet<Counter> = CounterSet::new(2);
     let _bar = Barrier::new(1);
     let _ev = Event::new();
     let _rb = RaggedBarrier::new(1);
