@@ -150,8 +150,7 @@ pub use obligation::{Obligation, SupervisedObligation};
 pub use sharded::ShardedCounter;
 pub use stats::StatsSnapshot;
 pub use supervisor::{
-    CounterRecovery, CounterReport, RecoveredCounter, RecoveryReport, StallReport, StallVerdict,
-    SupervisedCounter, Supervisor, SupervisorConfig,
+    CounterReport, StallReport, StallVerdict, SupervisedCounter, Supervisor, SupervisorConfig,
 };
 pub use trace::{CounterSnapshot, NodeSnapshot, Traced, TracingCounter};
 pub use traits::{

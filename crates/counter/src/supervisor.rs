@@ -232,105 +232,6 @@ impl fmt::Display for StallReport {
     }
 }
 
-/// The outcome of recovering one durable counter from its on-disk state.
-///
-/// Produced by the durability layer (`mc-durable`) and collected by the
-/// supervisor via [`Supervisor::note_recovery`] into a [`RecoveryReport`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CounterRecovery {
-    /// The value the counter was restored to.
-    pub value: Value,
-    /// How many intact log records were replayed (on top of any snapshot).
-    pub records_replayed: u64,
-    /// Bytes discarded from a torn log tail (zero for a clean shutdown).
-    pub tail_bytes_discarded: u64,
-    /// Whether a persisted poison state was restored.
-    pub poison_restored: bool,
-}
-
-/// One named entry in a [`RecoveryReport`].
-#[derive(Debug, Clone)]
-pub struct RecoveredCounter {
-    /// The name the counter was recovered (and registered) under.
-    pub name: String,
-    /// The per-counter recovery outcome.
-    pub recovery: CounterRecovery,
-}
-
-/// Aggregate crash-recovery summary over every counter whose recovery was
-/// reported to this supervisor ([`Supervisor::note_recovery`]).
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryReport {
-    /// One entry per reported recovery, in reporting order.
-    pub counters: Vec<RecoveredCounter>,
-}
-
-impl RecoveryReport {
-    /// How many counters were recovered.
-    pub fn counters_recovered(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Total log records replayed across all recoveries.
-    pub fn records_replayed(&self) -> u64 {
-        self.counters
-            .iter()
-            .map(|c| c.recovery.records_replayed)
-            .sum()
-    }
-
-    /// Total torn-tail bytes discarded across all recoveries.
-    pub fn tail_bytes_discarded(&self) -> u64 {
-        self.counters
-            .iter()
-            .map(|c| c.recovery.tail_bytes_discarded)
-            .sum()
-    }
-
-    /// How many recoveries restored a persisted poison state.
-    pub fn poison_restored(&self) -> usize {
-        self.counters
-            .iter()
-            .filter(|c| c.recovery.poison_restored)
-            .count()
-    }
-
-    /// Whether any recovery has been reported.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-}
-
-impl fmt::Display for RecoveryReport {
-    /// One log-friendly line: aggregate totals followed by each counter's
-    /// summary, `|`-separated.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "recovery report: {} counter(s), {} record(s) replayed, {} torn byte(s) discarded",
-            self.counters_recovered(),
-            self.records_replayed(),
-            self.tail_bytes_discarded()
-        )?;
-        for c in &self.counters {
-            write!(
-                f,
-                " | '{}': value {}, {} replayed, {} discarded{}",
-                c.name,
-                c.recovery.value,
-                c.recovery.records_replayed,
-                c.recovery.tail_bytes_discarded,
-                if c.recovery.poison_restored {
-                    ", poison restored"
-                } else {
-                    ""
-                }
-            )?;
-        }
-        Ok(())
-    }
-}
-
 /// One registration. A counter may be registered under several names, and
 /// several counters under one name: no pass looks a counter up by name.
 #[derive(Clone)]
@@ -419,7 +320,6 @@ impl SupervisorMetrics {
 struct Shared {
     entries: Mutex<Vec<Entry>>,
     last_report: Mutex<Option<StallReport>>,
-    recoveries: Mutex<RecoveryReport>,
     config: SupervisorConfig,
     /// Observability hooks, attached (at most once) via
     /// [`Supervisor::attach_metrics`]. `None` — the default — records
@@ -501,7 +401,6 @@ impl Supervisor {
             shared: Arc::new(Shared {
                 entries: Mutex::new(Vec::new()),
                 last_report: Mutex::new(None),
-                recoveries: Mutex::new(RecoveryReport::default()),
                 config,
                 metrics: Mutex::new(None),
             }),
@@ -702,10 +601,8 @@ impl Supervisor {
     }
 
     /// Poisons every live registered counter with `info`. Used by deadline
-    /// supervision ([`run_with_deadline`]) to unblock and terminate a stuck
-    /// program's threads.
-    ///
-    /// [`run_with_deadline`]: https://docs.rs/mc-sthreads
+    /// supervision (`mc_sthreads::run_with_deadline`) to unblock and
+    /// terminate a stuck program's threads.
     pub fn poison_all(&self, info: FailureInfo) {
         Self::poison(&self.shared, &Self::sample(&self.shared), |_| {
             Some(info.clone())
@@ -796,25 +693,6 @@ impl Supervisor {
             stop,
             thread: Some(handle),
         });
-    }
-
-    /// Records the outcome of recovering a durable counter (normally called
-    /// by the durability layer right after `recover`/`open`). Accumulated
-    /// into [`recovery_report`](Self::recovery_report).
-    pub fn note_recovery(&self, name: impl Into<String>, recovery: CounterRecovery) {
-        lock_recover(&self.shared.recoveries)
-            .counters
-            .push(RecoveredCounter {
-                name: name.into(),
-                recovery,
-            });
-    }
-
-    /// The accumulated crash-recovery summary: every recovery reported via
-    /// [`note_recovery`](Self::note_recovery) since this supervisor was
-    /// created.
-    pub fn recovery_report(&self) -> RecoveryReport {
-        lock_recover(&self.shared.recoveries).clone()
     }
 
     /// One watch-thread sample: diagnose, enforce the degrade deadline,
@@ -1164,40 +1042,6 @@ mod tests {
         for h in waiters {
             assert!(matches!(h.join().unwrap(), Err(CheckError::Poisoned(_))));
         }
-    }
-
-    #[test]
-    fn recovery_report_accumulates_and_displays() {
-        let sup = Supervisor::new();
-        assert!(sup.recovery_report().is_empty());
-        sup.note_recovery(
-            "jobs",
-            CounterRecovery {
-                value: 41,
-                records_replayed: 7,
-                tail_bytes_discarded: 13,
-                poison_restored: false,
-            },
-        );
-        sup.clone().note_recovery(
-            "stage",
-            CounterRecovery {
-                value: 5,
-                records_replayed: 2,
-                tail_bytes_discarded: 0,
-                poison_restored: true,
-            },
-        );
-        let report = sup.recovery_report();
-        assert_eq!(report.counters_recovered(), 2);
-        assert_eq!(report.records_replayed(), 9);
-        assert_eq!(report.tail_bytes_discarded(), 13);
-        assert_eq!(report.poison_restored(), 1);
-        let shown = report.to_string();
-        assert!(
-            shown.contains("'jobs'") && shown.contains("poison restored"),
-            "got: {shown}"
-        );
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! * `durable` — advanced by the flusher to the last acknowledged-durable
 //!   value; a strict-mode writer `wait`s on it for its target value, so one
 //!   fsync acknowledges every increment that enqueued before it (group
-//!   commit).
+//!   commit). Strict writers never touch the inner counter: the flusher
+//!   applies what it logged, advancing the inner counter to each committed
+//!   value before `durable`, so a woken writer finds its value already
+//!   applied and, while healthy, memory never outruns the log.
 //! * `poisons_synced` — reaches 1 when the counter's one poison cause is
 //!   durable, so `poison` returns only after its cause is durable in
 //!   **both** modes.
@@ -80,7 +83,7 @@
 //! poisons the counter with the cause.
 
 use crate::frame::WalRecord;
-use crate::recover::{recover_dir, write_snapshot, WAL_FILE};
+use crate::recover::{recover_dir, write_snapshot, CounterRecovery, WAL_FILE};
 use crate::retry::{with_retry, JitterRng};
 use crate::wal::{
     wal_factory_from_env, FailpointWal, WalError, WalFactory, WalFile, SITE_WAL_OPEN,
@@ -88,9 +91,8 @@ use crate::wal::{
 use crate::RetryPolicy;
 use mc_chaos::Failpoints;
 use mc_counter::{
-    CheckError, Counter, CounterDiagnostics, CounterOverflowError, CounterRecovery, FailureInfo,
-    HealthStatus, MetricsSink, MonotonicCounter, ResumableCounter, StatsSnapshot, Supervisor,
-    Value, WaitingLevel,
+    CheckError, Counter, CounterDiagnostics, CounterOverflowError, FailureInfo, HealthStatus,
+    MetricsSink, MonotonicCounter, ResumableCounter, StatsSnapshot, Value, WaitingLevel,
 };
 use mc_metrics::{Event, Histogram};
 use std::path::{Path, PathBuf};
@@ -102,9 +104,10 @@ use std::time::{Duration, Instant};
 /// When a durable counter acknowledges an increment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurabilityMode {
-    /// `increment` returns only after the increment is fsync-durable, and
-    /// the in-memory value (what waiters observe) is applied *after*
-    /// durability — an acked level can never outrun the log. Concurrent
+    /// `increment` returns only after the increment is fsync-durable. The
+    /// flusher applies what it logged: it advances the in-memory value
+    /// (what waiters observe) to each fsynced value before acknowledging
+    /// it, so while healthy memory never outruns the log. Concurrent
     /// increments share one fsync (group commit).
     Strict,
     /// `increment` applies in memory and returns immediately; the flusher
@@ -357,12 +360,12 @@ impl Shared {
         }
     }
 
-    /// Raises the strict-mode target to at least `target`; returns the
-    /// effective target.
+    /// Raises the strict-mode target to at least `target`; returns
+    /// `target`, the value the caller waits for.
     fn enqueue_to(&self, target: Value) -> Value {
-        let prev = self.enqueued.fetch_max(target, SeqCst);
+        self.enqueued.fetch_max(target, SeqCst);
         self.enqueues.increment(1);
-        prev.max(target)
+        target
     }
 
     /// The value the flusher should make durable right now.
@@ -545,11 +548,23 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         }
     }
 
+    /// Strict mode: applies `value`, which the flusher is about to
+    /// acknowledge, to the inner counter, so a woken writer finds its value
+    /// already applied. Batched writers apply their own increments and the
+    /// log trails memory, so there is nothing to apply (and a no-op
+    /// `advance_to` would count a slow-path entry while waiters are parked).
+    fn apply(&self, value: Value) {
+        if self.shared.mode == DurabilityMode::Strict {
+            self.inner.advance_to(value);
+        }
+    }
+
     /// The one post-fsync step: `batch` is durable after the log's first
     /// `base_len` bytes, and its append and fsync took `took`. Publishes
     /// last: the disk watermark first (so [`DurableCounter::sync`]'s
-    /// post-wait check is never falsely degraded), then the
-    /// acknowledgement counter, then the cause's acknowledgement.
+    /// post-wait check is never falsely degraded), then the logged value in
+    /// memory, then the acknowledgement counter, then the cause's
+    /// acknowledgement.
     fn commit(&mut self, batch: &Batch, base_len: u64, took: Duration) {
         if let Some(m) = self.metrics.as_ref() {
             m.fsync_ns.record_duration(took);
@@ -564,6 +579,7 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         self.shared.fsyncs.fetch_add(1, SeqCst);
         self.shared.records_logged.fetch_add(batch.records, SeqCst);
         self.shared.disk_durable.fetch_max(batch.value, SeqCst);
+        self.apply(batch.value);
         self.shared.durable.advance_to(batch.value);
         if batch.logs_cause {
             self.shared.cause_logged.store(true, SeqCst);
@@ -720,6 +736,7 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         let target = self.shared.flush_target(&*self.inner);
         let disk = self.shared.disk_durable.load(SeqCst);
         let capped = target.min(disk.saturating_add(self.replay_budget));
+        self.apply(capped);
         self.shared.durable.advance_to(capped);
     }
 
@@ -879,23 +896,6 @@ where
             recovery,
         ))
     }
-
-    /// [`open_with`](Self::open_with), plus supervisor integration: the
-    /// recovered counter is registered under `name` and its
-    /// [`CounterRecovery`] reported via [`Supervisor::note_recovery`], so it
-    /// shows up in [`Supervisor::recovery_report`].
-    pub fn open_supervised(
-        dir: impl AsRef<Path>,
-        options: DurableOptions,
-        supervisor: &Supervisor,
-        name: &str,
-    ) -> Result<(Arc<Self>, CounterRecovery), WalError> {
-        let (counter, recovery) = Self::open_with(dir, options)?;
-        let counter = Arc::new(counter);
-        supervisor.register(name, &counter);
-        supervisor.note_recovery(name, recovery.clone());
-        Ok((counter, recovery))
-    }
 }
 
 impl<C: MonotonicCounter + CounterDiagnostics> DurableCounter<C> {
@@ -972,7 +972,11 @@ impl<C: MonotonicCounter + CounterDiagnostics> DurableCounter<C> {
         }
     }
 
+    /// Strict mode: signals the flusher for the enqueued `target` and waits
+    /// until it is acknowledged, which the flusher does only after applying
+    /// it to the inner counter.
     fn ack_durable(&self, target: Value) {
+        self.shared.signal();
         if let Err(CheckError::Poisoned(info)) = self.shared.durable.wait(target) {
             // The WAL is wedged (or the counter was poisoned while its
             // backlog was still memory-only): make the failure visible on
@@ -985,26 +989,8 @@ impl<C: MonotonicCounter + CounterDiagnostics> DurableCounter<C> {
 
 impl<C: MonotonicCounter + CounterDiagnostics> MonotonicCounter for DurableCounter<C> {
     fn increment(&self, amount: Value) {
-        if amount == 0 {
-            return;
-        }
-        match self.shared.mode {
-            DurabilityMode::Strict => {
-                let target = match self.shared.enqueue(amount) {
-                    Ok(t) => t,
-                    Err(e) => panic!("monotonic counter overflow: {e}"),
-                };
-                self.shared.signal();
-                self.ack_durable(target);
-                // Applied only after durability: a level observed satisfied
-                // can never be lost to a crash.
-                self.inner.increment(amount);
-            }
-            DurabilityMode::Batched => {
-                self.inner.increment(amount);
-                self.shared.signal();
-            }
-        }
+        self.try_increment(amount)
+            .unwrap_or_else(|e| panic!("monotonic counter overflow: {e}"));
     }
 
     fn try_increment(&self, amount: Value) -> Result<(), CounterOverflowError> {
@@ -1012,19 +998,13 @@ impl<C: MonotonicCounter + CounterDiagnostics> MonotonicCounter for DurableCount
             return Ok(());
         }
         match self.shared.mode {
-            DurabilityMode::Strict => {
-                let target = self.shared.enqueue(amount)?;
-                self.shared.signal();
-                self.ack_durable(target);
-                self.inner.increment(amount);
-                Ok(())
-            }
+            DurabilityMode::Strict => self.ack_durable(self.shared.enqueue(amount)?),
             DurabilityMode::Batched => {
                 self.inner.try_increment(amount)?;
                 self.shared.signal();
-                Ok(())
             }
         }
+        Ok(())
     }
 
     fn wait(&self, level: Value) -> Result<(), CheckError> {
@@ -1056,12 +1036,7 @@ impl<C: MonotonicCounter + CounterDiagnostics> MonotonicCounter for DurableCount
 
     fn advance_to(&self, target: Value) {
         match self.shared.mode {
-            DurabilityMode::Strict => {
-                let target = self.shared.enqueue_to(target);
-                self.shared.signal();
-                self.ack_durable(target);
-                self.inner.advance_to(target);
-            }
+            DurabilityMode::Strict => self.ack_durable(self.shared.enqueue_to(target)),
             DurabilityMode::Batched => {
                 self.inner.advance_to(target);
                 self.shared.signal();
@@ -1226,6 +1201,52 @@ mod tests {
         assert!(lone.holds <= 2, "{lone:?}");
         drop(c);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn strict_advance_racing_increments_never_outruns_the_log() {
+        // `increment` and `advance_to` do not commute, so writers that
+        // applied their own effects in wake-up order rather than log order
+        // could leave memory one above the log. Only the flusher applies,
+        // and only what it logged, so memory is what a reopen recovers.
+        const CALLS: u64 = 200;
+        for round in 0..5 {
+            let dir = test_dir(&format!("advance-race-{round}"));
+            let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
+            let gate = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    gate.wait();
+                    for _ in 0..CALLS {
+                        let before = c.debug_value();
+                        c.increment(1);
+                        assert!(c.debug_value() > before, "round {round}: increment unseen");
+                    }
+                });
+                s.spawn(|| {
+                    gate.wait();
+                    for _ in 0..CALLS {
+                        c.advance_to(1);
+                        assert!(c.debug_value() >= 1, "round {round}: advance unseen");
+                    }
+                });
+            });
+            let (value, logged) = (c.debug_value(), c.durable_value());
+            assert!(
+                value <= logged,
+                "round {round}: memory {value} > log {logged}"
+            );
+            // 201 when an `advance_to(1)` landed before the first increment.
+            assert!(
+                value == CALLS || value == CALLS + 1,
+                "round {round}: {value}"
+            );
+            drop(c);
+            let (c, recovery) = DurableCounter::<Counter>::open(&dir).unwrap();
+            assert_eq!(recovery.value, value, "round {round}");
+            drop(c);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     fn degrade_options(fp: &Arc<Failpoints>) -> DurableOptions {

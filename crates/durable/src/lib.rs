@@ -20,7 +20,11 @@
 //! * in [batched mode](DurabilityMode::Batched) the flusher can read the
 //!   live counter value directly: every snapshot of a monotone value is a
 //!   valid durable point, so an increment costs the in-memory fast path
-//!   plus one atomic load.
+//!   plus one atomic load;
+//! * in [strict mode](DurabilityMode::Strict) the flusher applies what it
+//!   logged: it advances the in-memory counter to each fsynced absolute
+//!   value before acknowledging the writers it covers, whatever order they
+//!   wake in, so while healthy memory never outruns the log.
 //!
 //! ## Quickstart
 //!
@@ -56,9 +60,9 @@ pub use frame::{
     crc32, read_frame, write_frame, FrameRead, WalRecord, FRAME_HEADER, MAX_FRAME_LEN,
 };
 pub use recover::{
-    SITE_RECOVER_READ_SNAPSHOT, SITE_RECOVER_READ_WAL, SITE_RECOVER_TRUNCATE, SITE_SNAPSHOT_CREATE,
-    SITE_SNAPSHOT_DIRSYNC, SITE_SNAPSHOT_FSYNC, SITE_SNAPSHOT_RENAME, SITE_SNAPSHOT_WRITE,
-    SNAPSHOT_FILE, WAL_FILE,
+    CounterRecovery, SITE_RECOVER_READ_SNAPSHOT, SITE_RECOVER_READ_WAL, SITE_RECOVER_TRUNCATE,
+    SITE_SNAPSHOT_CREATE, SITE_SNAPSHOT_DIRSYNC, SITE_SNAPSHOT_FSYNC, SITE_SNAPSHOT_RENAME,
+    SITE_SNAPSHOT_WRITE, SNAPSHOT_FILE, WAL_FILE,
 };
 pub use retry::RetryPolicy;
 pub use wal::{
@@ -79,9 +83,7 @@ pub(crate) fn test_dir(tag: &str) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_counter::{
-        Counter, CounterDiagnostics, FailureInfo, MonotonicCounter, NaiveCounter, Supervisor,
-    };
+    use mc_counter::{Counter, CounterDiagnostics, FailureInfo, MonotonicCounter, NaiveCounter};
 
     #[test]
     fn strict_increments_survive_reopen() {
@@ -251,31 +253,6 @@ mod tests {
         }
         let (c, rec) = DurableCounter::<NaiveCounter>::open(&dir).unwrap();
         assert_eq!(rec.value, 5);
-        drop(c);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn open_supervised_reports_recovery() {
-        let dir = test_dir("supervised");
-        {
-            let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
-            c.increment(9);
-        }
-        let sup = Supervisor::new();
-        let (c, _) = DurableCounter::<Counter>::open_supervised(
-            &dir,
-            DurableOptions::default(),
-            &sup,
-            "jobs",
-        )
-        .unwrap();
-        let report = sup.recovery_report();
-        assert_eq!(report.counters_recovered(), 1);
-        assert_eq!(report.counters[0].name, "jobs");
-        assert_eq!(report.counters[0].recovery.value, 9);
-        // And it is registered for stall diagnostics like any counter.
-        assert_eq!(sup.diagnose().counters[0].value, 9);
         drop(c);
         std::fs::remove_dir_all(&dir).unwrap();
     }

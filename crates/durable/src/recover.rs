@@ -34,6 +34,21 @@ pub const SITE_RECOVER_READ_WAL: &str = "recover.read.wal";
 /// Failpoint site hit before physically truncating a torn log tail.
 pub const SITE_RECOVER_TRUNCATE: &str = "recover.truncate";
 
+/// The outcome of recovering one durable counter from its on-disk state,
+/// returned by [`DurableCounter::open`](crate::DurableCounter::open) and
+/// its variants.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CounterRecovery {
+    /// The value the counter was restored to.
+    pub value: Value,
+    /// How many intact log records were replayed (on top of any snapshot).
+    pub records_replayed: u64,
+    /// Bytes discarded from a torn log tail (zero for a clean shutdown).
+    pub tail_bytes_discarded: u64,
+    /// Whether a persisted poison state was restored.
+    pub poison_restored: bool,
+}
+
 /// The state recovered from a durable counter's directory.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RecoveredState {

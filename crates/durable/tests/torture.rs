@@ -382,8 +382,9 @@ fn supervisor_force_poisons_counter_degraded_past_deadline() {
         degrade_deadline: Some(Duration::from_millis(40)),
     });
     let (counter, _) =
-        DurableCounter::<Counter>::open_supervised(&dir, torture_options(&fp), &sup, "outage")
-            .expect("open");
+        DurableCounter::<Counter>::open_with(&dir, torture_options(&fp)).expect("open");
+    let counter = Arc::new(counter);
+    sup.register("outage", &counter);
 
     // A disk that never comes back: every fsync and every reopen fails.
     fp.arm(

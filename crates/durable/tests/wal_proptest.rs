@@ -63,7 +63,7 @@ fn verified_records(bytes: &[u8]) -> Vec<WalRecord> {
     out
 }
 
-fn recover(dir: &PathBuf) -> mc_counter::CounterRecovery {
+fn recover(dir: &PathBuf) -> mc_durable::CounterRecovery {
     let (counter, recovery) =
         DurableCounter::<Counter>::open(dir).expect("recovery must not error on log damage");
     assert_eq!(counter.debug_value(), recovery.value);

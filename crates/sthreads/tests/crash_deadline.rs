@@ -11,9 +11,10 @@
 
 use mc_chaos::crash_harness::{self, CrashScenario};
 use mc_counter::{CheckError, FailureInfo, MonotonicCounter};
-use mc_durable::{DurableCounter, DurableOptions};
+use mc_durable::DurableCounter;
 use mc_sthreads::run_with_deadline;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -66,13 +67,10 @@ fn deadline_poisons_recovered_counter_and_persists() {
 
     let program_dir = dir.clone();
     let result = run_with_deadline(Duration::from_millis(200), move |supervisor| {
-        let (counter, recovery) = DurableCounter::<mc_counter::Counter>::open_supervised(
-            &program_dir,
-            DurableOptions::default(),
-            supervisor,
-            "recovered",
-        )
-        .expect("recover under supervision");
+        let (counter, recovery) = DurableCounter::<mc_counter::Counter>::open(&program_dir)
+            .expect("recover under supervision");
+        let counter = Arc::new(counter);
+        supervisor.register("recovered", &counter);
         assert!(recovery.value >= 4, "acked increments must survive");
         // Nothing ever advances the counter again: without the watchdog
         // this wait would hang forever.
@@ -110,13 +108,10 @@ fn recovered_poison_fails_fast_under_deadline() {
     let program_dir = dir.clone();
     // Generous deadline: the point is that the program does NOT need it.
     let result = run_with_deadline(Duration::from_secs(10), move |supervisor| {
-        let (counter, recovery) = DurableCounter::<mc_counter::Counter>::open_supervised(
-            &program_dir,
-            DurableOptions::default(),
-            supervisor,
-            "poisoned",
-        )
-        .expect("recover under supervision");
+        let (counter, recovery) = DurableCounter::<mc_counter::Counter>::open(&program_dir)
+            .expect("recover under supervision");
+        let counter = Arc::new(counter);
+        supervisor.register("poisoned", &counter);
         assert!(recovery.poison_restored);
         counter.wait(recovery.value + 1)
     });

@@ -121,14 +121,11 @@ fn main() {
         },
     )
     .expect("reopen");
-    println!("restart:  recovered value {}", recovery.value);
+    println!(
+        "restart:  recovered value {}, {} record(s) replayed, {} torn byte(s) discarded",
+        recovery.value, recovery.records_replayed, recovery.tail_bytes_discarded
+    );
     assert_eq!(recovery.value, 20);
-    // Recovery outcomes accumulate on a supervisor and render as one
-    // log-friendly line (the same Display the watch thread's stall reports
-    // use) — no Debug dumps in operational logs.
-    let supervisor = Supervisor::new();
-    supervisor.note_recovery("outage-survivor", recovery);
-    println!("summary:  {}", supervisor.recovery_report());
     drop(counter);
     let _ = std::fs::remove_dir_all(&dir);
 }
