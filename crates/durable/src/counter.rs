@@ -899,9 +899,19 @@ where
 }
 
 impl<C: MonotonicCounter + CounterDiagnostics> DurableCounter<C> {
-    /// The wrapped in-memory counter.
-    pub fn inner(&self) -> &C {
-        &self.inner
+    /// The wrapped in-memory counter, read-only: its value, statistics and
+    /// waiters. Only the durable counter changes it, so it cannot move
+    /// ahead of the log:
+    ///
+    /// ```compile_fail,E0599
+    /// use mc_counter::{Counter, MonotonicCounter};
+    /// use mc_durable::DurableCounter;
+    ///
+    /// let (counter, _) = DurableCounter::<Counter>::open("counter-dir").unwrap();
+    /// counter.inner().increment(1);
+    /// ```
+    pub fn inner(&self) -> &impl CounterDiagnostics {
+        &*self.inner
     }
 
     /// Durability-layer statistics: fsync rounds, records logged,

@@ -264,17 +264,55 @@ mod tests {
             let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
             c.increment(6);
         }
-        // Tear the log: append garbage that is not a valid frame.
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join(WAL_FILE))
-            .unwrap();
+        // Tear the log: garbage that is not a valid frame, written right
+        // after its one frame, inside the reserve.
+        use std::io::{Seek, SeekFrom, Write};
+        let path = dir.join(WAL_FILE);
+        let log_len = WalRecord::Advance { seq: 0, value: 6 }
+            .encode_framed()
+            .len() as u64;
+        let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.seek(SeekFrom::Start(log_len)).unwrap();
         f.write_all(&[0xDE, 0xAD, 0xBE]).unwrap();
         drop(f);
+        let file_len = std::fs::metadata(&path).unwrap().len();
         let (c, rec) = DurableCounter::<Counter>::open(&dir).unwrap();
         assert_eq!(rec.value, 6);
-        assert_eq!(rec.tail_bytes_discarded, 3);
+        // The torn tail runs from the garbage to the end of the file.
+        assert_eq!(rec.tail_bytes_discarded, file_len - log_len);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), log_len);
+        drop(c);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopened_log_appends_after_its_last_frame_not_its_reserve() {
+        let dir = test_dir("reserve-reopen");
+        {
+            let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
+            for _ in 0..3 {
+                c.increment(2);
+            }
+        }
+        let path = dir.join(WAL_FILE);
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        {
+            let (c, rec) = DurableCounter::<Counter>::open(&dir).unwrap();
+            assert_eq!((rec.value, rec.records_replayed), (6, 3));
+            assert_eq!(rec.tail_bytes_discarded, 0, "a reserve is not a torn tail");
+            assert!(
+                std::fs::metadata(&path).unwrap().len() < file_len,
+                "recovery cuts the reserve off"
+            );
+            for _ in 0..4 {
+                c.increment(1);
+            }
+        }
+        // Appended after the reserve, the new frames would sit behind a
+        // zero header and be discarded as a torn tail.
+        let (c, rec) = DurableCounter::<Counter>::open(&dir).unwrap();
+        assert_eq!((rec.value, rec.records_replayed), (10, 7));
+        assert_eq!(rec.tail_bytes_discarded, 0);
         drop(c);
         std::fs::remove_dir_all(&dir).unwrap();
     }

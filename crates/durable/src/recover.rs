@@ -2,7 +2,9 @@
 //! prefix over the snapshot baseline, truncate the torn tail, restore
 //! value and poison state.
 
-use crate::frame::{decode_poison, encode_poison, read_frame, write_frame, FrameRead, WalRecord};
+use crate::frame::{
+    decode_poison, encode_poison, read_frame, write_frame, FrameRead, WalRecord, FRAME_HEADER,
+};
 use crate::wal::WalError;
 use mc_chaos::Failpoints;
 use mc_counter::{FailureInfo, Value};
@@ -43,7 +45,10 @@ pub struct CounterRecovery {
     pub value: Value,
     /// How many intact log records were replayed (on top of any snapshot).
     pub records_replayed: u64,
-    /// Bytes discarded from a torn log tail (zero for a clean shutdown).
+    /// Bytes discarded from a torn log tail: everything from the first
+    /// frame that does not verify to the end of the file. Zero for a clean
+    /// shutdown, and for a log that ends in [`FsWal`](crate::FsWal)'s
+    /// reserve of zeros, which recovery cuts off but does not count.
     pub tail_bytes_discarded: u64,
     /// Whether a persisted poison state was restored.
     pub poison_restored: bool,
@@ -157,12 +162,23 @@ pub(crate) fn write_snapshot(
 }
 
 /// Recovers a durable counter's directory: loads the snapshot (if any),
-/// replays every verified log record, truncates the torn tail at the first
-/// bad frame, and returns the reconstructed state.
+/// replays every verified log record, cuts the file back to the last of
+/// them, and returns the reconstructed state.
 ///
 /// Replay is the running **maximum** over absolute-value records, so it is
 /// idempotent: records covered by both the snapshot and the log (a crash
 /// between snapshot rename and log truncation) cannot inflate the value.
+///
+/// The log ends at the first frame that does not verify and decode. What
+/// follows is either [`FsWal`](crate::FsWal)'s reserve or a torn tail. A
+/// zero frame header where a record is due, with zeros to the end of the
+/// file, is the reserve: no record encodes to an empty payload, so a WAL
+/// frame header is never zero. It is cut off without an fsync (a crash
+/// before the next sync leaves a reserve, which recovers the same way) and
+/// not counted as discarded. Any other tail is torn: it is counted in
+/// `tail_bytes_discarded`, truncated and fsynced. The rule lives here, not
+/// in [`read_frame`]: a checkpoint file's frames may carry an empty item,
+/// whose frame header is zero.
 pub(crate) fn recover_dir(dir: &Path, fp: &Failpoints) -> Result<RecoveredState, WalError> {
     fs::create_dir_all(dir)?;
     // A leftover temp snapshot is an aborted snapshot write: discard.
@@ -222,14 +238,20 @@ pub(crate) fn recover_dir(dir: &Path, fp: &Failpoints) -> Result<RecoveredState,
             }
         }
     }
-    state.tail_bytes_discarded = (bytes.len() - offset) as u64;
     state.log_len = offset as u64;
-    if state.tail_bytes_discarded > 0 {
+    let tail = &bytes[offset..];
+    if tail.len() >= FRAME_HEADER && tail.iter().all(|&b| b == 0) {
+        // The reserve: cut it so the log ends where the file does, which is
+        // where the reopened log appends.
+        let f = fs::OpenOptions::new().write(true).open(&wal_path)?;
+        f.set_len(state.log_len)?;
+    } else if !tail.is_empty() {
         // Physically truncate the torn tail so the next appended frame
         // starts at a verified boundary.
+        state.tail_bytes_discarded = tail.len() as u64;
         fp.hit(SITE_RECOVER_TRUNCATE)?;
         let f = fs::OpenOptions::new().write(true).open(&wal_path)?;
-        f.set_len(offset as u64)?;
+        f.set_len(state.log_len)?;
         f.sync_all()?;
     }
     Ok(state)
@@ -314,6 +336,49 @@ mod tests {
         let again = recover_dir(&dir, &fp()).unwrap();
         assert_eq!(again.tail_bytes_discarded, 0);
         assert_eq!(again.value, 12);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Three intact `Advance` frames, replaying to 12.
+    fn three_frames() -> Vec<u8> {
+        [(0u64, 3u64), (1, 7), (2, 12)]
+            .into_iter()
+            .flat_map(|(seq, value)| WalRecord::Advance { seq, value }.encode_framed())
+            .collect()
+    }
+
+    #[test]
+    fn reserve_after_the_log_is_cut_off_and_not_counted_as_torn() {
+        let dir = crate::test_dir("recover-reserve");
+        let log = three_frames();
+        let mut reserved = log.clone();
+        reserved.resize(log.len() + (64 << 10), 0);
+        fs::write(dir.join(WAL_FILE), &reserved).unwrap();
+        let state = recover_dir(&dir, &fp()).unwrap();
+        assert_eq!(
+            (state.value, state.next_seq, state.records_replayed),
+            (12, 3, 3)
+        );
+        assert_eq!(state.tail_bytes_discarded, 0);
+        assert_eq!(state.log_len, log.len() as u64);
+        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), log);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_frame_inside_the_reserve_is_discarded_and_reported() {
+        let dir = crate::test_dir("recover-reserve-torn");
+        let log = three_frames();
+        let torn = WalRecord::Advance { seq: 3, value: 99 }.encode_framed();
+        let mut bytes = log.clone();
+        bytes.extend_from_slice(&torn[..torn.len() / 2]);
+        bytes.resize(log.len() + (64 << 10), 0);
+        fs::write(dir.join(WAL_FILE), &bytes).unwrap();
+        let state = recover_dir(&dir, &fp()).unwrap();
+        assert_eq!(state.value, 12, "torn record must not contribute");
+        assert_eq!(state.records_replayed, 3);
+        assert_eq!(state.tail_bytes_discarded as usize, bytes.len() - log.len());
+        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), log);
         fs::remove_dir_all(&dir).unwrap();
     }
 

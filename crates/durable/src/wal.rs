@@ -4,9 +4,10 @@
 //! and the [`FailpointWal`] wrapper routing every log syscall through named
 //! [`mc_chaos::failpoints`] sites.
 
+use crate::frame::FRAME_HEADER;
 use mc_chaos::{BufInjection, Failpoints};
 use std::fs::{File, OpenOptions};
-use std::io;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -115,23 +116,80 @@ pub trait WalFile: Send {
     fn rewind_to(&mut self, len: u64) -> io::Result<()>;
 }
 
-/// Production [`WalFile`]: a real file, `write_all` + `sync_data`.
+/// How many written zero bytes [`FsWal`] adds past the end of its log at a
+/// time: about 2,600 25-byte `Advance` frames, two cycles of the default
+/// `snapshot_every` (1,024 records).
+const RESERVE_STEP: u64 = 64 << 10;
+
+/// Production [`WalFile`]: a real file that appends into a reserve of
+/// written zero bytes past the end of its log, and syncs with `sync_data`.
+///
+/// On disk the file is the log's frames, then the reserve. Each append is a
+/// positional write (seek + `write_all`) at the end of the log. An append
+/// that would leave less than one [`FRAME_HEADER`] of reserve first grows
+/// it by 64 KiB of zeros. So between extensions the file size never changes,
+/// and a `sync_data` flushes the new data without committing a size change
+/// (on ext4, an `fdatasync` that changes the size commits the journal). The
+/// zeros are written, not left as a hole from `set_len`, because the first
+/// write into a hole allocates a block, which again goes through the
+/// journal.
+///
+/// Recovery reads a zero frame header where a record is due, with zeros to
+/// the end of the file, as the end of the log and cuts the reserve off (see
+/// `recover_dir`). [`truncate_all`](WalFile::truncate_all) and
+/// [`rewind_to`](WalFile::rewind_to) cut the file too; the next append
+/// regrows the reserve.
 pub struct FsWal {
     file: File,
+    /// Byte length of the log: where the next append writes.
+    len: u64,
+    /// Byte length of the file: the log, then `reserved - len` zero bytes.
+    reserved: u64,
 }
 
 impl FsWal {
-    /// Opens (creating if absent) the log at `path` for appending.
+    /// Opens (creating if absent) the log at `path` for appending at its
+    /// end. The whole file is taken as the log, so a file that may end in a
+    /// reserve must be opened after recovery has cut it off, as
+    /// [`DurableCounter::open`](crate::DurableCounter::open) and the
+    /// degraded-mode resync do.
     pub fn open(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(FsWal { file })
+        let file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(false)
+            .open(path)?;
+        let len = file.metadata()?.len();
+        Ok(FsWal {
+            file,
+            len,
+            reserved: len,
+        })
+    }
+
+    /// Cuts the file, log and reserve, to `len` bytes.
+    fn cut(&mut self, len: u64) -> io::Result<()> {
+        self.file.set_len(len)?;
+        self.len = len;
+        self.reserved = len;
+        Ok(())
     }
 }
 
 impl WalFile for FsWal {
     fn append(&mut self, buf: &[u8]) -> io::Result<()> {
-        use io::Write;
-        self.file.write_all(buf)
+        let end = self.len + buf.len() as u64;
+        let need = end + FRAME_HEADER as u64;
+        if need > self.reserved {
+            let grow = (need - self.reserved).div_ceil(RESERVE_STEP) * RESERVE_STEP;
+            self.file.seek(SeekFrom::Start(self.reserved))?;
+            io::copy(&mut io::repeat(0).take(grow), &mut self.file)?;
+            self.reserved += grow;
+        }
+        self.file.seek(SeekFrom::Start(self.len))?;
+        self.file.write_all(buf)?;
+        self.len = end;
+        Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -139,34 +197,34 @@ impl WalFile for FsWal {
     }
 
     fn truncate_all(&mut self) -> io::Result<()> {
-        self.file.set_len(0)
+        self.cut(0)
     }
 
     fn rewind_to(&mut self, len: u64) -> io::Result<()> {
-        // The file is opened in append mode, so the next write lands at the
-        // truncated end — no seek needed.
-        self.file.set_len(len)
+        self.cut(len)
     }
 }
 
 /// Fault-injecting [`WalFile`]: appends accumulate in user memory and only
-/// reach the file (followed by an fsync) on [`sync`](WalFile::sync).
+/// reach the log (followed by an fsync) on [`sync`](WalFile::sync).
 ///
 /// Under SIGKILL this reproduces the crash window between a log write and
 /// its fsync: bytes appended but not yet synced vanish entirely, so the
 /// on-disk log ends wherever the last `sync` left it — including, when the
-/// kill lands mid-`write_all`, a torn partial frame.
+/// kill lands mid-`write_all`, a torn partial frame. The bytes are written
+/// through an [`FsWal`], so the file has the layout production writes: the
+/// log, then its zero reserve.
 pub struct ChaosWal {
-    file: File,
+    wal: FsWal,
     buffered: Vec<u8>,
 }
 
 impl ChaosWal {
-    /// Opens (creating if absent) the log at `path` for buffered appending.
+    /// Opens (creating if absent) the log at `path` for buffered appending,
+    /// under the same condition as [`FsWal::open`].
     pub fn open(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(ChaosWal {
-            file,
+            wal: FsWal::open(path)?,
             buffered: Vec::new(),
         })
     }
@@ -191,23 +249,22 @@ impl WalFile for ChaosWal {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        use io::Write;
-        self.file.write_all(&self.buffered)?;
+        self.wal.append(&self.buffered)?;
         self.buffered.clear();
-        self.file.sync_data()
+        self.wal.sync()
     }
 
     fn truncate_all(&mut self) -> io::Result<()> {
         self.buffered.clear();
-        self.file.set_len(0)
+        self.wal.truncate_all()
     }
 
     fn rewind_to(&mut self, len: u64) -> io::Result<()> {
-        // At the last successful sync the buffer was empty and the file was
+        // At the last successful sync the buffer was empty and the log was
         // `len` bytes, so restoring that state drops both the in-memory
         // tail and any bytes a torn flush pushed past `len`.
         self.buffered.clear();
-        self.file.set_len(len)
+        self.wal.rewind_to(len)
     }
 }
 
@@ -307,6 +364,21 @@ pub fn wal_factory_from_env() -> Box<WalFactory> {
 mod tests {
     use super::*;
 
+    /// The log in the file at `path`: its bytes before the zero reserve.
+    /// The tests' payloads hold no zero byte, so the reserve is the trailing
+    /// run of zeros, and it must hold a whole frame header.
+    fn logical_log(path: &Path) -> Vec<u8> {
+        let mut bytes = std::fs::read(path).unwrap();
+        let end = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        let reserve = bytes.len() - end;
+        assert!(
+            reserve == 0 || reserve >= FRAME_HEADER,
+            "a {reserve}-byte reserve would read as a torn tail"
+        );
+        bytes.truncate(end);
+        bytes
+    }
+
     #[test]
     fn chaos_wal_drops_unsynced_tail() {
         let dir = crate::test_dir("chaos-wal");
@@ -319,7 +391,7 @@ mod tests {
         wal.lose_unsynced_tail();
         wal.sync().unwrap();
         drop(wal);
-        assert_eq!(std::fs::read(&path).unwrap(), b"synced");
+        assert_eq!(logical_log(&path), b"synced");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -332,13 +404,13 @@ mod tests {
         wal.sync().unwrap();
         // A failed attempt left torn bytes; rewinding to the synced length
         // must drop them, and the retried append must land right after the
-        // verified prefix (O_APPEND writes at the truncated EOF).
+        // verified prefix, not after the reserve the torn bytes sat in.
         wal.append(b"to").unwrap();
         wal.rewind_to(4).unwrap();
         wal.append(b"retry").unwrap();
         wal.sync().unwrap();
         drop(wal);
-        assert_eq!(std::fs::read(&path).unwrap(), b"goodretry");
+        assert_eq!(logical_log(&path), b"goodretry");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -358,7 +430,7 @@ mod tests {
         wal.append(b"retry").unwrap();
         wal.sync().unwrap();
         drop(wal);
-        assert_eq!(std::fs::read(&path).unwrap(), b"goodretry");
+        assert_eq!(logical_log(&path), b"goodretry");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -377,7 +449,7 @@ mod tests {
         let err = wal.append(frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         wal.sync().unwrap();
-        let torn = std::fs::read(&path).unwrap();
+        let torn = logical_log(&path);
         assert!(
             !torn.is_empty() && torn.len() < frame.len(),
             "partial append must leave a strict prefix, got {} bytes",
@@ -389,7 +461,7 @@ mod tests {
         wal.append(frame).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        assert_eq!(std::fs::read(&path).unwrap(), frame);
+        assert_eq!(logical_log(&path), frame);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -454,10 +526,39 @@ mod tests {
         let mut wal = FsWal::open(&path).unwrap();
         wal.append(b"abc").unwrap();
         wal.sync().unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"abc");
+        assert_eq!(logical_log(&path), b"abc");
+        // Truncation drops the reserve with the log.
         wal.truncate_all().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"");
         drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fs_wal_appends_inside_its_reserve_without_growing_the_file() {
+        let dir = crate::test_dir("fs-wal-reserve");
+        let path = dir.join("wal.log");
+        let mut wal = FsWal::open(&path).unwrap();
+        let record = b"0123456789abcdefghijklmn";
+        wal.append(record).unwrap();
+        wal.sync().unwrap();
+        let size = std::fs::metadata(&path).unwrap().len();
+        assert!(size >= (record.len() + FRAME_HEADER) as u64);
+        for _ in 0..100 {
+            wal.append(record).unwrap();
+            wal.sync().unwrap();
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), size);
+        // An append that would leave less than a frame header of reserve
+        // grows it by one step first.
+        let mut log = record.repeat(101);
+        let fill = vec![b'x'; (size - log.len() as u64 - 4) as usize];
+        wal.append(&fill).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), size + RESERVE_STEP);
+        drop(wal);
+        log.extend_from_slice(&fill);
+        assert_eq!(logical_log(&path), log);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,7 +1,8 @@
 //! Property battery for the WAL frame codec and recovery: arbitrary record
-//! sequences round-trip exactly; arbitrary truncation and arbitrary
-//! single-byte corruption recover a verified prefix (or a typed error for
-//! the snapshot), and **never** panic or inflate the value.
+//! sequences round-trip exactly; a zero reserve after the log changes
+//! nothing; arbitrary truncation and arbitrary single-byte corruption
+//! recover a verified prefix (or a typed error for the snapshot), and
+//! **never** panic or inflate the value.
 
 use mc_counter::{Counter, CounterDiagnostics};
 use mc_durable::{read_frame, DurableCounter, FrameRead, WalRecord, WAL_FILE};
@@ -92,6 +93,29 @@ proptest! {
         prop_assert_eq!(recovery.tail_bytes_discarded, 0);
         let any_poison = records.iter().any(|r| matches!(r, WalRecord::Poison { .. }));
         prop_assert_eq!(recovery.poison_restored, any_poison);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log followed by a zero reserve of any length that holds a frame
+    /// header (what `FsWal` leaves past its log) recovers exactly what the
+    /// log alone recovers, discards nothing, and is cut back to the log.
+    fn zero_reserve_recovers_as_the_bare_log(
+        records in vec(record_strategy(), 0..40),
+        reserve in 8usize..70_000,
+    ) {
+        let (bytes, _) = build_log(&records);
+        let bare_dir = case_dir("bare");
+        std::fs::write(bare_dir.join(WAL_FILE), &bytes).unwrap();
+        let bare = recover(&bare_dir);
+        let dir = case_dir("reserve");
+        let mut reserved = bytes.clone();
+        reserved.resize(bytes.len() + reserve, 0);
+        std::fs::write(dir.join(WAL_FILE), &reserved).unwrap();
+        let recovery = recover(&dir);
+        prop_assert_eq!(&recovery, &bare);
+        prop_assert_eq!(recovery.tail_bytes_discarded, 0);
+        prop_assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), bytes);
+        std::fs::remove_dir_all(&bare_dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -417,6 +417,36 @@ mod tests {
     }
 
     #[test]
+    fn empty_items_round_trip_through_a_checkpoint() {
+        // An empty item is a frame whose header is all zeros: the WAL reads
+        // that as the start of its zero reserve, but a checkpoint must not.
+        let dir = test_dir("empty-items");
+        let runs = Arc::new(AtomicUsize::new(0));
+        let build = || {
+            let runs = Arc::clone(&runs);
+            CheckpointedPipeline::new(
+                |s: &String| s.as_bytes().to_vec(),
+                |b: &[u8]| String::from_utf8(b.to_vec()).ok(),
+            )
+            .stage(3, move |r, w| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                for s in r {
+                    w.push(s.trim().to_string());
+                }
+            })
+        };
+        let input = vec![" ".to_string(), "a".to_string(), String::new()];
+        let expected = vec![String::new(), "a".to_string(), String::new()];
+        let (out, _) = build().run_resumable(&dir, input.clone()).unwrap();
+        assert_eq!(out, expected);
+        let (out, report) = build().run_resumable(&dir, input).unwrap();
+        assert_eq!(out, expected);
+        assert_eq!(report.resumed_from_stage, Some(0));
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "resumed, not recomputed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn undecodable_item_invalidates_whole_checkpoint() {
         let dir = test_dir("undecodable");
         let (enc, _) = u64_codec();
