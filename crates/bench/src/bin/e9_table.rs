@@ -21,6 +21,10 @@
 //!   (at least 1/8), and the `holds` column the rounds the flusher held
 //!   open until all of them had enqueued. A lone writer never holds.
 //!
+//! A second table times each of a lone strict writer's acks (2,048 in
+//! `--quick` mode, 10,000 in full) and reports p99, p99.9 and the maximum,
+//! where a round that stalls once in many rounds shows.
+//!
 //! Each counter's WAL directory is removed after the counter is dropped,
 //! outside the timed region.
 //!
@@ -147,6 +151,21 @@ fn time_group_commit(threads: usize, ops: usize, runs: usize) -> (f64, WalStats)
     (t.as_nanos() as f64 / (threads * ops) as f64, stats)
 }
 
+/// Sorted per-ack microseconds of `acks` strict increments from one writer.
+fn lone_ack_us(acks: usize) -> Vec<f64> {
+    with_counter("lone", DurableOptions::default(), |c| {
+        let mut us: Vec<f64> = (0..acks)
+            .map(|_| {
+                let start = Instant::now();
+                c.increment(1);
+                start.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        us.sort_by(f64::total_cmp);
+        us
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -240,8 +259,20 @@ fn main() {
         group_stats.hold_timeouts.to_string(),
     ]);
 
+    let lone_acks = if quick { 2_048 } else { 10_000 };
+    let us = lone_ack_us(lone_acks);
+    let quantile = |q: f64| us[((us.len() - 1) as f64 * q).round() as usize];
+    let mut tail = Table::new(
+        "E9: lone strict writer, per-ack latency",
+        &["acks", "p50", "p99", "p99.9", "max"],
+    );
+    let mut row = vec![lone_acks.to_string()];
+    row.extend([0.5, 0.99, 0.999, 1.0].map(|q| format!("{:.0}us", quantile(q))));
+    tail.row(row);
+
     let mut report = Report::new("e9", &args);
     report.table(table);
+    report.table(tail);
 
     let ratio = batched_ns / mem_ns;
     let degrade_ratio = degrade_ns / mem_ns;
@@ -253,6 +284,9 @@ fn main() {
     report.metric("strict_inc_ns", strict_ns);
     report.metric("strict_holds", strict_stats.holds as f64);
     report.metric("group_fsyncs_per_op", amortized);
+    report.metric("lone_ack_p99_us", quantile(0.99));
+    report.metric("lone_ack_p999_us", quantile(0.999));
+    report.metric("lone_ack_max_us", quantile(1.0));
     report.note(format!(
         "Shape check: batched durable increment is {ratio:.2}x the in-memory fast path \
          ({degrade_ratio:.2}x under PoisonPolicy::Degrade; claim: <=2x for both); \

@@ -1,8 +1,7 @@
 //! [`DurableCounter`]: a crash-durable wrapper over any
-//! [`MonotonicCounter`], logging increments and poison events to a
-//! CRC32-framed write-ahead log with group-commit batching, periodic
-//! snapshots, torn-tail recovery, bounded I/O retry, and degraded-mode
-//! self-healing.
+//! [`MonotonicCounter`], logging its value to a two-slot CRC32-framed log
+//! and its poison cause to a file of its own, with group-commit batching,
+//! bounded I/O retry, and degraded-mode self-healing.
 //!
 //! # Group commit, guarded by monotonic counters
 //!
@@ -32,7 +31,7 @@
 //! those that enqueued during its fsync, counted before its commit
 //! released anyone) and at least one enqueue is not yet covered, the
 //! flusher calls `enqueues.wait_timeout(covered + siblings, budget)`, where
-//! `budget` is half a running estimate of one append+fsync. A lone writer
+//! `budget` is half a running estimate of one write+fsync. A lone writer
 //! never holds (`siblings == 1`), a writer that leaves costs one timed-out
 //! hold, and rounds opened by `sync`, `poison` or `Drop` (nothing
 //! uncovered, a cause unlogged, or stopping) never hold. The counts are
@@ -40,13 +39,15 @@
 //!
 //! The poison cause itself is a write-once slot: the first `poison` call
 //! fills it, and every caller then poisons memory with that one cause, so
-//! memory, log and snapshot agree and the log holds the cause at most once.
+//! memory and the poison file agree and the file is written once.
 //!
-//! Monotonicity does the heavy lifting: log records carry *absolute* values
-//! (replay = running max, idempotent), and in batched mode the flusher can
-//! read the inner counter's value directly — any snapshot of a monotone
-//! value is a correct durable point, which is why a batched increment costs
-//! only the in-memory increment plus one atomic load.
+//! Monotonicity does the heavy lifting. The log's only durable fact is the
+//! largest value written, so it is two fixed slots that rounds overwrite in
+//! turn, each with one *absolute* value, and recovery takes the larger value
+//! that verifies. In batched mode the flusher can read the inner counter's
+//! value directly — any reading of a monotone value is a correct durable
+//! point, which is why a batched increment costs only the in-memory
+//! increment plus one atomic load.
 //!
 //! # Fault tolerance
 //!
@@ -56,11 +57,11 @@
 //!    timeouts; see [`WalError::is_transient`]) are retried under
 //!    [`RetryPolicy`] with jittered exponential backoff. Retries are
 //!    counted in [`StatsSnapshot::io_retries`] and [`WalStats::retries`].
-//!    Retrying a whole append+fsync batch is safe because records carry
-//!    absolute values (a duplicated record replays as a no-op running max)
-//!    and every retry first rewinds the log to its last synced length, so
-//!    a partial write torn mid-frame by the failed attempt can never sit
-//!    ahead of the retried frames as mid-log corruption.
+//!    Retrying a whole write+fsync is safe because a slot holds an absolute
+//!    value and every attempt rewrites the same slot: a write torn by the
+//!    failed attempt is overwritten, and the other slot keeps the last
+//!    synced value throughout. The flusher moves to the other slot only
+//!    after a sync succeeds.
 //! 2. **Degraded mode** — with [`PoisonPolicy::Degrade`], exhausting the
 //!    retry budget parks the log instead of poisoning: increments keep
 //!    serving from the in-memory fast path, acknowledgements come from a
@@ -71,19 +72,19 @@
 //!    it is not yet logged), the replay buffer is O(1) regardless of how
 //!    long the outage lasts.
 //! 3. **Self-healing** — while degraded the flusher probes the directory
-//!    every `resync_interval`: full [`recover_dir`] (which also repairs any
-//!    torn tail the failed write left — appending after a torn frame would
-//!    strand the new records behind it), reopen through the factory, append
-//!    one collapsed advance plus the unlogged poison cause, fsync, and the
-//!    counter returns to [`HealthStatus::Healthy`]. Every fault site in this
-//!    path is failpoint-instrumented, so chaos schedules can crash a counter
+//!    every `resync_interval`: full [`recover_dir`], reopen through the
+//!    factory, write the current value into the slot the failed round was
+//!    writing, fsync, write the poison cause if it is not yet logged, and the
+//!    counter returns to [`HealthStatus::Healthy`]. There is no backlog to
+//!    replay: it collapses to that one value. Every fault site in this path
+//!    is failpoint-instrumented, so chaos schedules can crash a counter
 //!    *during* resync.
 //!
 //! Under the default [`PoisonPolicy::Propagate`], a post-retry failure
 //! poisons the counter with the cause.
 
-use crate::frame::WalRecord;
-use crate::recover::{recover_dir, write_snapshot, CounterRecovery, WAL_FILE};
+use crate::frame::{poison_frame, slot_frame};
+use crate::recover::{recover_dir, write_durably, CounterRecovery, POISON_FILE, WAL_FILE};
 use crate::retry::{with_retry, JitterRng};
 use crate::wal::{
     wal_factory_from_env, FailpointWal, WalError, WalFactory, WalFile, SITE_WAL_OPEN,
@@ -141,9 +142,6 @@ pub enum PoisonPolicy {
 pub struct DurableOptions {
     /// When increments are acknowledged. Default: [`DurabilityMode::Strict`].
     pub mode: DurabilityMode,
-    /// Write a snapshot (and truncate the log) after this many log records.
-    /// `0` disables snapshotting. Default: 1024.
-    pub snapshot_every: u64,
     /// Retry policy for transient WAL I/O failures. Default:
     /// [`RetryPolicy::default`] (4 retries, 1ms..50ms backoff);
     /// [`RetryPolicy::none`] surfaces every error on first occurrence.
@@ -174,7 +172,6 @@ impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             mode: DurabilityMode::Strict,
-            snapshot_every: 1024,
             retry: RetryPolicy::default(),
             poison_policy: PoisonPolicy::Propagate,
             failpoints: None,
@@ -193,15 +190,14 @@ impl Default for DurableOptions {
 struct DurableMetrics {
     fsyncs: Arc<Event>,
     records_logged: Arc<Event>,
-    snapshots: Arc<Event>,
     retries: Arc<Event>,
     degraded_entries: Arc<Event>,
     resyncs: Arc<Event>,
     holds: Arc<Event>,
     hold_timeouts: Arc<Event>,
-    /// Latency of one append+fsync round (the group-commit critical path).
+    /// Latency of one write+fsync round (the group-commit critical path).
     fsync_ns: Arc<Histogram>,
-    /// Records coalesced into each non-empty flush batch.
+    /// Records (a slot write, the poison file) in each round.
     batch_records: Arc<Histogram>,
     last: WalStats,
 }
@@ -211,7 +207,6 @@ impl DurableMetrics {
         DurableMetrics {
             fsyncs: sink.event("wal.fsyncs"),
             records_logged: sink.event("wal.records_logged"),
-            snapshots: sink.event("wal.snapshots"),
             retries: sink.event("wal.retries"),
             degraded_entries: sink.event("wal.degraded_entries"),
             resyncs: sink.event("wal.resyncs"),
@@ -230,7 +225,6 @@ impl DurableMetrics {
         self.fsyncs.add(now.fsyncs - self.last.fsyncs);
         self.records_logged
             .add(now.records_logged - self.last.records_logged);
-        self.snapshots.add(now.snapshots - self.last.snapshots);
         self.retries.add(now.retries - self.last.retries);
         self.degraded_entries
             .add(now.degraded_entries - self.last.degraded_entries);
@@ -247,9 +241,10 @@ impl DurableMetrics {
 pub struct WalStats {
     /// Completed fsync rounds.
     pub fsyncs: u64,
-    /// Records appended to the log (advances + poisons).
+    /// Records written: slot writes, plus the poison file once.
     pub records_logged: u64,
-    /// Snapshots written (each truncates the log).
+    /// Always 0: the two-slot log takes no snapshots. Kept so that readers
+    /// of earlier statistics still compile.
     pub snapshots: u64,
     /// Transient I/O errors absorbed by retry (also in
     /// [`StatsSnapshot::io_retries`]).
@@ -292,8 +287,8 @@ struct Shared {
     /// The counter's one poison cause: filled by the first `poison` call,
     /// or at open with the restored cause.
     cause: OnceLock<FailureInfo>,
-    /// Set once `cause` is fsynced in the log (by the flusher), or at open
-    /// with a restored cause, so no later batch logs it again.
+    /// Set once `cause` is durable in the poison file (by the flusher), or
+    /// at open with a restored cause, so no later round writes it again.
     cause_logged: AtomicBool,
     /// Reaches 1 when `cause` is durable; `poison` waits on it. Degraded
     /// mode acknowledges the cause from memory before persistence.
@@ -308,7 +303,6 @@ struct Shared {
     io_retries: AtomicU64,
     fsyncs: AtomicU64,
     records_logged: AtomicU64,
-    snapshots: AtomicU64,
     degraded_entries: AtomicU64,
     resyncs: AtomicU64,
     holds: AtomicU64,
@@ -320,7 +314,7 @@ impl Shared {
         WalStats {
             fsyncs: self.fsyncs.load(SeqCst),
             records_logged: self.records_logged.load(SeqCst),
-            snapshots: self.snapshots.load(SeqCst),
+            snapshots: 0,
             retries: self.io_retries.load(SeqCst),
             degraded_entries: self.degraded_entries.load(SeqCst),
             resyncs: self.resyncs.load(SeqCst),
@@ -383,8 +377,8 @@ impl Shared {
 }
 
 /// A crash-durable wrapper around a [`MonotonicCounter`] implementation
-/// `C`: increments (and poison events) are logged to a CRC32-framed
-/// append-only WAL in the counter's directory before being acknowledged
+/// `C`: its value is logged to a two-slot CRC32-framed log, and its poison
+/// cause to a file, in the counter's directory before being acknowledged
 /// (see [`DurabilityMode`]), and [`open`](Self::open) recovers value and
 /// poison state after a crash. Transient I/O errors are retried, and with
 /// [`PoisonPolicy::Degrade`] a persistent outage degrades (and later
@@ -400,19 +394,6 @@ pub struct DurableCounter<C: MonotonicCounter> {
     flusher: Option<JoinHandle<()>>,
 }
 
-/// One commit's log records: an `Advance` when the flush target is above
-/// the logged value, then the poison cause while the log lacks it.
-struct Batch {
-    bytes: Vec<u8>,
-    records: u64,
-    /// The sequence number after the batch's last record.
-    next_seq: u64,
-    /// The logged value once the batch is durable.
-    value: Value,
-    /// Whether the log holds the cause once the batch is durable.
-    logs_cause: bool,
-}
-
 struct Flusher<C> {
     inner: Arc<C>,
     shared: Arc<Shared>,
@@ -426,16 +407,13 @@ struct Flusher<C> {
     resync_interval: Duration,
     replay_budget: u64,
     dir: PathBuf,
-    next_seq: u64,
     /// The last value written to the log (== the durable value once synced).
     logged_value: Value,
-    /// Byte length of the log at the last known-good point (open, resync,
-    /// successful sync, or truncation). Append retries rewind to this
-    /// watermark first, so a torn partial write from the failed attempt can
-    /// never precede the retried records as a corrupt frame mid-log.
-    synced_len: u64,
-    records_since_snapshot: u64,
-    snapshot_every: u64,
+    /// The log slot the next round writes. The flusher moves to the other
+    /// slot only after a sync succeeds, so the slot it is not writing always
+    /// holds the last synced value: a retry, and the resync after a failed
+    /// round, rewrite the same slot.
+    slot: usize,
     /// The `enqueues` count the last `flush_once` read after clearing the
     /// dirty flag: every enqueue up to it is in that round's batch.
     covered: u64,
@@ -444,7 +422,7 @@ struct Flusher<C> {
     /// anyone (a released writer re-enqueues at once and would count
     /// twice).
     siblings: u64,
-    /// Running estimate of one append+fsync; holds wait half of it.
+    /// Running estimate of one write+fsync; holds wait half of it.
     fsync_estimate: Duration,
     /// `Some` when [`DurableOptions::metrics`] was set; see
     /// [`DurableMetrics`] for the publication protocol.
@@ -518,36 +496,6 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         }
     }
 
-    /// The one batch builder: the records that bring a log whose last
-    /// record is `seq - 1` and whose logged value is `logged` up to date.
-    /// `cause_on_disk` says the log already holds the cause (appended but
-    /// not yet known synced), so it is synced rather than appended again.
-    fn batch(&self, mut seq: u64, logged: Value, cause_on_disk: bool) -> Batch {
-        let target = self.shared.flush_target(&*self.inner);
-        let mut records = Vec::new();
-        if target > logged {
-            records.push(WalRecord::Advance { seq, value: target });
-            seq += 1;
-        }
-        let cause = self.shared.unlogged_cause();
-        if let Some(info) = cause.filter(|_| !cause_on_disk) {
-            records.push(WalRecord::Poison {
-                seq,
-                thread: info.thread().to_string(),
-                message: info.message().to_string(),
-                level: info.level(),
-            });
-            seq += 1;
-        }
-        Batch {
-            bytes: records.iter().flat_map(WalRecord::encode_framed).collect(),
-            records: records.len() as u64,
-            next_seq: seq,
-            value: logged.max(target),
-            logs_cause: cause.is_some(),
-        }
-    }
-
     /// Strict mode: applies `value`, which the flusher is about to
     /// acknowledge, to the inner counter, so a woken writer finds its value
     /// already applied. Batched writers apply their own increments and the
@@ -559,37 +507,32 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         }
     }
 
-    /// The one post-fsync step: `batch` is durable after the log's first
-    /// `base_len` bytes, and its append and fsync took `took`. Publishes
-    /// last: the disk watermark first (so [`DurableCounter::sync`]'s
-    /// post-wait check is never falsely degraded), then the logged value in
-    /// memory, then the acknowledgement counter, then the cause's
-    /// acknowledgement.
-    fn commit(&mut self, batch: &Batch, base_len: u64, took: Duration) {
+    /// The one post-fsync step: `records` that bring the log to `value`
+    /// (and to the cause, when `logs_cause`) are durable, and writing and
+    /// syncing them took `took`. Publishes last: the disk watermark first
+    /// (so [`DurableCounter::sync`]'s post-wait check is never falsely
+    /// degraded), then the logged value in memory, then the acknowledgement
+    /// counter, then the cause's acknowledgement.
+    fn commit(&mut self, value: Value, records: u64, logs_cause: bool, took: Duration) {
         if let Some(m) = self.metrics.as_ref() {
             m.fsync_ns.record_duration(took);
-            if batch.records > 0 {
-                m.batch_records.record(batch.records);
-            }
+            m.batch_records.record(records);
         }
-        self.next_seq = batch.next_seq;
-        self.synced_len = base_len + batch.bytes.len() as u64;
-        self.logged_value = batch.value;
-        self.records_since_snapshot += batch.records;
+        self.logged_value = value;
         self.shared.fsyncs.fetch_add(1, SeqCst);
-        self.shared.records_logged.fetch_add(batch.records, SeqCst);
-        self.shared.disk_durable.fetch_max(batch.value, SeqCst);
-        self.apply(batch.value);
-        self.shared.durable.advance_to(batch.value);
-        if batch.logs_cause {
+        self.shared.records_logged.fetch_add(records, SeqCst);
+        self.shared.disk_durable.fetch_max(value, SeqCst);
+        self.apply(value);
+        self.shared.durable.advance_to(value);
+        if logs_cause {
             self.shared.cause_logged.store(true, SeqCst);
             self.shared.poisons_synced.advance_to(1);
         }
     }
 
     /// Holds a strict round open until the `siblings` writers the last
-    /// round saw active have all enqueued again, for at most half an
-    /// append+fsync (see the module docs). Only a live log reaches here;
+    /// round saw active have all enqueued again, for at most half a
+    /// write+fsync (see the module docs). Only a live log reaches here;
     /// a lone writer, a round with nothing uncovered (opened by `sync`),
     /// an unlogged poison cause and a stopping counter never hold, and a
     /// `poison` or `Drop` that arrives during a hold waits out its budget
@@ -614,40 +557,46 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
     }
 
     /// One group-commit round: hold for sibling writers, clear the dirty
-    /// flag, build the batch, append + fsync (with retry), then publish
-    /// durability to the waiting counters.
+    /// flag, write the target into the current slot and fsync (with retry),
+    /// write the poison cause while it is unlogged, then publish durability
+    /// to the waiting counters.
     fn flush_once(&mut self) -> Result<(), WalError> {
         self.hold();
         self.shared.dirty.store(false, SeqCst);
         // Read before the target: every enqueue counted here bumped
-        // `enqueued` first, so the batch covers it.
+        // `enqueued` first, so the round covers it.
         let covered = self.shared.enqueues.debug_value();
-        let batch = self.batch(self.next_seq, self.logged_value, false);
-        if batch.records > 0 {
-            let wal = self.wal.as_mut().expect("flush_once requires a live wal");
-            // Records are absolute, so a duplicated batch replays as a
-            // running-max no-op — but a failed attempt may have left a torn
-            // partial frame (a `write_all` stopped short by ENOSPC), and
-            // appending the retry after it would strand everything behind a
-            // corrupt frame at recovery. Rewind to the last synced length
-            // first so every attempt starts at a verified frame boundary.
-            let good_len = self.synced_len;
-            let mut attempts = 0;
+        let target = self.shared.flush_target(&*self.inner);
+        let cause = self.shared.unlogged_cause().cloned();
+        let advances = target > self.logged_value;
+        if advances || cause.is_some() {
             let started = Instant::now();
-            with_retry(
-                &self.retry,
-                &mut self.jitter,
-                &self.shared.io_retries,
-                || {
-                    if attempts > 0 {
-                        wal.rewind_to(good_len)?;
-                    }
-                    attempts += 1;
-                    wal.append(&batch.bytes)?;
-                    wal.sync()?;
-                    Ok(())
-                },
-            )?;
+            let mut attempts = 0;
+            if advances {
+                let wal = self.wal.as_mut().expect("flush_once requires a live wal");
+                let (slot, frame) = (self.slot, slot_frame(target));
+                with_retry(
+                    &self.retry,
+                    &mut self.jitter,
+                    &self.shared.io_retries,
+                    || {
+                        attempts += 1;
+                        wal.write_slot(slot, &frame)?;
+                        wal.sync()?;
+                        Ok(())
+                    },
+                )?;
+                self.slot ^= 1;
+            }
+            if let Some(info) = &cause {
+                let (dir, fp, frame) = (&self.dir, &self.fp, poison_frame(info));
+                with_retry(
+                    &self.retry,
+                    &mut self.jitter,
+                    &self.shared.io_retries,
+                    || Ok(write_durably(dir, POISON_FILE, &frame, fp)?),
+                )?;
+            }
             let took = started.elapsed();
             // A retried round timed a backoff sleep, not an fsync. The
             // estimate is a 1/8-weighted moving average, as TCP smooths
@@ -660,34 +609,10 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
                 };
             }
             self.siblings = self.shared.enqueues.debug_value() - self.covered;
-            self.commit(&batch, good_len, took);
+            let records = u64::from(advances) + u64::from(cause.is_some());
+            self.commit(target, records, cause.is_some(), took);
         }
         self.covered = covered;
-
-        if self.snapshot_every > 0 && self.records_since_snapshot >= self.snapshot_every {
-            let (dir, fp, retry) = (&self.dir, &self.fp, &self.retry);
-            let (seq, value) = (self.next_seq.saturating_sub(1), self.logged_value);
-            // Only a logged cause: one filled since this round's batch is
-            // logged next round.
-            let logged = self.shared.cause_logged.load(SeqCst);
-            let poison = self.shared.cause.get().filter(|_| logged);
-            with_retry(retry, &mut self.jitter, &self.shared.io_retries, || {
-                write_snapshot(dir, seq, value, poison, fp)?;
-                Ok(())
-            })?;
-            // A truncate failure after a successful snapshot leaves
-            // records the snapshot already covers — harmless (replay is a
-            // running max) but still worth the degrade/resync cycle so the
-            // log handle is known-good.
-            let wal = self.wal.as_mut().expect("flush_once requires a live wal");
-            with_retry(retry, &mut self.jitter, &self.shared.io_retries, || {
-                wal.truncate_all()?;
-                Ok(())
-            })?;
-            self.synced_len = 0;
-            self.records_since_snapshot = 0;
-            self.shared.snapshots.fetch_add(1, SeqCst);
-        }
         Ok(())
     }
 
@@ -740,11 +665,9 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
         self.shared.durable.advance_to(capped);
     }
 
-    /// One self-healing probe: recover the directory (repairing any torn
-    /// tail the failed write left — appending after a torn frame would
-    /// strand everything behind it), reopen the log, persist the collapsed
-    /// degraded backlog, and return to healthy. Failure leaves the counter
-    /// degraded for the next tick.
+    /// One self-healing probe: recover the directory, reopen the log,
+    /// persist the collapsed degraded backlog, and return to healthy.
+    /// Failure leaves the counter degraded for the next tick.
     fn try_resync(&mut self) {
         if let Ok(()) = self.resync() {
             self.shared.resyncs.fetch_add(1, SeqCst);
@@ -754,30 +677,28 @@ impl<C: MonotonicCounter + CounterDiagnostics> Flusher<C> {
 
     fn resync(&mut self) -> Result<(), WalError> {
         self.fp.hit(SITE_WAL_OPEN)?;
-        let recovered = recover_dir(&self.dir, &self.fp)?;
+        recover_dir(&self.dir, &self.fp)?;
         let mut wal: Box<dyn WalFile> = Box::new(FailpointWal::new(
             (self.factory)(&self.dir.join(WAL_FILE))?,
             Arc::clone(&self.fp),
         ));
-        // Rebuild the log view from what recovery actually found on disk,
-        // then persist the entire degraded backlog: monotonicity collapses
-        // every memory-served increment into ONE absolute advance record.
-        // A recovered poison is this counter's cause, appended by a failed
-        // attempt: the sync below makes it durable.
-        let on_disk = recovered.poison.is_some();
-        let batch = self.batch(recovered.next_seq, recovered.value, on_disk);
-        if batch.records > 0 {
-            wal.append(&batch.bytes)?;
-        }
-        // Sync unconditionally, even with nothing new to append: the
-        // recovered log may contain frames the failed handle appended but
-        // never fsynced (an append that succeeded before the fsync fault),
-        // and returning to Healthy must never claim page-cache-only bytes
-        // as crash-durable.
+        // Monotonicity collapses every memory-served increment into the
+        // current value, written into the slot the failed round was writing:
+        // the other slot holds the last synced value. Write and sync even a
+        // value that is not new: the failed handle's write may sit unsynced
+        // in the page cache, and returning to Healthy must never claim it as
+        // crash-durable.
+        let target = self.shared.flush_target(&*self.inner);
         let started = Instant::now();
+        wal.write_slot(self.slot, &slot_frame(target))?;
         wal.sync()?;
-        // Committed: publish and swap the live handle back in.
-        self.commit(&batch, recovered.log_len, started.elapsed());
+        self.slot ^= 1;
+        let cause = self.shared.unlogged_cause().cloned();
+        if let Some(info) = &cause {
+            write_durably(&self.dir, POISON_FILE, &poison_frame(info), &self.fp)?;
+        }
+        let records = 1 + u64::from(cause.is_some());
+        self.commit(target, records, cause.is_some(), started.elapsed());
         self.wal = Some(wal);
         Ok(())
     }
@@ -788,17 +709,16 @@ where
     C: ResumableCounter + CounterDiagnostics + Send + Sync + 'static,
 {
     /// Opens (or creates) the durable counter stored in `dir` with default
-    /// options, recovering any persisted state: replays the verified log
-    /// prefix over the snapshot, truncates a torn tail at the first bad
-    /// frame, and restores value and poison state.
+    /// options, recovering any persisted state: the larger value of the
+    /// log's two slots, and the poison cause.
     pub fn open(dir: impl AsRef<Path>) -> Result<(Self, CounterRecovery), WalError> {
         Self::open_with(dir, DurableOptions::default())
     }
 
     /// [`open`](Self::open) with explicit options. The log file is opened
     /// through [`wal_factory_from_env`]: setting `MC_CHAOS_WAL=1` injects
-    /// the torn-tail [`ChaosWal`](crate::ChaosWal) (used by the crash
-    /// harness).
+    /// [`ChaosWal`](crate::ChaosWal), which loses unsynced writes (used by
+    /// the crash harness).
     pub fn open_with(
         dir: impl AsRef<Path>,
         options: DurableOptions,
@@ -823,10 +743,10 @@ where
         let recovered = recover_dir(&dir, &fp)?;
         let recovery = CounterRecovery {
             value: recovered.value,
-            records_replayed: recovered.records_replayed,
-            tail_bytes_discarded: recovered.tail_bytes_discarded,
+            slots_verified: recovered.slots.map(|s| s.is_some()),
             poison_restored: recovered.poison.is_some(),
         };
+        let slot = recovered.next_slot();
 
         let inner = Arc::new(C::resume_from(recovered.value));
         let restored = recovered.poison.is_some();
@@ -851,7 +771,6 @@ where
             io_retries: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             records_logged: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
             degraded_entries: AtomicU64::new(0),
             resyncs: AtomicU64::new(0),
             holds: AtomicU64::new(0),
@@ -873,11 +792,8 @@ where
             resync_interval: options.resync_interval.max(Duration::from_millis(1)),
             replay_budget: options.replay_budget,
             dir,
-            next_seq: recovered.next_seq,
             logged_value: recovered.value,
-            synced_len: recovered.log_len,
-            records_since_snapshot: 0,
-            snapshot_every: options.snapshot_every,
+            slot,
             covered: 0,
             siblings: 0,
             fsync_estimate: Duration::ZERO,
@@ -914,8 +830,8 @@ impl<C: MonotonicCounter + CounterDiagnostics> DurableCounter<C> {
         &*self.inner
     }
 
-    /// Durability-layer statistics: fsync rounds, records logged,
-    /// snapshots, retries, degraded-mode entries, resyncs and holds.
+    /// Durability-layer statistics: fsync rounds, records logged, retries,
+    /// degraded-mode entries, resyncs and holds.
     pub fn wal_stats(&self) -> WalStats {
         self.shared.wal_stats()
     }
@@ -1116,21 +1032,13 @@ mod tests {
     struct SlowWal(crate::FsWal);
 
     impl WalFile for SlowWal {
-        fn append(&mut self, buf: &[u8]) -> io::Result<()> {
-            self.0.append(buf)
+        fn write_slot(&mut self, slot: usize, frame: &[u8]) -> io::Result<()> {
+            self.0.write_slot(slot, frame)
         }
 
         fn sync(&mut self) -> io::Result<()> {
             std::thread::sleep(Duration::from_millis(2));
             self.0.sync()
-        }
-
-        fn truncate_all(&mut self) -> io::Result<()> {
-            self.0.truncate_all()
-        }
-
-        fn rewind_to(&mut self, len: u64) -> io::Result<()> {
-            self.0.rewind_to(len)
         }
     }
 
@@ -1522,27 +1430,27 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_faults_degrade_and_heal_too() {
-        let dir = test_dir("degrade-snapshot");
+    fn poison_file_faults_degrade_and_heal_too() {
+        let dir = test_dir("degrade-poison-file");
         let fp = Arc::new(Failpoints::new(17));
-        let opts = DurableOptions {
-            snapshot_every: 1,
-            ..degrade_options(&fp)
-        };
-        let (c, _) = DurableCounter::<Counter>::open_with(&dir, opts).unwrap();
-        c.increment(1); // snapshot after every record: one exists now
+        let (c, _) = DurableCounter::<Counter>::open_with(&dir, degrade_options(&fp)).unwrap();
+        c.increment(1);
         fp.arm(
-            crate::SITE_SNAPSHOT_RENAME,
+            crate::SITE_POISON_RENAME,
             FailConfig::always(io::ErrorKind::StorageFull),
         );
-        c.increment(1);
-        wait_for("degraded health", || c.health().is_degraded());
-        fp.disarm(crate::SITE_SNAPSHOT_RENAME);
-        wait_for("healthy health", || c.health().is_healthy());
-        // Nothing acked may be lost across the outage-and-heal cycle.
+        // The cause cannot reach its file: acknowledged from memory, so the
+        // call returns, and the counter degrades.
+        c.poison(FailureInfo::new("stage failed"));
+        wait_for("degraded entry", || c.wal_stats().degraded_entries == 1);
+        assert!(!dir.join(crate::POISON_FILE).exists());
+        fp.disarm(crate::SITE_POISON_RENAME);
+        wait_for("resync", || c.wal_stats().resyncs >= 1);
         drop(c);
+        // Neither the acked value nor the cause is lost across the cycle.
         let (c, recovery) = DurableCounter::<Counter>::open(&dir).unwrap();
-        assert_eq!(recovery.value, 2);
+        assert_eq!((recovery.value, recovery.poison_restored), (1, true));
+        assert_eq!(c.poison_info().expect("restored").message(), "stage failed");
         drop(c);
         std::fs::remove_dir_all(&dir).unwrap();
     }

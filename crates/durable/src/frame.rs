@@ -1,5 +1,5 @@
-//! CRC32-framed, length-prefixed record encoding for the write-ahead log
-//! and the pipeline checkpoint files.
+//! CRC32-framed, length-prefixed encoding for the write-ahead log's slots,
+//! the poison file and the pipeline checkpoint files.
 //!
 //! Every frame on disk is:
 //!
@@ -11,18 +11,17 @@
 //!
 //! `crc` is the IEEE CRC32 of the payload bytes. A reader accepts a frame
 //! only when the full header and `len` payload bytes are present *and* the
-//! checksum matches; anything else is a torn or corrupt tail and reading
-//! stops at the last verified frame. Because counter records carry absolute
-//! values (see [`WalRecord::Advance`]) and counters are monotonic, replaying
-//! any verified prefix yields a correct — merely possibly earlier — state.
+//! checksum matches; anything else is torn or corrupt. A log slot's payload
+//! is the counter's **absolute** value, so a slot that verifies is a
+//! correct — merely possibly earlier — state of a monotone counter.
 
-use mc_counter::Value;
+use mc_counter::{FailureInfo, Value};
 
 /// Bytes of frame header preceding every payload: `u32` length + `u32` CRC.
 pub const FRAME_HEADER: usize = 8;
 
 /// Frames larger than this are rejected as corrupt rather than allocated.
-/// No legitimate record comes anywhere near it; a flipped bit in the length
+/// No legitimate frame comes anywhere near it; a flipped bit in the length
 /// field must not turn into a multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
@@ -106,134 +105,58 @@ pub fn read_frame(bytes: &[u8], offset: usize) -> FrameRead<'_> {
     }
 }
 
-const TAG_ADVANCE: u8 = 1;
-const TAG_POISON: u8 = 2;
-
-/// One durable event in a counter's write-ahead log.
-///
-/// `Advance` records carry the **absolute** value rather than a delta:
-/// combined with monotonicity, that makes replay idempotent by construction
-/// — recovery is simply the running maximum over the verified prefix, so
-/// replaying a record twice (e.g. a record both covered by a snapshot and
-/// still present in the log after a crash mid-truncation) cannot inflate
-/// the value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
-    /// The counter's durable value reached `value`.
-    Advance {
-        /// Monotonically increasing record sequence number.
-        seq: u64,
-        /// The absolute counter value as of this record.
-        value: Value,
-    },
-    /// The counter was poisoned.
-    Poison {
-        /// Monotonically increasing record sequence number.
-        seq: u64,
-        /// Name of the thread that failed.
-        thread: String,
-        /// The failure description.
-        message: String,
-        /// Optional level context attached to the failure.
-        level: Option<Value>,
-    },
+/// A log slot's frame: the absolute counter value, as 8 little-endian
+/// payload bytes.
+pub(crate) fn slot_frame(value: Value) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + 8);
+    write_frame(&mut out, &value.to_le_bytes());
+    out
 }
 
-impl WalRecord {
-    /// This record's sequence number.
-    pub fn seq(&self) -> u64 {
-        match self {
-            WalRecord::Advance { seq, .. } | WalRecord::Poison { seq, .. } => *seq,
-        }
-    }
-
-    /// Encodes the record payload (unframed).
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            WalRecord::Advance { seq, value } => {
-                let mut out = Vec::with_capacity(17);
-                out.push(TAG_ADVANCE);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&value.to_le_bytes());
-                out
-            }
-            WalRecord::Poison {
-                seq,
-                thread,
-                message,
-                level,
-            } => {
-                let mut out = Vec::with_capacity(26 + thread.len() + message.len());
-                out.push(TAG_POISON);
-                out.extend_from_slice(&seq.to_le_bytes());
-                encode_poison(&mut out, thread, message, *level);
-                out
-            }
-        }
-    }
-
-    /// Encodes the record as a complete frame (header + payload).
-    pub fn encode_framed(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-        write_frame(&mut out, &payload);
-        out
-    }
-
-    /// Decodes a record payload produced by [`encode`](Self::encode).
-    ///
-    /// Returns `None` for any malformed payload (unknown tag, short buffer,
-    /// trailing garbage, invalid UTF-8) — never panics. The caller treats a
-    /// malformed record inside a CRC-verified frame the same as a corrupt
-    /// frame: the verified prefix ends there.
-    pub fn decode(payload: &[u8]) -> Option<WalRecord> {
-        let (&tag, rest) = payload.split_first()?;
-        match tag {
-            TAG_ADVANCE => {
-                if rest.len() != 16 {
-                    return None;
-                }
-                let seq = u64::from_le_bytes(rest[..8].try_into().ok()?);
-                let value = u64::from_le_bytes(rest[8..].try_into().ok()?);
-                Some(WalRecord::Advance { seq, value })
-            }
-            TAG_POISON => {
-                let seq = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
-                let (thread, message, level) = decode_poison(&rest[8..])?;
-                Some(WalRecord::Poison {
-                    seq,
-                    thread: thread.to_string(),
-                    message: message.to_string(),
-                    level,
-                })
-            }
-            _ => None,
-        }
+/// The value a log slot holds, or `None` when it does not verify (a write
+/// torn by a crash, or foreign bytes). A slot that was never written is
+/// zeros, which read as a frame with an empty payload (the CRC32 of nothing
+/// is 0): the value 0 the log was created at.
+pub(crate) fn slot_value(slot: &[u8]) -> Option<Value> {
+    match read_frame(slot, 0) {
+        FrameRead::Frame { payload: [], .. } => Some(0),
+        FrameRead::Frame { payload, .. } => Some(u64::from_le_bytes(payload.try_into().ok()?)),
+        FrameRead::End | FrameRead::Corrupt => None,
     }
 }
 
-/// Appends the poison fields a [`WalRecord::Poison`] and a snapshot share:
-/// a level tag (`0`, or `1` followed by the level), then the thread and
-/// the message, each prefixed by its `u32` length.
-pub(crate) fn encode_poison(out: &mut Vec<u8>, thread: &str, message: &str, level: Option<Value>) {
-    match level {
+/// The poison file's one frame: a level tag (`0`, or `1` followed by the
+/// level), then the thread and the message, each prefixed by its `u32`
+/// length.
+pub(crate) fn poison_frame(info: &FailureInfo) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(17 + info.thread().len() + info.message().len());
+    match info.level() {
         Some(l) => {
-            out.push(1);
-            out.extend_from_slice(&l.to_le_bytes());
+            payload.push(1);
+            payload.extend_from_slice(&l.to_le_bytes());
         }
-        None => out.push(0),
+        None => payload.push(0),
     }
-    for field in [thread, message] {
-        out.extend_from_slice(&(field.len() as u32).to_le_bytes());
-        out.extend_from_slice(field.as_bytes());
+    for field in [info.thread(), info.message()] {
+        payload.extend_from_slice(&(field.len() as u32).to_le_bytes());
+        payload.extend_from_slice(field.as_bytes());
     }
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    write_frame(&mut out, &payload);
+    out
 }
 
-/// Decodes exactly the bytes [`encode_poison`] writes as
-/// `(thread, message, level)`: `None` for a bad level tag, a short buffer,
-/// invalid UTF-8 or trailing bytes.
-pub(crate) fn decode_poison(bytes: &[u8]) -> Option<(&str, &str, Option<Value>)> {
-    let (level, mut rest) = match bytes.split_first()? {
+/// Decodes exactly the bytes [`poison_frame`] writes: `None` for a frame
+/// that does not verify, trailing bytes, a bad level tag, a short field or
+/// invalid UTF-8.
+pub(crate) fn decode_poison_frame(bytes: &[u8]) -> Option<FailureInfo> {
+    let FrameRead::Frame { payload, next } = read_frame(bytes, 0) else {
+        return None;
+    };
+    if next != bytes.len() {
+        return None;
+    }
+    let (level, mut rest) = match payload.split_first()? {
         (0, rest) => (None, rest),
         (1, rest) => {
             let (l, rest) = rest.split_first_chunk::<8>()?;
@@ -249,7 +172,14 @@ pub(crate) fn decode_poison(bytes: &[u8]) -> Option<(&str, &str, Option<Value>)>
         Some(s)
     };
     let (thread, message) = (field()?, field()?);
-    rest.is_empty().then_some((thread, message, level))
+    if !rest.is_empty() {
+        return None;
+    }
+    let info = FailureInfo::new(message).with_thread(thread);
+    Some(match level {
+        Some(l) => info.with_level(l),
+        None => info,
+    })
 }
 
 #[cfg(test)]
@@ -307,38 +237,52 @@ mod tests {
     }
 
     #[test]
-    fn record_round_trip() {
-        let records = [
-            WalRecord::Advance { seq: 0, value: 0 },
-            WalRecord::Advance {
-                seq: 7,
-                value: u64::MAX,
-            },
-            WalRecord::Poison {
-                seq: 8,
-                thread: "worker-3".into(),
-                message: "producer died mid-protocol".into(),
-                level: Some(42),
-            },
-            WalRecord::Poison {
-                seq: 9,
-                thread: String::new(),
-                message: String::new(),
-                level: None,
-            },
+    fn poison_frame_round_trip() {
+        let causes = [
+            FailureInfo::new("producer died mid-protocol")
+                .with_thread("worker-3")
+                .with_level(42),
+            FailureInfo::new("").with_thread(""),
         ];
-        for r in &records {
-            assert_eq!(WalRecord::decode(&r.encode()).as_ref(), Some(r));
+        for info in &causes {
+            assert_eq!(
+                decode_poison_frame(&poison_frame(info)).as_ref(),
+                Some(info)
+            );
         }
     }
 
     #[test]
-    fn malformed_payloads_decode_to_none() {
-        assert!(WalRecord::decode(&[]).is_none());
-        assert!(WalRecord::decode(&[99, 0, 0]).is_none());
-        assert!(WalRecord::decode(&[TAG_ADVANCE, 1, 2]).is_none());
-        let mut ok = WalRecord::Advance { seq: 1, value: 2 }.encode();
+    fn malformed_poison_frames_decode_to_none() {
+        let framed = |payload: &[u8]| {
+            let mut out = Vec::new();
+            write_frame(&mut out, payload);
+            out
+        };
+        assert!(decode_poison_frame(&[]).is_none());
+        assert!(decode_poison_frame(&framed(&[])).is_none());
+        assert!(decode_poison_frame(&framed(&[7, 0, 0, 0, 0])).is_none());
+        assert!(decode_poison_frame(&framed(&[0, 9, 0, 0, 0])).is_none());
+        assert!(decode_poison_frame(&framed(&[0, 1, 0, 0, 0, 0xFF, 0, 0, 0, 0])).is_none());
+        let mut ok = poison_frame(&FailureInfo::new("x"));
         ok.push(0); // trailing garbage
-        assert!(WalRecord::decode(&ok).is_none());
+        assert!(decode_poison_frame(&ok).is_none());
+    }
+
+    #[test]
+    fn slot_values_decode_only_whole_frames() {
+        let mut slot = vec![0u8; 64];
+        assert_eq!(slot_value(&slot), Some(0), "a zero slot was never written");
+        let frame = slot_frame(0x0102_0304_0506_0708);
+        slot[..frame.len()].copy_from_slice(&frame);
+        assert_eq!(slot_value(&slot), Some(0x0102_0304_0506_0708));
+        for cut in 1..frame.len() {
+            let mut torn = vec![0u8; 64];
+            torn[..cut].copy_from_slice(&frame[..cut]);
+            assert_eq!(slot_value(&torn), None, "cut at {cut}");
+        }
+        let mut short = Vec::new();
+        write_frame(&mut short, &[1, 2, 3]);
+        assert_eq!(slot_value(&short), None, "a payload that is not 8 bytes");
     }
 }

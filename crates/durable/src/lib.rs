@@ -1,24 +1,33 @@
 //! # Crash-durable monotonic counters
 //!
 //! A durability layer over any [`MonotonicCounter`](mc_counter::MonotonicCounter):
-//! [`DurableCounter`] logs increments and poison events to a CRC32-framed,
-//! length-prefixed append-only write-ahead log before acknowledging them,
-//! batches concurrent increments into one fsync (group commit, coordinated
-//! by monotonic counters themselves), periodically snapshots and truncates
-//! the log, and recovers value *and* poison state after a crash —
-//! truncating a torn tail at the first bad frame.
+//! [`DurableCounter`] makes increments and poison events durable before
+//! acknowledging them, batches concurrent increments into one fsync (group
+//! commit, coordinated by monotonic counters themselves), and recovers
+//! value *and* poison state after a crash.
+//!
+//! On disk a counter's directory holds two files:
+//!
+//! * `wal.log`, a fixed 8 KiB file of two 4 KiB slots. Each flush round
+//!   overwrites one slot in place with one CRC32 frame holding the
+//!   counter's absolute value, then `fdatasync`s; the next round writes the
+//!   other slot. Recovery takes the larger value that verifies.
+//! * `poison`, the first poison cause, written once through a temp file,
+//!   fsync, rename and directory fsync.
 //!
 //! The design leans on the paper's central invariant. Because a counter's
 //! value only ever increases:
 //!
-//! * log records can carry **absolute** values, so replay is the running
-//!   maximum over the verified prefix — idempotent by construction, immune
-//!   to double-replay after a crash between snapshot and log truncation;
+//! * the only durable facts are the largest value written and the first
+//!   poison cause, so the log keeps no history: a slot holds an
+//!   **absolute** value, and a crash that tears one slot's write leaves
+//!   the other slot holding the round before it, which was synced before
+//!   this one began;
 //! * recovering *any* durably recorded value is safe — a synchronization
 //!   decision enabled before the crash can only have been enabled by a
 //!   value the log had already reached or passed;
 //! * in [batched mode](DurabilityMode::Batched) the flusher can read the
-//!   live counter value directly: every snapshot of a monotone value is a
+//!   live counter value directly: every reading of a monotone value is a
 //!   valid durable point, so an increment costs the in-memory fast path
 //!   plus one atomic load;
 //! * in [strict mode](DurabilityMode::Strict) the flusher applies what it
@@ -56,19 +65,16 @@ mod retry;
 mod wal;
 
 pub use counter::{DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, WalStats};
-pub use frame::{
-    crc32, read_frame, write_frame, FrameRead, WalRecord, FRAME_HEADER, MAX_FRAME_LEN,
-};
+pub use frame::{crc32, read_frame, write_frame, FrameRead, FRAME_HEADER, MAX_FRAME_LEN};
 pub use recover::{
-    CounterRecovery, SITE_RECOVER_READ_SNAPSHOT, SITE_RECOVER_READ_WAL, SITE_RECOVER_TRUNCATE,
-    SITE_SNAPSHOT_CREATE, SITE_SNAPSHOT_DIRSYNC, SITE_SNAPSHOT_FSYNC, SITE_SNAPSHOT_RENAME,
-    SITE_SNAPSHOT_WRITE, SNAPSHOT_FILE, WAL_FILE,
+    CounterRecovery, POISON_FILE, SITE_POISON_CREATE, SITE_POISON_DIRSYNC, SITE_POISON_FSYNC,
+    SITE_POISON_RENAME, SITE_POISON_WRITE, SITE_RECOVER_READ_POISON, SITE_RECOVER_READ_WAL,
+    SLOT_LEN, WAL_FILE,
 };
 pub use retry::RetryPolicy;
 pub use wal::{
     wal_factory_from_env, ChaosWal, FailpointWal, FsWal, WalError, WalFactory, WalFile,
-    CHAOS_WAL_ENV, SITE_WAL_APPEND, SITE_WAL_FSYNC, SITE_WAL_OPEN, SITE_WAL_REWIND,
-    SITE_WAL_TRUNCATE,
+    CHAOS_WAL_ENV, SITE_WAL_APPEND, SITE_WAL_FSYNC, SITE_WAL_OPEN,
 };
 
 /// A unique per-test scratch directory under the system temp dir (unit
@@ -128,6 +134,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The value in each of the log's slots (`None`: torn).
+    fn slots(dir: &std::path::Path) -> [Option<mc_counter::Value>; 2] {
+        let bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        assert_eq!(bytes.len(), 2 * SLOT_LEN);
+        [
+            frame::slot_value(&bytes[..SLOT_LEN]),
+            frame::slot_value(&bytes[SLOT_LEN..]),
+        ]
+    }
+
     #[test]
     fn batched_sync_is_an_explicit_durability_point() {
         let dir = test_dir("batched-sync");
@@ -142,16 +158,8 @@ mod tests {
         c.increment(7);
         c.sync().unwrap();
         // Read what a concurrent crash would recover: the synced value.
-        let on_disk = std::fs::read(dir.join(WAL_FILE)).unwrap();
-        let mut value = 0;
-        let mut offset = 0;
-        while let FrameRead::Frame { payload, next } = read_frame(&on_disk, offset) {
-            if let Some(WalRecord::Advance { value: v, .. }) = WalRecord::decode(payload) {
-                value = value.max(v);
-            }
-            offset = next;
-        }
-        assert_eq!(value, 7);
+        let [a, b] = slots(&dir);
+        assert_eq!(a.max(b), Some(7));
         drop(c);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -188,29 +196,32 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_truncates_log_and_survives_reopen() {
-        let dir = test_dir("snapshot");
-        {
-            let (c, _) = DurableCounter::<Counter>::open_with(
-                &dir,
-                DurableOptions {
-                    mode: DurabilityMode::Strict,
-                    snapshot_every: 5,
-                    ..DurableOptions::default()
-                },
-            )
-            .unwrap();
-            for _ in 0..40 {
-                c.increment(1);
-            }
-            let stats = c.wal_stats();
-            assert!(stats.snapshots > 0, "snapshot_every=5 must trigger");
+    fn log_keeps_its_creation_size_across_rounds_and_reopens() {
+        let dir = test_dir("fixed-size");
+        let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
+        let created = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        assert_eq!(created, 2 * SLOT_LEN as u64);
+        for _ in 0..1000 {
+            c.increment(1);
         }
-        assert!(dir.join(SNAPSHOT_FILE).exists());
-        let (c, rec) = DurableCounter::<Counter>::open(&dir).unwrap();
-        assert_eq!(rec.value, 40);
-        assert_eq!(c.debug_value(), 40);
         drop(c);
+        let (c, rec) = DurableCounter::<Counter>::open(&dir).unwrap();
+        assert_eq!(rec.value, 1000);
+        for _ in 0..10 {
+            c.increment(1);
+        }
+        assert_eq!(c.wal_stats().snapshots, 0);
+        drop(c);
+        assert_eq!(
+            std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(),
+            created
+        );
+        // The log is the directory's only file: no snapshot, no temp file.
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [WAL_FILE]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -258,62 +269,59 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_reported_and_discarded() {
-        let dir = test_dir("torn");
-        {
-            let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
-            c.increment(6);
-        }
-        // Tear the log: garbage that is not a valid frame, written right
-        // after its one frame, inside the reserve.
-        use std::io::{Seek, SeekFrom, Write};
-        let path = dir.join(WAL_FILE);
-        let log_len = WalRecord::Advance { seq: 0, value: 6 }
-            .encode_framed()
-            .len() as u64;
-        let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        f.seek(SeekFrom::Start(log_len)).unwrap();
-        f.write_all(&[0xDE, 0xAD, 0xBE]).unwrap();
-        drop(f);
-        let file_len = std::fs::metadata(&path).unwrap().len();
-        let (c, rec) = DurableCounter::<Counter>::open(&dir).unwrap();
-        assert_eq!(rec.value, 6);
-        // The torn tail runs from the garbage to the end of the file.
-        assert_eq!(rec.tail_bytes_discarded, file_len - log_len);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), log_len);
-        drop(c);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn reopened_log_appends_after_its_last_frame_not_its_reserve() {
-        let dir = test_dir("reserve-reopen");
+    fn torn_slot_recovers_the_other_and_is_overwritten_next() {
+        let dir = test_dir("torn-slot");
         {
             let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
             for _ in 0..3 {
                 c.increment(2);
             }
         }
-        let path = dir.join(WAL_FILE);
-        let file_len = std::fs::metadata(&path).unwrap().len();
+        let [a, b] = slots(&dir);
+        let torn = if a == Some(6) { 0 } else { 1 };
+        assert_eq!(slots(&dir)[1 - torn], Some(4), "{a:?} {b:?}");
+        // Cut a later round's frame inside its CRC, over the slot holding 6.
+        use std::io::{Seek, SeekFrom, Write};
+        let frame = frame::slot_frame(8);
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(WAL_FILE))
+            .unwrap();
+        f.seek(SeekFrom::Start((torn * SLOT_LEN) as u64)).unwrap();
+        f.write_all(&frame[..6]).unwrap();
+        drop(f);
+        let (c, rec) = DurableCounter::<Counter>::open(&dir).unwrap();
+        assert_eq!(rec.value, 4);
+        let mut verified = [true; 2];
+        verified[torn] = false;
+        assert_eq!(rec.slots_verified, verified);
+        c.increment(1);
+        drop(c);
+        // The next round overwrote the torn slot, not the verified one.
+        let mut expected = [Some(4); 2];
+        expected[torn] = Some(5);
+        assert_eq!(slots(&dir), expected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopened_log_writes_first_to_the_slot_not_holding_its_value() {
+        let dir = test_dir("reopen-slot");
         {
-            let (c, rec) = DurableCounter::<Counter>::open(&dir).unwrap();
-            assert_eq!((rec.value, rec.records_replayed), (6, 3));
-            assert_eq!(rec.tail_bytes_discarded, 0, "a reserve is not a torn tail");
-            assert!(
-                std::fs::metadata(&path).unwrap().len() < file_len,
-                "recovery cuts the reserve off"
-            );
-            for _ in 0..4 {
-                c.increment(1);
+            let (c, _) = DurableCounter::<Counter>::open(&dir).unwrap();
+            for _ in 0..3 {
+                c.increment(2);
             }
         }
-        // Appended after the reserve, the new frames would sit behind a
-        // zero header and be discarded as a torn tail.
+        let before = slots(&dir);
+        let held = before.iter().position(|&v| v == Some(6)).unwrap();
         let (c, rec) = DurableCounter::<Counter>::open(&dir).unwrap();
-        assert_eq!((rec.value, rec.records_replayed), (10, 7));
-        assert_eq!(rec.tail_bytes_discarded, 0);
+        assert_eq!((rec.value, rec.slots_verified), (6, [true, true]));
+        c.increment(1);
         drop(c);
+        // A crash during that write would have left 6 intact.
+        let after = slots(&dir);
+        assert_eq!((after[held], after[1 - held]), (Some(6), Some(7)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,6 +1,7 @@
-//! Kill-9 crash tests: a child process runs a durable-counter workload, the
-//! harness SIGKILLs it mid-protocol (including between write and fsync via
-//! `ChaosWal`), and the parent recovers and asserts the invariants:
+//! Kill-9 crash tests: a child process runs a strict durable-counter
+//! workload, the harness SIGKILLs it mid-protocol (including between a slot
+//! write and its fsync via `ChaosWal`), and the parent recovers and asserts
+//! the invariants:
 //!
 //! 1. every acked increment survives recovery;
 //! 2. the recovered value is monotone across crash/recover cycles;
@@ -15,7 +16,7 @@
 use mc_chaos::crash_harness::{self, CrashScenario};
 use mc_chaos::seed_from_env;
 use mc_counter::{Counter, CounterDiagnostics, FailureInfo, MonotonicCounter, ShardedCounter};
-use mc_durable::{DurabilityMode, DurableCounter, DurableOptions, CHAOS_WAL_ENV};
+use mc_durable::{DurableCounter, CHAOS_WAL_ENV};
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -39,15 +40,7 @@ fn child_increments() {
     let Some(dir) = crash_harness::child_role("child_increments") else {
         return;
     };
-    let (counter, recovery) = DurableCounter::<Counter>::open_with(
-        &dir,
-        DurableOptions {
-            mode: DurabilityMode::Strict,
-            snapshot_every: 7, // exercise snapshot+truncate under crashes
-            ..DurableOptions::default()
-        },
-    )
-    .expect("child open");
+    let (counter, recovery) = DurableCounter::<Counter>::open(&dir).expect("child open");
     println!("START {}", recovery.value);
     let mut value = recovery.value;
     loop {
@@ -66,15 +59,7 @@ fn child_increments_sharded() {
     let Some(dir) = crash_harness::child_role("child_increments_sharded") else {
         return;
     };
-    let (counter, recovery) = DurableCounter::<ShardedCounter>::open_with(
-        &dir,
-        DurableOptions {
-            mode: DurabilityMode::Strict,
-            snapshot_every: 7,
-            ..DurableOptions::default()
-        },
-    )
-    .expect("child open");
+    let (counter, recovery) = DurableCounter::<ShardedCounter>::open(&dir).expect("child open");
     println!("START {}", recovery.value);
     let mut value = recovery.value;
     loop {
@@ -114,8 +99,8 @@ fn parse_max(lines: &[String], prefix: &str) -> u64 {
 /// The tentpole invariant run: ≥3 kill-9/recover cycles, asserting zero
 /// acked-increment loss, monotone recovery, and attempts as the upper
 /// bound. `chaos_wal` additionally routes the child's log through
-/// `ChaosWal`, so the kill lands between write and fsync: appended but
-/// unsynced bytes vanish exactly as in a power loss.
+/// `ChaosWal`, so the kill lands between write and fsync: a slot write not
+/// yet synced vanishes exactly as in a power loss.
 fn crash_cycles(tag: &str, chaos_wal: bool) {
     let dir = scratch_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);

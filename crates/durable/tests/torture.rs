@@ -22,8 +22,8 @@ use mc_counter::{
     Counter, CounterDiagnostics, HealthStatus, MonotonicCounter, Supervisor, SupervisorConfig,
 };
 use mc_durable::{
-    DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, RetryPolicy,
-    SITE_SNAPSHOT_RENAME, SITE_WAL_APPEND, SITE_WAL_FSYNC, SITE_WAL_OPEN, SITE_WAL_TRUNCATE,
+    DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, RetryPolicy, SITE_WAL_APPEND,
+    SITE_WAL_FSYNC, SITE_WAL_OPEN,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,16 +33,10 @@ use std::time::{Duration, Instant};
 /// `MC_CHAOS_SEED=<seed> cargo test -p mc-durable --test torture`.
 const SEEDS: [u64; 5] = [1, 7, 42, 1729, 99991];
 
-/// Every instrumented site class the plan draws faults over: append,
-/// fsync, snapshot rename, post-snapshot truncate, and (re)open — the last
-/// one makes degraded-mode resync itself fail sometimes.
-const SITES: [&str; 5] = [
-    SITE_WAL_APPEND,
-    SITE_WAL_FSYNC,
-    SITE_SNAPSHOT_RENAME,
-    SITE_WAL_TRUNCATE,
-    SITE_WAL_OPEN,
-];
+/// Every instrumented site class an unpoisoned counter hits, which the
+/// plan draws faults over: slot write, fsync, and (re)open — the last one
+/// makes degraded-mode resync itself fail sometimes.
+const SITES: [&str; 3] = [SITE_WAL_APPEND, SITE_WAL_FSYNC, SITE_WAL_OPEN];
 
 const WRITERS: u64 = 4;
 const PER_WRITER: u64 = 50;
@@ -78,7 +72,6 @@ fn wait_for(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
 fn torture_options(fp: &Arc<Failpoints>) -> DurableOptions {
     DurableOptions {
         mode: DurabilityMode::Strict,
-        snapshot_every: 8,
         retry: RetryPolicy {
             max_retries: 2,
             base_delay: Duration::from_micros(50),
@@ -232,7 +225,6 @@ fn child_degraded_increments() {
     };
     let options = || DurableOptions {
         mode: DurabilityMode::Strict,
-        snapshot_every: 5,
         retry: RetryPolicy {
             max_retries: 1,
             base_delay: Duration::from_micros(100),
@@ -306,11 +298,11 @@ fn kill9_during_degraded_resync_loses_no_durable_claim() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Regression: a transient append fault that tears a frame mid-write (a
-/// `write_all` stopped short by ENOSPC) must not corrupt the log when the
-/// retry succeeds. Before the pre-retry rewind, the retried batch landed
-/// *after* the torn bytes, recovery stopped at the corrupt frame, and every
-/// record acked durable by the successful retry was lost on reopen.
+/// Regression: a transient write fault that tears a frame mid-write (a
+/// `write_all` stopped short by ENOSPC) must not lose the value when the
+/// retry succeeds. The retry rewrites the torn slot, so the value acked
+/// durable by the successful retry is what a reopen recovers, with both
+/// slots whole.
 #[test]
 fn partial_append_fault_retried_without_torn_frame_loss() {
     let dir = scratch_dir("partial-retry");
@@ -330,7 +322,7 @@ fn partial_append_fault_retried_without_torn_frame_loss() {
 
     counter.increment(1);
     assert_eq!(counter.durable_value(), 1);
-    // The next append tears mid-frame, then the disarmed site lets the
+    // The next slot write tears mid-frame, then the disarmed site lets the
     // retry through; strict mode acks only after the retry fsyncs.
     fp.arm(
         SITE_WAL_APPEND,
@@ -356,11 +348,12 @@ fn partial_append_fault_retried_without_torn_frame_loss() {
     let (reopened, recovery) = DurableCounter::<Counter>::open_with(&dir, quiet).expect("reopen");
     assert_eq!(
         recovery.value, 2,
-        "value acked durable through the retried append was lost"
+        "value acked durable through the retried write was lost"
     );
     assert_eq!(
-        recovery.tail_bytes_discarded, 0,
-        "the pre-retry rewind must leave no torn bytes in the log"
+        recovery.slots_verified,
+        [true, true],
+        "the retry must overwrite the slot the failed attempt tore"
     );
     drop(reopened);
     std::fs::remove_dir_all(&dir).unwrap();

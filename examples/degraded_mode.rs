@@ -122,8 +122,8 @@ fn main() {
     )
     .expect("reopen");
     println!(
-        "restart:  recovered value {}, {} record(s) replayed, {} torn byte(s) discarded",
-        recovery.value, recovery.records_replayed, recovery.tail_bytes_discarded
+        "restart:  recovered value {}, log slots verified: {:?}",
+        recovery.value, recovery.slots_verified
     );
     assert_eq!(recovery.value, 20);
     drop(counter);

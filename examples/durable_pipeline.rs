@@ -36,8 +36,8 @@ fn main() {
 
     let (counter, recovery) = DurableCounter::<Counter>::open(&dir).expect("reopen");
     println!(
-        "second process recovered value {} ({} records replayed)",
-        recovery.value, recovery.records_replayed
+        "second process recovered value {} (log slots verified: {:?})",
+        recovery.value, recovery.slots_verified
     );
     assert_eq!(recovery.value, 42);
 

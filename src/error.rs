@@ -20,7 +20,7 @@ pub enum Error {
     Poisoned(FailureInfo),
     /// An increment would have overflowed the counter value.
     Overflow(CounterOverflowError),
-    /// The durability layer failed (log I/O or corrupt snapshot).
+    /// The durability layer failed (log I/O or corrupt durable state).
     Wal(WalError),
 }
 

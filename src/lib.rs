@@ -22,8 +22,8 @@
 //! * [`chaos`] — schedule perturbation for testing the Section 6 determinacy
 //!   claims across many interleavings, plus a kill-9 crash harness for the
 //!   durability layer.
-//! * [`durable`] — crash-durable counters: a CRC32-framed write-ahead log
-//!   with group-commit batching, snapshot + truncation, and recovery that
+//! * [`durable`] — crash-durable counters: a two-slot CRC32-framed log of
+//!   the absolute value with group-commit batching, and recovery that
 //!   restores both value and poison state after a crash.
 //! * [`metrics`] — dependency-free observability: a [`Registry`] of counters
 //!   and log-bucketed histograms with Prometheus and JSON exporters, fed by
