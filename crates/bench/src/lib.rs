@@ -3,7 +3,8 @@
 //! Shared machinery for regenerating every figure and evaluation claim of the
 //! paper (see `DESIGN.md` section 3 for the experiment index):
 //!
-//! * wall-clock measurement helpers with min/median/mean over repetitions;
+//! * wall-clock measurement helpers with min/median/mean over repetitions,
+//!   and paired ratios ([`measure_pair`]) for comparing two variants;
 //! * a fixed-width table printer so each `e*_table` binary prints rows in the
 //!   same shape the paper argues about ("who wins, by how much");
 //! * JSON emission (hand-rolled, no serde dependency) so runs can be archived
@@ -57,6 +58,54 @@ pub fn measure(runs: usize, mut f: impl FnMut()) -> Timing {
         median,
         mean,
         runs,
+    }
+}
+
+/// The spread of the per-pair cost ratios B/A that [`measure_pair`]
+/// returns: nearest-rank quartiles and median.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairRatio {
+    /// The lower quartile.
+    pub q1: f64,
+    /// The median.
+    pub median: f64,
+    /// The upper quartile.
+    pub q3: f64,
+}
+
+/// Runs `a` and `b` in `pairs` back-to-back pairs, A first in even pairs
+/// and B first in odd ones, and returns the spread of the ratios of B's
+/// time to A's, one ratio per pair. Each call runs its workload once and
+/// returns the time it measured.
+///
+/// A ratio of two rows timed seconds apart carries the host's drift
+/// between them; a ratio within one pair carries only the drift between
+/// two adjacent runs, and swapping the order cancels what the second run
+/// of a pair inherits from the first.
+pub fn measure_pair(
+    mut a: impl FnMut() -> Duration,
+    mut b: impl FnMut() -> Duration,
+    pairs: usize,
+) -> PairRatio {
+    assert!(pairs > 0, "need at least one pair");
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|i| {
+            let (ta, tb) = if i % 2 == 0 {
+                let ta = a();
+                (ta, b())
+            } else {
+                let tb = b();
+                (a(), tb)
+            };
+            tb.as_secs_f64() / ta.as_secs_f64()
+        })
+        .collect();
+    ratios.sort_unstable_by(f64::total_cmp);
+    let rank = |percent: usize| ratios[(percent * pairs).div_ceil(100).max(1) - 1];
+    PairRatio {
+        q1: rank(25),
+        median: rank(50),
+        q3: rank(75),
     }
 }
 
@@ -155,6 +204,30 @@ mod tests {
         });
         assert_eq!(t.runs, 5);
         assert!(t.min <= t.median && t.median <= t.mean.max(t.median));
+    }
+
+    #[test]
+    fn measure_pair_alternates_and_reports_nearest_rank_quartiles() {
+        use std::cell::RefCell;
+        let calls = RefCell::new(String::new());
+        // A always takes 10 ns, so pair i's ratio is B's i-th time / 10.
+        let mut b_ns = [18, 11, 15, 12, 17, 13, 16, 14].into_iter();
+        let r = measure_pair(
+            || {
+                calls.borrow_mut().push('A');
+                Duration::from_nanos(10)
+            },
+            || {
+                calls.borrow_mut().push('B');
+                Duration::from_nanos(b_ns.next().unwrap())
+            },
+            8,
+        );
+        assert_eq!(calls.into_inner(), "ABBAABBAABBAABBA");
+        // Sorted ratios 1.1..=1.8; nearest ranks 2, 4 and 6 of 8.
+        for (got, want) in [(r.q1, 1.2), (r.median, 1.4), (r.q3, 1.6)] {
+            assert!((got - want).abs() < 1e-9, "{r:?}");
+        }
     }
 
     #[test]

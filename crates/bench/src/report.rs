@@ -95,7 +95,7 @@ impl Report {
     }
 
     /// Records a named scalar — the values the perf gate compares against
-    /// baselines (`inc_speedup`, `metered_overhead`, ...).
+    /// baselines (`inc_speedup`, `scrape_overhead`, ...).
     pub fn metric(&mut self, name: impl Into<String>, value: f64) {
         self.metrics.push((name.into(), value));
     }

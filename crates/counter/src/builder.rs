@@ -26,7 +26,7 @@
 //! |---|---|---|
 //! | [`initial`](CounterBuilder::initial) | 0 | every implementation |
 //! | [`shards`](CounterBuilder::shards) | implementation-chosen | [`ShardedCounter`](crate::ShardedCounter) |
-//! | [`metrics`](CounterBuilder::metrics) | none | [`MeteredCounter`](crate::MeteredCounter), [`ShardedCounter`](crate::ShardedCounter) |
+//! | [`metrics`](CounterBuilder::metrics) | none | [`ShardedCounter`](crate::ShardedCounter) |
 //! | [`spin_before_suspend`](CounterBuilder::spin_before_suspend) | off | [`Counter`](crate::Counter) and [`BTreeCounter`](crate::BTreeCounter); every other implementation ignores it |
 //!
 //! Statistics are always collected and `poison` always propagates.
@@ -36,13 +36,13 @@ use mc_metrics::{Event, Histogram, Registry};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// A destination for a counter's metrics: a shared [`Registry`] plus the
-/// dot-separated name prefix this counter publishes under. Passed through
-/// the builder ([`CounterBuilder::metrics`]); implementations that support
-/// instrumentation (the [`MeteredCounter`](crate::MeteredCounter) wrapper,
-/// [`ShardedCounter`](crate::ShardedCounter)'s combiner) attach to it at
-/// construction, everything else ignores it. `None` — the default — costs
-/// nothing: no handle is held and no record call is compiled into the path.
+/// A destination for metrics: a shared [`Registry`] plus the dot-separated
+/// name prefix published under. Passed through the builder
+/// ([`CounterBuilder::metrics`]), where only
+/// [`ShardedCounter`](crate::ShardedCounter)'s combiner attaches to it, and
+/// used by the [`Supervisor`](crate::Supervisor) and the durable layer.
+/// `None` — the default — costs nothing: no handle is held and no record
+/// call is compiled into the path.
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
     registry: Arc<Registry>,
@@ -170,13 +170,13 @@ impl<C: Buildable> CounterBuilder<C> {
         self
     }
 
-    /// Publishes this counter's metrics under `prefix` in `registry`
-    /// (default: no instrumentation, zero overhead). Only implementations
-    /// with instrumentation points consult the sink: the
-    /// [`MeteredCounter`](crate::MeteredCounter) wrapper records operation
-    /// counts and latency histograms, and
-    /// [`ShardedCounter`](crate::ShardedCounter) records combiner
-    /// publications and flush backlog. Plain implementations ignore it.
+    /// Publishes this counter's combiner metrics under `prefix` in
+    /// `registry` (default: none, zero overhead). Only
+    /// [`ShardedCounter`](crate::ShardedCounter) consults the sink: it
+    /// records combiner publications and flush backlog. Every other
+    /// implementation ignores it; a counter's operation counts are exported
+    /// by registering it with a [`Supervisor`](crate::Supervisor) that has
+    /// metrics attached.
     pub fn metrics(mut self, registry: &Arc<Registry>, prefix: impl Into<String>) -> Self {
         self.cfg.metrics = Some(MetricsSink::new(Arc::clone(registry), prefix));
         self

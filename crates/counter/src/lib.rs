@@ -90,15 +90,18 @@
 //! * **Supervision** — the [`Supervisor`] registry snapshots registered
 //!   counters (value, outstanding obligations, waiting levels), diagnoses
 //!   stalls as *stuck* (no obligations can satisfy the waited level) versus
-//!   merely *slow*, and can poison provably-stuck counters.
+//!   merely *slow*, and can poison provably-stuck counters. With metrics
+//!   attached, each diagnosis also exports what every registered counter's
+//!   [`StatsSnapshot`] counted since the last one, so a counter pays for
+//!   export only when it is scraped.
 //!
 //! ## Construction
 //!
 //! Every implementation is built through one fluent path, [`CounterBuilder`]
 //! (reachable as `Type::builder()`), which exposes the knobs shared across
-//! implementations: initial value, shard count, a metrics sink, and
-//! spinning before suspending. Statistics are always collected and
-//! `poison` always propagates.
+//! implementations: initial value, shard count, a metrics sink (read by
+//! the sharded combiner), and spinning before suspending. Statistics are
+//! always collected and `poison` always propagates.
 //!
 //! ## Quickstart
 //!
@@ -125,7 +128,6 @@ mod builder;
 mod error;
 mod fastpath;
 mod list;
-mod metered;
 mod multi;
 mod node;
 mod obligation;
@@ -144,7 +146,6 @@ pub use error::{
     POISONED_PANIC_PREFIX,
 };
 pub use list::SortedList;
-pub use metered::{MeteredCounter, SAMPLE_EVERY};
 pub use multi::check_all;
 pub use obligation::{Obligation, SupervisedObligation};
 pub use sharded::ShardedCounter;

@@ -162,6 +162,8 @@ impl Stats {
             spin_checks,
             slow_path_entries: slow.slow_path_entries,
             io_retries: 0,
+            timeouts: slow.timeouts,
+            poisons: slow.poisons,
         }
     }
 }
@@ -185,6 +187,8 @@ pub(crate) struct Tallies {
     pub(crate) notifies: u64,
     /// Operations of any kind that took the lock through the slow path.
     pub(crate) slow_path_entries: u64,
+    pub(crate) timeouts: u64,
+    pub(crate) poisons: u64,
 }
 
 impl Tallies {
@@ -269,6 +273,12 @@ pub struct StatsSnapshot {
     /// zero for in-memory counters; filled in by wrappers backed by fallible
     /// external resources (the durability layer's retry policy).
     pub io_retries: u64,
+    /// Timed waits that gave up at their deadline. Each one suspended
+    /// first, so never more than `suspensions`.
+    pub timeouts: u64,
+    /// Poisons that took effect. A `poison` call on a counter already
+    /// poisoned keeps the first cause and is not counted.
+    pub poisons: u64,
 }
 
 impl std::fmt::Display for StatsSnapshot {
@@ -277,7 +287,8 @@ impl std::fmt::Display for StatsSnapshot {
             f,
             "inc {} | chk {} ({} immediate, {} suspended) | nodes {}/{} live/max \
              (created {}, freed {}) | waiters {}/{} live/max | broadcasts {} | \
-             fast {} inc / {} chk | spin {} chk | slow entries {} | io retries {}",
+             fast {} inc / {} chk | spin {} chk | slow entries {} | io retries {} | \
+             timeouts {} | poisons {}",
             self.increments,
             self.checks,
             self.immediate_checks,
@@ -293,7 +304,9 @@ impl std::fmt::Display for StatsSnapshot {
             self.fast_checks,
             self.spin_checks,
             self.slow_path_entries,
-            self.io_retries
+            self.io_retries,
+            self.timeouts,
+            self.poisons
         )
     }
 }

@@ -15,6 +15,7 @@
 use crate::builder::MetricsSink;
 use crate::error::FailureInfo;
 use crate::obligation::{Obligation, SupervisedObligation};
+use crate::stats::StatsSnapshot;
 use crate::traits::{CounterDiagnostics, HealthStatus, MonotonicCounter, WaitingLevel};
 use crate::{Counter, Value};
 use mc_metrics::{Event, Registry};
@@ -30,9 +31,9 @@ use std::time::Duration;
 /// unwound) must not cascade a `PoisonError` panic into unrelated threads —
 /// in particular the background watch thread, whose silent death would turn
 /// the stall detector itself into a silent stall. Every structure guarded
-/// here (registry `Vec`, report `Option`, handle `Option`) is valid at every
-/// intermediate step of its critical sections, so recovering the guard is
-/// sound.
+/// here (registry `Vec`, report `Option`, handle `Option`, scraped
+/// snapshot) is valid at every intermediate step of its critical sections,
+/// so recovering the guard is sound.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -240,6 +241,9 @@ struct Entry {
     counter: Weak<dyn SupervisedCounter>,
     /// Sum of amounts owed by live supervised obligations on this counter.
     obligations: Arc<AtomicU64>,
+    /// The counter's stats as last published by a scrape
+    /// ([`Supervisor::attach_metrics`]), so each pass adds only the gain.
+    published: Arc<Mutex<StatsSnapshot>>,
     /// `(attempt, next_backoff)` while the counter's producer restarts
     /// ([`Supervisor::note_restarting`]): overrides the stall verdict.
     restarting: Option<(u32, Duration)>,
@@ -248,11 +252,35 @@ struct Entry {
 /// A registered counter and its report from one sampling pass.
 type Sample = (Arc<dyn SupervisedCounter>, CounterReport);
 
+/// The monotone counts of `s`, named as a scrape publishes them. Live
+/// counts and high-water marks are levels, not events, so they are left
+/// out.
+fn monotone_counts(s: &StatsSnapshot) -> [(&'static str, u64); 14] {
+    [
+        ("increments", s.increments),
+        ("checks", s.checks),
+        ("immediate_checks", s.immediate_checks),
+        ("suspensions", s.suspensions),
+        ("nodes_created", s.nodes_created),
+        ("nodes_freed", s.nodes_freed),
+        ("notifies", s.notifies),
+        ("fast_increments", s.fast_increments),
+        ("fast_checks", s.fast_checks),
+        ("spin_checks", s.spin_checks),
+        ("slow_path_entries", s.slow_path_entries),
+        ("io_retries", s.io_retries),
+        ("timeouts", s.timeouts),
+        ("poisons", s.poisons),
+    ]
+}
+
 /// Supervision observability, attached via [`Supervisor::attach_metrics`].
 /// Verdict tallies use the stable [`StallVerdict::as_label`] names; health
 /// transitions are counted whenever a counter's
 /// [`HealthStatus::as_label`] changes between diagnoses.
 struct SupervisorMetrics {
+    /// Where the registered counters' stats are published.
+    sink: MetricsSink,
     /// `diagnose` invocations (manual and watch-thread).
     diagnoses: Arc<Event>,
     /// Watch-thread samples.
@@ -276,7 +304,7 @@ struct SupervisorMetrics {
 }
 
 impl SupervisorMetrics {
-    fn attach(sink: &MetricsSink) -> Self {
+    fn attach(sink: MetricsSink) -> Self {
         SupervisorMetrics {
             diagnoses: sink.event("diagnoses"),
             ticks: sink.event("ticks"),
@@ -289,6 +317,7 @@ impl SupervisorMetrics {
             verdict_never_satisfiable: sink.event("verdict.never_satisfiable"),
             verdict_restarting: sink.event("verdict.restarting"),
             last_health: HashMap::new(),
+            sink,
         }
     }
 
@@ -412,10 +441,18 @@ impl Supervisor {
     /// `diagnoses`, `ticks`, `stall_reports`, `restarts_noted`,
     /// `poisons_issued`, `health_transitions`, and per-verdict tallies
     /// `verdict.<label>` (the stable [`StallVerdict::as_label`] names).
-    /// Shared across clones; attaching again replaces the previous sink.
+    ///
+    /// Every diagnosing pass ([`diagnose`](Self::diagnose),
+    /// [`poison_stuck`](Self::poison_stuck), each watch tick) also scrapes
+    /// each registration's [`stats`](CounterDiagnostics::stats): what each
+    /// monotone count gained since the registration's last scrape is added
+    /// to `<prefix>.<name>.<stat>` (`increments`, `checks`, `timeouts`,
+    /// `poisons`, ...), so counters that share a name add up. Counters pay
+    /// nothing for it between scrapes. Shared across clones; attaching
+    /// again replaces the previous sink.
     pub fn attach_metrics(&self, registry: &Arc<Registry>, prefix: impl Into<String>) {
         let sink = MetricsSink::new(Arc::clone(registry), prefix);
-        *lock_recover(&self.shared.metrics) = Some(SupervisorMetrics::attach(&sink));
+        *lock_recover(&self.shared.metrics) = Some(SupervisorMetrics::attach(sink));
     }
 
     /// Registers `counter` under `name`. The supervisor holds only a weak
@@ -439,6 +476,7 @@ impl Supervisor {
             name: name.into(),
             counter: Arc::downgrade(counter),
             obligations: Arc::new(AtomicU64::new(0)),
+            published: Arc::default(),
             restarting: None,
         });
     }
@@ -539,17 +577,22 @@ impl Supervisor {
         }
     }
 
-    /// A [`sample`](Self::sample) pass, tallied as a diagnosis.
+    /// A [`sample`](Self::sample) pass, tallied as a diagnosis, that
+    /// scrapes each counter's stats when metrics are attached.
     fn diagnose_shared(shared: &Shared) -> Vec<Sample> {
-        let samples = Self::sample(shared);
+        let scrape = lock_recover(&shared.metrics)
+            .as_ref()
+            .map(|m| m.sink.clone());
+        let samples = Self::sample(shared, scrape.as_ref());
         shared.with_metrics(|m| m.record_diagnosis(&samples));
         samples
     }
 
     /// The sampling pass: upgrades the registered counters under the
     /// registry lock, then reads each one after releasing it, so a slow
-    /// read never holds up `register`, `unregister` or `obligation`.
-    fn sample(shared: &Shared) -> Vec<Sample> {
+    /// read never holds up `register`, `unregister` or `obligation`. With
+    /// a `scrape` sink it also publishes each entry's stats there.
+    fn sample(shared: &Shared, scrape: Option<&MetricsSink>) -> Vec<Sample> {
         let entries: Vec<_> = lock_recover(&shared.entries)
             .iter()
             .filter_map(|e| Some((e.counter.upgrade()?, e.clone())))
@@ -586,6 +629,9 @@ impl Supervisor {
             } else {
                 c.health()
             };
+            if let Some(sink) = scrape {
+                Self::publish_stats(sink, &e, c.as_ref());
+            }
             let report = CounterReport {
                 name: e.name,
                 value,
@@ -600,11 +646,27 @@ impl Supervisor {
         counters
     }
 
+    /// Adds what `counter`'s monotone stats gained since the entry's last
+    /// scrape to `<prefix>.<name>.<stat>`. The stats are read under the
+    /// entry's own lock, so concurrent passes publish each gain once.
+    fn publish_stats(sink: &MetricsSink, e: &Entry, counter: &dyn SupervisedCounter) {
+        let mut published = lock_recover(&e.published);
+        let now = counter.stats();
+        for ((stat, now), (_, before)) in monotone_counts(&now)
+            .into_iter()
+            .zip(monotone_counts(&published))
+        {
+            sink.event(&format!("{}.{stat}", e.name))
+                .add(now.saturating_sub(before));
+        }
+        *published = now;
+    }
+
     /// Poisons every live registered counter with `info`. Used by deadline
     /// supervision (`mc_sthreads::run_with_deadline`) to unblock and
     /// terminate a stuck program's threads.
     pub fn poison_all(&self, info: FailureInfo) {
-        Self::poison(&self.shared, &Self::sample(&self.shared), |_| {
+        Self::poison(&self.shared, &Self::sample(&self.shared, None), |_| {
             Some(info.clone())
         });
     }
@@ -746,7 +808,7 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CheckError;
+    use crate::error::{CheckError, CounterOverflowError};
     use crate::{Counter, SpinCounter};
     use std::thread;
 
@@ -1274,10 +1336,85 @@ mod tests {
         sup.register("shard", &healthy);
         sup.register("shard", &degraded);
         for _ in 0..10 {
+            healthy.increment(1);
+            degraded.increment(2);
+            degraded.increment(2);
             sup.diagnose();
         }
         // Neither counter's health changed, so nothing transitioned.
         assert_eq!(registry.event("sup.health_transitions").get(), 0);
+        // Their scraped counts add up under the shared name.
+        assert_eq!(registry.event("sup.shard.increments").get(), 30);
+    }
+
+    #[test]
+    fn a_counter_registered_after_a_dropped_one_publishes_from_zero() {
+        let registry = Arc::new(Registry::new());
+        let sup = Supervisor::new();
+        sup.attach_metrics(&registry, "sup");
+        let old = Arc::new(Counter::default());
+        sup.register("jobs", &old);
+        for _ in 0..5 {
+            old.increment(1);
+        }
+        sup.diagnose();
+        drop(old);
+        // Registering another counter frees the dropped one's allocation,
+        // so the fresh counter usually gets its address; its scrape must
+        // still start from its own zero.
+        let other = Arc::new(Counter::default());
+        sup.register("other", &other);
+        let fresh = Arc::new(Counter::default());
+        sup.register("jobs", &fresh);
+        for _ in 0..3 {
+            fresh.increment(1);
+        }
+        sup.diagnose();
+        assert_eq!(registry.event("sup.jobs.increments").get(), 8);
+    }
+
+    #[test]
+    fn a_supervisor_without_metrics_never_reads_stats() {
+        struct NoStats(Counter);
+        impl MonotonicCounter for NoStats {
+            fn increment(&self, amount: Value) {
+                self.0.increment(amount);
+            }
+            fn try_increment(&self, amount: Value) -> Result<(), CounterOverflowError> {
+                self.0.try_increment(amount)
+            }
+            fn advance_to(&self, target: Value) {
+                self.0.advance_to(target);
+            }
+            fn wait(&self, level: Value) -> Result<(), CheckError> {
+                self.0.wait(level)
+            }
+            fn wait_timeout(&self, level: Value, timeout: Duration) -> Result<(), CheckError> {
+                self.0.wait_timeout(level, timeout)
+            }
+            fn poison(&self, info: FailureInfo) {
+                self.0.poison(info);
+            }
+            fn poison_info(&self) -> Option<FailureInfo> {
+                self.0.poison_info()
+            }
+        }
+        impl CounterDiagnostics for NoStats {
+            fn debug_value(&self) -> Value {
+                self.0.debug_value()
+            }
+            fn stats(&self) -> StatsSnapshot {
+                panic!("stats read by a supervisor with no metrics attached")
+            }
+            fn impl_name(&self) -> &'static str {
+                "no-stats"
+            }
+        }
+        let sup = Supervisor::new();
+        let c = Arc::new(NoStats(Counter::default()));
+        sup.register("c", &c);
+        sup.diagnose();
+        assert_eq!(sup.poison_stuck(FailureInfo::new("stuck")), 0);
     }
 
     #[test]

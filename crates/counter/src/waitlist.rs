@@ -612,6 +612,7 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
                         // increment would signal a dead node (harmless)
                         // while the queue length misreports storage.
                         inner.stats.live_waiters -= 1;
+                        inner.stats.timeouts += 1;
                         if node.remove_waiter() {
                             inner.waiting.remove_level(level);
                             inner.stats.nodes_freed += 1;
@@ -723,7 +724,10 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         match poll {
             Poll::Satisfied => Ok(()),
             Poll::Poisoned => Err(poisoned(&inner)),
-            Poll::Pending => Err(CheckError::Timeout(CheckTimeoutError { level })),
+            Poll::Pending => {
+                inner.stats.timeouts += 1;
+                Err(CheckError::Timeout(CheckTimeoutError { level }))
+            }
         }
     }
 
@@ -779,6 +783,7 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         if inner.poisoned.is_some() {
             return; // the first failure is the cause; later ones are noise
         }
+        inner.stats.poisons += 1;
         let mut swept = publish(&mut inner);
         self.fast.set_poison();
         inner.poisoned = Some(info);

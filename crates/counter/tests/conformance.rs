@@ -3,9 +3,11 @@
 //! per implementation so a failure names the offender.
 
 use mc_counter::{
-    BTreeCounter, CheckError, Counter, CounterDiagnostics, FailureInfo, MeteredCounter,
-    MonotonicCounter, NaiveCounter, Resettable, ShardedCounter, SpinCounter, TracingCounter,
+    BTreeCounter, CheckError, Counter, CounterDiagnostics, FailureInfo, MonotonicCounter,
+    NaiveCounter, Resettable, ShardedCounter, SpinCounter, Supervisor, TracingCounter,
 };
+use mc_metrics::{MetricSnapshot, Registry};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,6 +63,7 @@ fn one_increment_many_levels<C: Conformant + 'static>() {
 fn timeout_err_then_success<C: Conformant + 'static>() {
     let c = Arc::new(C::default());
     assert!(c.check_timeout(1, SHORT).is_err());
+    assert_eq!(c.stats().timeouts, 1);
     let c2 = Arc::clone(&c);
     let h = std::thread::spawn(move || c2.check_timeout(1, Duration::from_secs(10)));
     while c.stats().live_waiters == 0 {
@@ -68,6 +71,7 @@ fn timeout_err_then_success<C: Conformant + 'static>() {
     }
     c.increment(1);
     assert!(h.join().unwrap().is_ok());
+    assert_eq!(c.stats().timeouts, 1, "a wait that succeeds is no timeout");
 }
 
 fn try_increment_overflow<C: Conformant>() {
@@ -211,6 +215,11 @@ fn first_poison_wins<C: Conformant>() {
     c.poison(FailureInfo::new("first"));
     c.poison(FailureInfo::new("second"));
     assert_eq!(c.poison_info().unwrap().message(), "first");
+    assert_eq!(
+        c.stats().poisons,
+        1,
+        "only the poison that took effect counts"
+    );
 }
 
 fn check_timeout_waits_at_least_the_timeout<C: Conformant>() {
@@ -352,6 +361,7 @@ fn stats_snapshot_agrees_with_itself<C: Conformant + 'static>() {
                     || s.nodes_freed > s.nodes_created
                     || s.live_nodes > s.max_live_nodes
                     || s.live_waiters > s.max_live_waiters
+                    || s.timeouts > s.suspensions
                 {
                     bad.push(s);
                 }
@@ -387,6 +397,63 @@ fn stats_snapshot_agrees_with_itself<C: Conformant + 'static>() {
         bad.len(),
         bad[0]
     );
+}
+
+/// A supervisor with metrics attached publishes, at each diagnosis, what
+/// each monotone count of the counter's `stats()` gained since the last:
+/// after one diagnosis every published event equals its `stats()` field,
+/// and a second adds nothing.
+fn scrape_publishes_the_counters_own_stats<C: Conformant + 'static>() {
+    let registry = Arc::new(Registry::new());
+    let sup = Supervisor::new();
+    sup.attach_metrics(&registry, "sup");
+    let c = Arc::new(C::default());
+    sup.register("c", &c);
+    c.increment(1);
+    c.check(1);
+    let c2 = Arc::clone(&c);
+    let waiter = std::thread::spawn(move || c2.check(2));
+    while c.stats().live_waiters == 0 {
+        std::thread::yield_now();
+    }
+    c.increment(1);
+    waiter.join().unwrap();
+    assert!(c.wait_timeout(3, Duration::from_millis(1)).is_err());
+    c.poison(FailureInfo::new("scraped"));
+    c.poison(FailureInfo::new("ignored"));
+    let scraped = || -> BTreeMap<String, u64> {
+        let metrics = registry.snapshot().metrics.into_iter();
+        metrics
+            .filter_map(|(name, m)| match m {
+                MetricSnapshot::Event(v) => Some((name.strip_prefix("sup.c.")?.to_string(), v)),
+                MetricSnapshot::Histogram(_) => None,
+            })
+            .collect()
+    };
+    sup.diagnose();
+    let published = scraped();
+    let s = c.stats();
+    let fields = [
+        ("increments", s.increments),
+        ("checks", s.checks),
+        ("immediate_checks", s.immediate_checks),
+        ("suspensions", s.suspensions),
+        ("nodes_created", s.nodes_created),
+        ("nodes_freed", s.nodes_freed),
+        ("notifies", s.notifies),
+        ("fast_increments", s.fast_increments),
+        ("fast_checks", s.fast_checks),
+        ("spin_checks", s.spin_checks),
+        ("slow_path_entries", s.slow_path_entries),
+        ("io_retries", s.io_retries),
+        ("timeouts", s.timeouts),
+        ("poisons", s.poisons),
+    ];
+    let want: BTreeMap<_, _> = fields.map(|(k, v)| (k.to_string(), v)).into();
+    assert_eq!(published, want);
+    assert_eq!((s.increments, s.timeouts, s.poisons), (2, 1, 1), "{s}");
+    sup.diagnose();
+    assert_eq!(scraped(), published, "a second scrape adds nothing");
 }
 
 macro_rules! conformance {
@@ -483,6 +550,10 @@ macro_rules! conformance {
                 super::stats_snapshot_agrees_with_itself::<$ty>();
             }
             #[test]
+            fn scrape_publishes_the_counters_own_stats() {
+                super::scrape_publishes_the_counters_own_stats::<$ty>();
+            }
+            #[test]
             fn resume_from_restores_value() {
                 use mc_counter::ResumableCounter;
                 let c = <$ty as ResumableCounter>::resume_from(23);
@@ -537,25 +608,3 @@ conformance!(naive, NaiveCounter);
 conformance!(traced, TracingCounter);
 conformance!(spin, SpinCounter);
 conformance!(sharded, ShardedCounter);
-conformance!(metered, MeteredCounter<Counter>);
-
-/// The metered wrapper must forward the complete `MonotonicCounter` surface
-/// even with instrumentation ENABLED — a recording path that forgot to call
-/// through (or called a different method) would silently change semantics
-/// exactly when observability is switched on.
-#[test]
-fn metered_forwards_everything_with_metrics_enabled() {
-    use mc_counter::testkit::{self, RecordingCounter};
-    use mc_metrics::Registry;
-    let registry = Arc::new(Registry::new());
-    let sink = mc_counter::MetricsSink::new(Arc::clone(&registry), "fwd");
-    let c = MeteredCounter::wrap(RecordingCounter::default(), Some(&sink));
-    testkit::exercise_all(&c);
-    testkit::assert_all_forwarded(c.inner());
-    // And the instruments really were live during the exercise: waits are
-    // counted inline, hot-path counts arrive via publish_stats.
-    assert!(registry.event("fwd.waits").get() > 0);
-    c.publish_stats();
-    assert!(registry.event("fwd.increments").get() > 0);
-    assert!(registry.event("fwd.checks").get() > 0);
-}

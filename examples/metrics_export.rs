@@ -1,8 +1,9 @@
 //! Observability: wire counters into a metrics registry and export it.
 //!
-//! One `Registry` collects everything — metered counters, supervisor
-//! diagnostics — and renders either a Prometheus text exposition or a JSON
-//! document, with no dependencies beyond the workspace.
+//! One `Registry` collects everything — each supervised counter's own
+//! statistics, supervisor diagnostics — and renders either a Prometheus
+//! text exposition or a JSON document, with no dependencies beyond the
+//! workspace.
 //!
 //! Run with: `cargo run --example metrics_export`
 
@@ -12,16 +13,18 @@ use std::sync::Arc;
 fn main() {
     let registry = Arc::new(Registry::new());
 
-    // 1. A metered counter: the same `MonotonicCounter` API, publishing
-    //    `app.*` events and latency histograms into the registry. The hot
-    //    operations stay zero-overhead; their totals ride the counter's
-    //    always-on statistics tier and reach the registry when
-    //    `publish_stats` runs (call it before each scrape).
-    let c = Arc::new(
-        MeteredCounter::<Counter>::builder()
-            .metrics(&registry, "app")
-            .build(),
-    );
+    // 1. A supervisor with metrics attached publishes its diagnostics
+    //    under `sup.*`: diagnose passes, per-verdict tallies, restarts,
+    //    poisons.
+    let sup = Supervisor::new();
+    sup.attach_metrics(&registry, "sup");
+
+    // 2. A plain counter, registered as `app`. Its operations write
+    //    nothing to the registry: each diagnosis scrapes what its `stats()`
+    //    counted since the last one into `sup.app.*` (increments, checks,
+    //    timeouts, poisons, ...).
+    let c = Arc::new(Counter::default());
+    sup.register("app", &c);
     std::thread::scope(|s| {
         let waiter = Arc::clone(&c);
         s.spawn(move || waiter.check(1_000));
@@ -29,14 +32,6 @@ fn main() {
             c.increment(1);
         }
     });
-    c.publish_stats();
-
-    // 2. Supervisor diagnostics land in the same registry under `sup.*`:
-    //    diagnose passes, per-verdict tallies, restarts, poisons.
-    let sup = Supervisor::new();
-    sup.attach_metrics(&registry, "sup");
-    let done = Arc::new(Counter::default());
-    sup.register("done", &done);
     let _report = sup.diagnose();
 
     // 3. Export. Prometheus text for a scrape endpoint...

@@ -27,7 +27,8 @@
 //!   restores both value and poison state after a crash.
 //! * [`metrics`] — dependency-free observability: a [`Registry`] of counters
 //!   and log-bucketed histograms with Prometheus and JSON exporters, fed by
-//!   the metered counter wrapper, the durable flusher, and the supervisor.
+//!   the supervisor (which scrapes each registered counter's statistics),
+//!   the durable flusher, and the sharded counter's combiner.
 //!
 //! [`Registry`]: mc_metrics::Registry
 //!
@@ -74,9 +75,9 @@ pub mod prelude {
     pub use mc_counter::{
         check_all, BTreeCounter, BuildConfig, Buildable, CheckError, CheckTimeoutError, Counter,
         CounterBuilder, CounterDiagnostics, CounterExt, CounterOverflowError, DynCounter,
-        FailureInfo, HealthStatus, MeteredCounter, MetricsSink, MonotonicCounter, NaiveCounter,
-        Obligation, Resettable, ShardedCounter, SpinCounter, StallReport, StallVerdict,
-        StatsSnapshot, Supervisor, SupervisorConfig, TracingCounter, Value,
+        FailureInfo, HealthStatus, MetricsSink, MonotonicCounter, NaiveCounter, Obligation,
+        Resettable, ShardedCounter, SpinCounter, StallReport, StallVerdict, StatsSnapshot,
+        Supervisor, SupervisorConfig, TracingCounter, Value,
     };
     pub use mc_durable::{
         DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, RetryPolicy, WalError,
