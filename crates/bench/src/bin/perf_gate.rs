@@ -1,15 +1,11 @@
-//! **perf-gate** — CI performance-regression gate over the machine-readable
-//! benchmark reports.
+//! **perf_gate** — applies `bench_baselines.json` to the
+//! `results/BENCH_<exp>.json` reports on disk.
 //!
-//! Reads the checked-in `bench_baselines.json` (what the repository promises
-//! about its own performance *shape*) and the `results/BENCH_<exp>.json`
-//! reports the `e*_table --quick` runs just wrote, and compares each
-//! baselined metric against its bound. The gate checks **ratios and shapes**
-//! (speedup over an in-repo ablation, fsyncs per op, instrumentation
-//! overhead), never absolute nanoseconds — those vary with the runner, the
-//! ratios should not.
-//!
-//! Output is machine-greppable, one line per check plus a final verdict:
+//! Each report is judged by [`mc_bench::gate::evaluate_report`]: the
+//! evaluator its table's `Report::finish` applied, on the metrics and
+//! `env.hw_threads` the report recorded. So this prints the same
+//! `PERF-GATE <exp>: <metric> ...` lines as the tables that wrote the
+//! reports, then a final verdict:
 //!
 //! ```text
 //! PERF-GATE: PASS
@@ -17,181 +13,45 @@
 //! PERF-GATE: SKIPPED(<reason>)
 //! ```
 //!
-//! `FAIL` exits non-zero. A report whose own shape check was skipped (e.g.
-//! `single-core-host`), or a baseline whose `requires` clause the host
-//! cannot meet, skips its checks instead of failing — an environment
-//! limitation is not a regression. A *missing* report fails: the CI job
-//! runs the benchmarks immediately before the gate, so absence means the
-//! benchmark crashed.
+//! `FAIL` exits non-zero. A missing report of a bounded experiment fails:
+//! its table crashed before writing it.
 //!
-//! Usage: `perf_gate [--baselines FILE] [--results DIR]`
-//! (defaults: `bench_baselines.json` at the workspace root; the standard
-//! results directory, both overridable via `MC_BENCH_BASELINES` /
-//! `MC_BENCH_RESULTS`).
+//! Usage: `cargo run --release -p mc-bench --bin perf_gate`
 
-use mc_bench::json::{self, Json};
-use mc_bench::results_dir;
-use std::path::{Path, PathBuf};
-
-fn baselines_path(args: &[String]) -> PathBuf {
-    if let Some(i) = args.iter().position(|a| a == "--baselines") {
-        if let Some(p) = args.get(i + 1) {
-            return PathBuf::from(p);
-        }
-    }
-    match std::env::var_os("MC_BENCH_BASELINES") {
-        Some(p) => PathBuf::from(p),
-        None => PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../bench_baselines.json"
-        )),
-    }
-}
-
-fn load(path: &Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
-
-enum CheckOutcome {
-    Pass,
-    Fail,
-    Skip(String),
-}
-
-fn run_experiment(exp: &str, baseline: &Json, results: &Path) -> CheckOutcome {
-    // Host requirements declared by the baseline itself.
-    if let Some(req) = baseline.get("requires").and_then(Json::as_str) {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if req == "multi-core" && cores < 2 {
-            return CheckOutcome::Skip("single-core-host".into());
-        }
-    }
-
-    let report_path = results.join(format!("BENCH_{exp}.json"));
-    let report = match load(&report_path) {
-        Ok(r) => r,
-        Err(e) => {
-            println!("PERF-GATE {exp}: missing report ({e})");
-            return CheckOutcome::Fail;
-        }
-    };
-
-    match report.get("shape").and_then(Json::as_str) {
-        Some("skipped") => {
-            let reason = report
-                .get("skip_reason")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified")
-                .to_string();
-            return CheckOutcome::Skip(reason);
-        }
-        Some("fail") => {
-            // The experiment's own shape check already failed; surface it
-            // through the gate too so one grep finds everything.
-            println!("PERF-GATE {exp}: experiment shape check FAILED");
-            return CheckOutcome::Fail;
-        }
-        _ => {}
-    }
-
-    let metrics = report.get("metrics");
-    let Some(checks) = baseline.get("checks").and_then(Json::as_arr) else {
-        println!("PERF-GATE {exp}: baseline has no checks array");
-        return CheckOutcome::Fail;
-    };
-
-    let mut ok = true;
-    for check in checks {
-        let Some(name) = check.get("metric").and_then(Json::as_str) else {
-            println!("PERF-GATE {exp}: malformed check (no metric name)");
-            ok = false;
-            continue;
-        };
-        let measured = metrics.and_then(|m| m.get(name)).and_then(Json::as_f64);
-        let Some(measured) = measured else {
-            println!("PERF-GATE {exp}: {name}: metric missing from report");
-            ok = false;
-            continue;
-        };
-        let min = check.get("min").and_then(Json::as_f64);
-        let max = check.get("max").and_then(Json::as_f64);
-        let mut verdict = "ok";
-        if let Some(min) = min {
-            if measured < min {
-                verdict = "FAIL";
-            }
-        }
-        if let Some(max) = max {
-            if measured > max {
-                verdict = "FAIL";
-            }
-        }
-        let bound = match (min, max) {
-            (Some(lo), Some(hi)) => format!("{lo} <= x <= {hi}"),
-            (Some(lo), None) => format!("x >= {lo}"),
-            (None, Some(hi)) => format!("x <= {hi}"),
-            (None, None) => "unbounded".into(),
-        };
-        println!("PERF-GATE {exp}: {name} = {measured:.4} ({bound}): {verdict}");
-        if verdict == "FAIL" {
-            ok = false;
-        }
-    }
-    if ok {
-        CheckOutcome::Pass
-    } else {
-        CheckOutcome::Fail
-    }
-}
+use mc_bench::gate::{self, Verdict};
+use mc_bench::{results_dir, Shape};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let results = match args.iter().position(|a| a == "--results") {
-        Some(i) => args
-            .get(i + 1)
-            .map(PathBuf::from)
-            .unwrap_or_else(results_dir),
-        None => results_dir(),
-    };
-
-    let baselines = match load(&baselines_path(&args)) {
-        Ok(b) => b,
-        Err(e) => {
-            println!("PERF-GATE: FAIL");
-            eprintln!("perf-gate: {e}");
-            std::process::exit(1);
-        }
-    };
+    let baselines = gate::baselines().unwrap_or_else(|e| {
+        println!("PERF-GATE: FAIL ({e})");
+        std::process::exit(1);
+    });
     let Some(experiments) = baselines.as_obj() else {
-        println!("PERF-GATE: FAIL");
-        eprintln!("perf-gate: baselines document is not an object");
+        println!("PERF-GATE: FAIL (bench_baselines.json is not an object)");
         std::process::exit(1);
     };
-
-    let (mut passed, mut failed, mut skipped) = (0usize, 0usize, Vec::new());
-    for (exp, baseline) in experiments {
-        match run_experiment(exp, baseline, &results) {
-            CheckOutcome::Pass => passed += 1,
-            CheckOutcome::Fail => failed += 1,
-            CheckOutcome::Skip(reason) => {
-                println!("PERF-GATE {exp}: SKIPPED({reason})");
-                skipped.push(reason);
-            }
+    let (mut passed, mut failed, mut skipped) = (false, false, None);
+    for (exp, _) in experiments {
+        let verdict = match gate::load(&results_dir().join(format!("BENCH_{exp}.json"))) {
+            Ok(report) => gate::evaluate_report(exp, &baselines, &report),
+            Err(e) => Verdict::fail(exp, &format!("missing report ({e})")),
+        };
+        for line in &verdict.lines {
+            println!("{line}");
+        }
+        match verdict.shape {
+            Shape::Pass => passed = true,
+            Shape::Fail => failed = true,
+            Shape::Skipped(reason) => skipped = skipped.or(Some(reason)),
+            Shape::Info => {}
         }
     }
-
-    if failed > 0 {
+    if failed {
         println!("PERF-GATE: FAIL");
         std::process::exit(1);
-    } else if passed == 0 {
-        let reason = skipped
-            .first()
-            .cloned()
-            .unwrap_or_else(|| "no-checks".into());
-        println!("PERF-GATE: SKIPPED({reason})");
-    } else {
-        println!("PERF-GATE: PASS");
+    }
+    match skipped {
+        Some(reason) if !passed => println!("PERF-GATE: SKIPPED({reason})"),
+        _ => println!("PERF-GATE: PASS"),
     }
 }

@@ -80,6 +80,7 @@ fn main() {
     ]);
     let mut report = Report::new("x1", &args);
     report.table(table);
+    report.metric("dag_mismatches", u8::from(!deterministic).into());
 
     // Paraffins: staged generation with one counter.
     let max = if quick { 12 } else { 15 };

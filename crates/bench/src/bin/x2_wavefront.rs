@@ -41,12 +41,14 @@ fn main() {
         fmt_duration(t_seq.median),
         "true".into(),
     ]);
+    let mut mismatches = 0usize;
     for &bands in &[2usize, 4, 8] {
         for &block in &[64usize, 256] {
             let t = measure(runs, || {
                 std::hint::black_box(wavefront::lcs_wavefront(&a, &b, bands, block));
             });
             let ok = wavefront::lcs_wavefront(&a, &b, bands, block) == want;
+            mismatches += usize::from(!ok);
             table.row(vec![
                 bands.to_string(),
                 block.to_string(),
@@ -57,6 +59,7 @@ fn main() {
     }
     let mut report = Report::new("x2", &args);
     report.table(table);
+    report.metric("lcs_mismatches", mismatches as f64);
     report.note(
         "Shape check: every configuration computes the oracle LCS; per-band counters\n\
          let band t+1 start as soon as band t finishes one column block, so the\n\

@@ -28,6 +28,7 @@ fn main() {
             "sorted",
         ],
     );
+    let mut unsorted = 0usize;
     for &n in sizes {
         let mut rng = StdRng::seed_from_u64(7);
         let v: Vec<i64> = (0..n).map(|_| rng.gen_range(-10_000..10_000)).collect();
@@ -39,7 +40,16 @@ fn main() {
         let t_counters = measure(runs, || {
             std::hint::black_box(sorting::odd_even_counters(&v));
         });
-        let ok = sorting::odd_even_counters(&v) == want;
+        // The sorted input reversed needs all n phases; a random one
+        // usually needs fewer, so only the reversed input shows a lost
+        // last phase.
+        let reversed: Vec<i64> = want.iter().rev().copied().collect();
+        let wrong = [&v, &reversed]
+            .into_iter()
+            .filter(|input| sorting::odd_even_counters(input) != want)
+            .count();
+        unsorted += wrong;
+        let ok = wrong == 0;
         table.row(vec![
             n.to_string(),
             (n / 2 + 1).to_string(),
@@ -51,6 +61,7 @@ fn main() {
     }
     let mut report = Report::new("x3", &args);
     report.table(table);
+    report.metric("unsorted_outputs", unsorted as f64);
     report.note(
         "Shape check: the counter version replaces n/2-way barrier passes with\n\
          2-neighbour waits; the advantage grows with thread count because barrier\n\

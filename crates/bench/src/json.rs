@@ -1,7 +1,7 @@
 //! Minimal JSON support for the benchmark harness: an escape helper used by
-//! every emitter, and a small recursive-descent parser used by the
-//! `perf_gate` binary to read `BENCH_<exp>.json` reports and the checked-in
-//! `bench_baselines.json`. Hand-rolled on purpose — the harness has no
+//! every emitter, and a small recursive-descent parser used by the gate
+//! ([`crate::gate`]) to read the checked-in `bench_baselines.json` and
+//! `BENCH_<exp>.json` reports. Hand-rolled on purpose — the harness has no
 //! serde dependency and the documents involved are tiny.
 
 use std::fmt;
@@ -121,9 +121,9 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
         bytes: input.as_bytes(),
         pos: 0,
     };
-    p.skip_ws();
+    p.eat_whitespace();
     let v = p.value()?;
-    p.skip_ws();
+    p.eat_whitespace();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after document"));
     }
@@ -143,7 +143,7 @@ impl Parser<'_> {
         }
     }
 
-    fn skip_ws(&mut self) {
+    fn eat_whitespace(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
             self.pos += 1;
         }
@@ -187,20 +187,20 @@ impl Parser<'_> {
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut members = Vec::new();
-        self.skip_ws();
+        self.eat_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Json::Obj(members));
         }
         loop {
-            self.skip_ws();
+            self.eat_whitespace();
             let key = self.string()?;
-            self.skip_ws();
+            self.eat_whitespace();
             self.expect(b':')?;
-            self.skip_ws();
+            self.eat_whitespace();
             let val = self.value()?;
             members.push((key, val));
-            self.skip_ws();
+            self.eat_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
@@ -215,15 +215,15 @@ impl Parser<'_> {
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
+        self.eat_whitespace();
         if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(Json::Arr(items));
         }
         loop {
-            self.skip_ws();
+            self.eat_whitespace();
             items.push(self.value()?);
-            self.skip_ws();
+            self.eat_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {

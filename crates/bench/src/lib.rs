@@ -8,15 +8,18 @@
 //! * a fixed-width table printer so each `e*_table` binary prints rows in the
 //!   same shape the paper argues about ("who wins, by how much");
 //! * JSON emission (hand-rolled, no serde dependency) so runs can be archived
-//!   via `--json`.
+//!   via `--json`;
+//! * the one gate ([`gate`]): `bench_baselines.json`'s bounds, applied to
+//!   each run's named metrics.
 //!
 //! Each experiment is one `cargo run --release -p mc-bench --bin eN_table`
 //! binary that prints the claim-vs-measured table (`--quick` for small
-//! sizes, `--json` to archive the run).
+//! sizes, `--json` to archive the run) and exits on its gate's verdict.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod gate;
 pub mod json;
 pub mod report;
 

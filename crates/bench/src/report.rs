@@ -1,42 +1,48 @@
 //! Machine-readable experiment reports.
 //!
 //! Every `e*_table` / `x*_*` binary funnels its output through a [`Report`]:
-//! the human-readable tables and shape-check prose go to stdout exactly as
-//! before, and the same run also writes two artifacts into the repository's
-//! `results/` directory:
+//! the human-readable tables and prose go to stdout, and the same run also
+//! writes two artifacts into the repository's `results/` directory:
 //!
-//! * `<exp>_table.txt` — the rendered tables + shape verdict, byte-for-byte
-//!   what the run printed (minus any `--json` dump);
+//! * `<exp>_table.txt` — the rendered tables, the `PERF-GATE` lines and the
+//!   verdict, byte-for-byte what the run printed (minus any `--json` dump);
 //! * `BENCH_<exp>.json` — a machine-readable record: environment capture,
-//!   named scalar metrics, the shape verdict, and the full tables. This is
-//!   what the CI perf gate (`perf_gate` binary) and the workflow artifacts
-//!   consume.
+//!   named scalar metrics, the verdict, and the full tables. This is what
+//!   the `perf_gate` binary and the workflow artifacts consume.
+//!
+//! The verdict is `bench_baselines.json`'s, applied by [`gate::evaluate`]
+//! to the metrics the run recorded: a table holds no bound of its own.
 //!
 //! The destination directory is `$MC_BENCH_RESULTS` when set, else
 //! `<workspace root>/results`. Write failures are reported to stderr but
 //! never fail the benchmark — artifact emission must not mask a measurement.
 
+use crate::gate::{self, Verdict};
 use crate::json;
 use crate::Table;
 use std::path::PathBuf;
 
-/// Outcome of an experiment's shape check (the "does the measured curve
-/// have the claimed shape" verdict, not a perf threshold).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An experiment's verdict: whether its metrics meet the bounds
+/// `bench_baselines.json` sets on them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Shape {
-    /// No pass/fail gate: the experiment reports numbers and prose only.
+    /// No entry in `bench_baselines.json`: the experiment reports numbers
+    /// and prose only.
+    #[default]
     Info,
-    /// The claimed shape held.
+    /// Every bound held.
     Pass,
-    /// The claimed shape did not hold; the binary exits non-zero.
+    /// A bound did not hold; the binary exits non-zero.
     Fail,
-    /// The check could not run here (e.g. a single-core host cannot show
-    /// contention relief); the reason is machine-readable.
+    /// The entry's `requires` clause does not hold on this host (a
+    /// single-core host cannot show contention relief); the reason is
+    /// machine-readable.
     Skipped(String),
 }
 
 impl Shape {
-    fn label(&self) -> &'static str {
+    /// The `shape` field of a `BENCH_<exp>.json`.
+    pub fn label(&self) -> &'static str {
         match self {
             Shape::Info => "info",
             Shape::Pass => "pass",
@@ -55,8 +61,8 @@ pub fn results_dir() -> PathBuf {
     }
 }
 
-/// Accumulates one experiment run: tables, named metrics, shape-check
-/// prose, and the verdict. See the module docs for what
+/// Accumulates one experiment run: tables, named metrics, prose, and the
+/// verdict. See the module docs for what
 /// [`finish`](Report::finish) emits.
 #[derive(Debug)]
 pub struct Report {
@@ -66,7 +72,7 @@ pub struct Report {
     tables: Vec<Table>,
     metrics: Vec<(String, f64)>,
     notes: Vec<String>,
-    shape: Shape,
+    verdict: Verdict,
 }
 
 impl Report {
@@ -80,7 +86,7 @@ impl Report {
             tables: Vec::new(),
             metrics: Vec::new(),
             notes: Vec::new(),
-            shape: Shape::Info,
+            verdict: Verdict::default(),
         }
     }
 
@@ -94,8 +100,8 @@ impl Report {
         self.tables.push(table);
     }
 
-    /// Records a named scalar — the values the perf gate compares against
-    /// baselines (`inc_speedup`, `scrape_overhead`, ...).
+    /// Records a named scalar — the values `bench_baselines.json` bounds
+    /// (`inc_speedup`, `scrape_overhead`, ...).
     pub fn metric(&mut self, name: impl Into<String>, value: f64) {
         self.metrics.push((name.into(), value));
     }
@@ -105,29 +111,19 @@ impl Report {
         self.notes.push(text.into());
     }
 
-    /// Sets the verdict from a boolean check.
-    pub fn shape_check(&mut self, passed: bool) {
-        self.shape = if passed { Shape::Pass } else { Shape::Fail };
-    }
-
-    /// Marks the shape check as not runnable here, with a reason that
-    /// shows up machine-readable in the JSON artifact.
-    pub fn skip(&mut self, reason: impl Into<String>) {
-        self.shape = Shape::Skipped(reason.into());
-    }
-
-    /// Renders the human-readable output: tables, notes, verdict line.
+    /// Renders the human-readable output: tables, notes, `PERF-GATE`
+    /// lines, verdict line.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for t in &self.tables {
             out.push_str(&t.render());
             out.push('\n');
         }
-        for n in &self.notes {
-            out.push_str(n);
+        for line in self.notes.iter().chain(&self.verdict.lines) {
+            out.push_str(line);
             out.push('\n');
         }
-        match &self.shape {
+        match &self.verdict.shape {
             Shape::Info => {}
             Shape::Pass => out.push_str("Shape check PASSED.\n"),
             Shape::Fail => out.push_str("Shape check FAILED.\n"),
@@ -147,14 +143,14 @@ impl Report {
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
         out.push_str(&format!(
             "  \"shape\": {},\n",
-            json::quote(self.shape.label())
+            json::quote(self.verdict.shape.label())
         ));
-        if let Shape::Skipped(reason) = &self.shape {
+        if let Shape::Skipped(reason) = &self.verdict.shape {
             out.push_str(&format!("  \"skip_reason\": {},\n", json::quote(reason)));
         }
-        let threads = std::thread::available_parallelism().map_or(0, |n| n.get());
         out.push_str(&format!(
-            "  \"env\": {{\"hw_threads\": {threads}, \"os\": {}, \"arch\": {}, \"profile\": {}}},\n",
+            "  \"env\": {{\"hw_threads\": {}, \"os\": {}, \"arch\": {}, \"profile\": {}}},\n",
+            hw_threads(),
             json::quote(std::env::consts::OS),
             json::quote(std::env::consts::ARCH),
             json::quote(if cfg!(debug_assertions) {
@@ -208,10 +204,17 @@ impl Report {
         out
     }
 
-    /// Prints the report, writes both artifacts, and — when the shape
-    /// check failed — exits non-zero (after the artifacts land, so a CI
-    /// failure still uploads the evidence).
-    pub fn finish(self) {
+    /// Judges the recorded metrics by `bench_baselines.json`, prints the
+    /// report, writes both artifacts, and — when a bound failed — exits
+    /// non-zero (after the artifacts land, so a CI failure still uploads
+    /// the evidence).
+    pub fn finish(mut self) {
+        let metric = |name: &str| self.metrics.iter().find(|(k, _)| k == name).map(|m| m.1);
+        let exp = &self.experiment;
+        self.verdict = match gate::baselines() {
+            Ok(baselines) => gate::evaluate(exp, &baselines, metric, hw_threads()),
+            Err(e) => Verdict::fail(exp, &e),
+        };
         let text = self.render_text();
         print!("{text}");
         if self.json_stdout {
@@ -231,10 +234,15 @@ impl Report {
             &format!("BENCH_{}.json", self.experiment),
             &format!("{}\n", self.render_json()),
         );
-        if self.shape == Shape::Fail {
+        if self.verdict.shape == Shape::Fail {
             std::process::exit(1);
         }
     }
+}
+
+/// The host's hardware threads, as a report records them.
+fn hw_threads() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
 }
 
 #[cfg(test)]
@@ -248,7 +256,10 @@ mod tests {
         r.table(t);
         r.metric("speedup", 3.5);
         r.note("Shape check: demo.");
-        r.shape = shape;
+        r.verdict = Verdict {
+            shape,
+            lines: vec!["PERF-GATE e0: speedup = 3.5000 (x >= 3): ok".into()],
+        };
         r
     }
 
@@ -257,7 +268,9 @@ mod tests {
         let s = sample(Shape::Pass).render_text();
         assert!(s.contains("== T =="));
         assert!(s.contains("Shape check: demo."));
-        assert!(s.trim_end().ends_with("Shape check PASSED."));
+        assert!(s
+            .trim_end()
+            .ends_with("PERF-GATE e0: speedup = 3.5000 (x >= 3): ok\nShape check PASSED."));
         let skipped = sample(Shape::Skipped("single-core-host".into())).render_text();
         assert!(skipped.contains("Shape check SKIPPED(single-core-host)."));
     }
@@ -293,10 +306,13 @@ mod tests {
         std::env::set_var("MC_BENCH_RESULTS", &dir);
         sample(Shape::Pass).finish();
         std::env::remove_var("MC_BENCH_RESULTS");
+        // `bench_baselines.json` has no `e0` entry, so `finish` judged the
+        // run `info`, whatever verdict the report held before.
         let txt = std::fs::read_to_string(dir.join("e0_table.txt")).unwrap();
-        assert!(txt.contains("Shape check PASSED."));
+        assert!(txt.contains("== T ==") && !txt.contains("PERF-GATE"));
         let doc = std::fs::read_to_string(dir.join("BENCH_e0.json")).unwrap();
-        assert!(json::parse(&doc).is_ok());
+        let doc = json::parse(&doc).unwrap();
+        assert_eq!(doc.get("shape").unwrap().as_str(), Some("info"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,24 +1,23 @@
-//! Every metric that `bench_baselines.json` bounds must be present in the
-//! committed `results/BENCH_<exp>.json` of its experiment, so a renamed
-//! gated metric fails `cargo test`, not only the CI perf-gate job after
-//! every gated table has run.
+//! The committed reports agree with `bench_baselines.json`: every metric it
+//! bounds is present in its experiment's committed `results/BENCH_<exp>.json`,
+//! so a renamed gated metric fails `cargo test`, and every committed report
+//! records the verdict the gate gives on its recorded metrics and host.
 
-use mc_bench::json::{self, Json};
+use mc_bench::gate::{self, evaluate_report};
+use mc_bench::json::Json;
+use mc_bench::Shape;
 use std::path::Path;
 
-fn load(path: &Path) -> Json {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    json::parse(&text).unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
+fn root() -> &'static Path {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
 #[test]
 fn every_bounded_metric_is_in_its_committed_report() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let baselines = load(&root.join("bench_baselines.json"));
+    let baselines = gate::load(&root().join("bench_baselines.json")).unwrap();
     let mut missing = Vec::new();
     for (exp, baseline) in baselines.as_obj().expect("baselines are an object") {
-        let report = load(&root.join(format!("results/BENCH_{exp}.json")));
+        let report = gate::load(&root().join(format!("results/BENCH_{exp}.json"))).unwrap();
         let checks = baseline.get("checks").and_then(Json::as_arr);
         for check in checks.expect("a checks array") {
             let name = check.get("metric").and_then(Json::as_str);
@@ -34,4 +33,40 @@ fn every_bounded_metric_is_in_its_committed_report() {
         }
     }
     assert!(missing.is_empty(), "bounded but not reported: {missing:?}");
+}
+
+#[test]
+fn every_committed_report_records_the_gates_verdict() {
+    let baselines = gate::load(&root().join("bench_baselines.json")).unwrap();
+    let mut reports = 0;
+    let mut wrong = Vec::new();
+    for entry in std::fs::read_dir(root().join("results")).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_str().unwrap();
+        let Some(exp) = name
+            .strip_prefix("BENCH_")
+            .and_then(|n| n.strip_suffix(".json"))
+        else {
+            continue;
+        };
+        let report = gate::load(&path).unwrap();
+        let verdict = evaluate_report(exp, &baselines, &report);
+        let recorded = (
+            report.get("shape").and_then(Json::as_str),
+            report.get("skip_reason").and_then(Json::as_str),
+        );
+        let reason = match &verdict.shape {
+            Shape::Skipped(reason) => Some(reason.as_str()),
+            _ => None,
+        };
+        if recorded != (Some(verdict.shape.label()), reason) {
+            wrong.push(format!(
+                "{exp}: recorded {recorded:?}, gate {:?}",
+                verdict.shape
+            ));
+        }
+        reports += 1;
+    }
+    assert!(reports >= baselines.as_obj().unwrap().len());
+    assert!(wrong.is_empty(), "{wrong:?}");
 }

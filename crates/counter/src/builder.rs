@@ -26,7 +26,6 @@
 //! |---|---|---|
 //! | [`initial`](CounterBuilder::initial) | 0 | every implementation |
 //! | [`shards`](CounterBuilder::shards) | implementation-chosen | [`ShardedCounter`](crate::ShardedCounter) |
-//! | [`metrics`](CounterBuilder::metrics) | none | [`ShardedCounter`](crate::ShardedCounter) |
 //! | [`spin_before_suspend`](CounterBuilder::spin_before_suspend) | off | [`Counter`](crate::Counter) and [`BTreeCounter`](crate::BTreeCounter); every other implementation ignores it |
 //!
 //! Statistics are always collected and `poison` always propagates.
@@ -37,12 +36,8 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// A destination for metrics: a shared [`Registry`] plus the dot-separated
-/// name prefix published under. Passed through the builder
-/// ([`CounterBuilder::metrics`]), where only
-/// [`ShardedCounter`](crate::ShardedCounter)'s combiner attaches to it, and
-/// used by the [`Supervisor`](crate::Supervisor) and the durable layer.
-/// `None` — the default — costs nothing: no handle is held and no record
-/// call is compiled into the path.
+/// name prefix published under. Used by the
+/// [`Supervisor`](crate::Supervisor) and the durable layer.
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
     registry: Arc<Registry>,
@@ -89,7 +84,6 @@ impl MetricsSink {
 pub struct BuildConfig {
     initial: Value,
     shards: Option<usize>,
-    metrics: Option<MetricsSink>,
     spin_before_suspend: bool,
 }
 
@@ -103,13 +97,6 @@ impl BuildConfig {
     /// implementations consult it.
     pub fn shards(&self) -> Option<usize> {
         self.shards
-    }
-
-    /// The metrics sink, if instrumentation was requested
-    /// ([`CounterBuilder::metrics`]). Implementations without
-    /// instrumentation points ignore it.
-    pub fn metrics(&self) -> Option<&MetricsSink> {
-        self.metrics.as_ref()
     }
 
     /// Whether a waiter should briefly poll before suspending (default
@@ -147,7 +134,7 @@ impl<C: Buildable> Default for CounterBuilder<C> {
 
 impl<C: Buildable> CounterBuilder<C> {
     /// A builder with all knobs at their defaults: initial value 0,
-    /// implementation-chosen shards, no metrics, no spinning.
+    /// implementation-chosen shards, no spinning.
     pub fn new() -> Self {
         CounterBuilder {
             cfg: BuildConfig::default(),
@@ -167,18 +154,6 @@ impl<C: Buildable> CounterBuilder<C> {
     /// implementations.
     pub fn shards(mut self, shards: usize) -> Self {
         self.cfg.shards = Some(shards);
-        self
-    }
-
-    /// Publishes this counter's combiner metrics under `prefix` in
-    /// `registry` (default: none, zero overhead). Only
-    /// [`ShardedCounter`](crate::ShardedCounter) consults the sink: it
-    /// records combiner publications and flush backlog. Every other
-    /// implementation ignores it; a counter's operation counts are exported
-    /// by registering it with a [`Supervisor`](crate::Supervisor) that has
-    /// metrics attached.
-    pub fn metrics(mut self, registry: &Arc<Registry>, prefix: impl Into<String>) -> Self {
-        self.cfg.metrics = Some(MetricsSink::new(Arc::clone(registry), prefix));
         self
     }
 

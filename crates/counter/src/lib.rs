@@ -99,9 +99,9 @@
 //!
 //! Every implementation is built through one fluent path, [`CounterBuilder`]
 //! (reachable as `Type::builder()`), which exposes the knobs shared across
-//! implementations: initial value, shard count, a metrics sink (read by
-//! the sharded combiner), and spinning before suspending. Statistics are
-//! always collected and `poison` always propagates.
+//! implementations: initial value, shard count, and spinning before
+//! suspending. Statistics are always collected and `poison` always
+//! propagates.
 //!
 //! ## Quickstart
 //!

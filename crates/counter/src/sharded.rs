@@ -92,7 +92,7 @@
 //! increment overlapped the jump and is ordered before it) instead of
 //! failing.
 
-use crate::builder::{BuildConfig, Buildable, CounterBuilder, MetricsSink};
+use crate::builder::{BuildConfig, Buildable, CounterBuilder};
 use crate::error::{CheckError, CounterOverflowError, FailureInfo};
 use crate::fastpath::{FastAdvance, FastIncrement, FastWord};
 use crate::node::WaitNode;
@@ -100,7 +100,6 @@ use crate::stats::{thread_slot, CachePadded, StatsSnapshot};
 use crate::traits::{CounterDiagnostics, MonotonicCounter, Resettable, WaitingLevel};
 use crate::waitlist::{BTreeCounter, Change, Inner, WaitMap};
 use crate::Value;
-use mc_metrics::{Event, Histogram};
 use std::sync::atomic::{
     fence, AtomicU64, AtomicUsize,
     Ordering::{AcqRel, Relaxed, SeqCst},
@@ -126,31 +125,6 @@ const MIN_FLUSH_THRESHOLD: u64 = 8;
 /// headroom between [`FAST_REGIME_LIMIT`] and `u64::MAX`, which the "pending
 /// sums cannot overflow" regime argument relies on.
 const MAX_BACKLOG: u64 = 1024;
-
-/// Combiner observability, attached when the builder carries a
-/// [`MetricsSink`]. Records *why* the combiner published (a waiter forced an
-/// eager flush vs. a cell crossed the lazy threshold) and how much backlog
-/// each threshold flush carried — the two numbers that tell whether the
-/// adaptive threshold is actually batching under a given workload.
-#[derive(Debug)]
-struct CombinerMetrics {
-    /// Publications forced by a registered waiter (the eager path).
-    eager_publishes: Arc<Event>,
-    /// Publications triggered by a cell reaching the flush threshold.
-    threshold_publishes: Arc<Event>,
-    /// The triggering cell's pending delta at each threshold flush.
-    flush_backlog: Arc<Histogram>,
-}
-
-impl CombinerMetrics {
-    fn attach(sink: &MetricsSink) -> Self {
-        CombinerMetrics {
-            eager_publishes: sink.event("combiner.eager_publishes"),
-            threshold_publishes: sink.event("combiner.threshold_publishes"),
-            flush_backlog: sink.histogram("combiner.flush_backlog"),
-        }
-    }
-}
 
 /// A monotonic counter whose increments are striped across cache-line-padded
 /// per-thread cells, for write-heavy contention.
@@ -182,7 +156,6 @@ pub struct ShardedCounter {
     flush_threshold: AtomicU64,
     /// Combines that have drained the cells but not yet published.
     combining: AtomicUsize,
-    metrics: Option<CombinerMetrics>,
 }
 
 impl Default for ShardedCounter {
@@ -438,15 +411,8 @@ impl MonotonicCounter for ShardedCounter {
             // instead of lingering in a cell outside the bounded regime.
             self.flush_for_waiters();
         } else if fast.has_waiters() {
-            if let Some(m) = &self.metrics {
-                m.eager_publishes.incr();
-            }
             self.flush_for_waiters();
         } else if pend >= self.flush_threshold.load(Relaxed) {
-            if let Some(m) = &self.metrics {
-                m.threshold_publishes.incr();
-                m.flush_backlog.record(pend);
-            }
             self.combine();
             self.relax_threshold();
         }
@@ -513,7 +479,6 @@ impl Buildable for ShardedCounter {
             mask: shards - 1,
             flush_threshold: AtomicU64::new(MIN_FLUSH_THRESHOLD),
             combining: AtomicUsize::new(0),
-            metrics: cfg.metrics().map(CombinerMetrics::attach),
         }
     }
 }
@@ -771,33 +736,6 @@ mod tests {
         assert_eq!(ShardedCounter::builder().shards(1).build().shard_count(), 1);
         let d = ShardedCounter::builder().build().shard_count();
         assert!(d.is_power_of_two() && (4..=64).contains(&d));
-    }
-
-    #[test]
-    fn combiner_metrics_distinguish_eager_from_threshold() {
-        let registry = Arc::new(mc_metrics::Registry::new());
-        let c = Arc::new(
-            ShardedCounter::builder()
-                .metrics(&registry, "sc")
-                .shards(1)
-                .build(),
-        );
-        // Lazy regime: crossing the threshold publishes and records backlog.
-        c.increment(MIN_FLUSH_THRESHOLD);
-        assert_eq!(registry.event("sc.combiner.threshold_publishes").get(), 1);
-        let backlog = registry.histogram("sc.combiner.flush_backlog").snapshot();
-        assert_eq!(backlog.count(), 1);
-        assert!(backlog.max >= MIN_FLUSH_THRESHOLD);
-        // Eager regime: a registered waiter forces per-increment publication.
-        let c2 = Arc::clone(&c);
-        let h = thread::spawn(move || c2.check(MIN_FLUSH_THRESHOLD + 2));
-        while c.stats().live_waiters == 0 {
-            thread::yield_now();
-        }
-        c.increment(1);
-        c.increment(1);
-        h.join().unwrap();
-        assert!(registry.event("sc.combiner.eager_publishes").get() >= 1);
     }
 
     #[test]

@@ -67,9 +67,9 @@ mod wal;
 pub use counter::{DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, WalStats};
 pub use frame::{crc32, read_frame, write_frame, FrameRead, FRAME_HEADER, MAX_FRAME_LEN};
 pub use recover::{
-    CounterRecovery, POISON_FILE, SITE_POISON_CREATE, SITE_POISON_DIRSYNC, SITE_POISON_FSYNC,
-    SITE_POISON_RENAME, SITE_POISON_WRITE, SITE_RECOVER_READ_POISON, SITE_RECOVER_READ_WAL,
-    SLOT_LEN, WAL_FILE,
+    write_durably, CounterRecovery, POISON_FILE, SITE_POISON_CREATE, SITE_POISON_DIRSYNC,
+    SITE_POISON_FSYNC, SITE_POISON_RENAME, SITE_POISON_WRITE, SITE_RECOVER_READ_POISON,
+    SITE_RECOVER_READ_WAL, SLOT_LEN, WAL_FILE,
 };
 pub use retry::RetryPolicy;
 pub use wal::{

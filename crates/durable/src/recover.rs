@@ -78,12 +78,7 @@ impl RecoveredState {
 /// the whole file under that name: a temp file, fsync, atomic rename,
 /// directory fsync. Failpoint site `<name>.<step>` is hit before each step.
 /// `Ok` means the file and its name are durable.
-pub(crate) fn write_durably(
-    dir: &Path,
-    name: &str,
-    bytes: &[u8],
-    fp: &Failpoints,
-) -> io::Result<()> {
+pub fn write_durably(dir: &Path, name: &str, bytes: &[u8], fp: &Failpoints) -> io::Result<()> {
     let site = |step: &str| fp.hit(&format!("{name}.{step}"));
     let tmp = dir.join(format!("{name}.tmp"));
     site("create")?;

@@ -5,11 +5,14 @@
 //! [`Pipeline`](crate::Pipeline), but as each stage *completes* its full
 //! output sequence, that sequence is written to `stage-{k}.ckpt` in the
 //! checkpoint directory — CRC32-framed (the same frame format as the
-//! durability WAL, [`mc_durable::write_frame`]), written to a temporary file,
-//! fsynced, and atomically renamed. A later [`run_resumable`] call in the
-//! same directory — e.g. after the process was killed mid-run — finds the
-//! **greatest** stage index with a valid checkpoint, decodes that stage's
-//! output, and runs only the stages after it.
+//! durability WAL, [`mc_durable::write_frame`]) and written through
+//! [`mc_durable::write_durably`]: a temporary file, fsync, atomic rename
+//! and directory fsync, each step behind a failpoint site
+//! `stage-{k}.ckpt.<step>` of the process-global registry. A later
+//! [`run_resumable`] call in the same directory — e.g. after the process
+//! was killed mid-run — finds the **greatest** stage index with a valid
+//! checkpoint, decodes that stage's output, and runs only the stages after
+//! it.
 //!
 //! A torn, truncated, or corrupt checkpoint file (crash mid-write leaves at
 //! most a `.tmp`; on-disk damage fails the CRC or the item count) is treated
@@ -20,18 +23,23 @@
 //!
 //! [`run_resumable`]: CheckpointedPipeline::run_resumable
 //! [`mc_durable::write_frame`]: mc_durable::write_frame
+//! [`mc_durable::write_durably`]: mc_durable::write_durably
 
 use crate::broadcast::{Broadcast, BroadcastReader, BroadcastWriter};
 use crate::pipeline::Pipeline;
-use mc_durable::{read_frame, write_frame, FrameRead};
-use std::fs::File;
-use std::io::{self, Write};
+use mc_durable::{read_frame, write_durably, write_frame, FrameRead};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::OnceLock;
 
 /// Magic bytes opening every checkpoint file's header frame.
 const CKPT_MAGIC: &[u8; 4] = b"MCCK";
+
+/// The file name of stage `stage`'s checkpoint.
+fn checkpoint_name(stage: usize) -> String {
+    format!("stage-{stage}.ckpt")
+}
 
 type EncodeFn<T> = Box<dyn Fn(&T) -> Vec<u8> + Send + Sync>;
 type DecodeFn<T> = Box<dyn Fn(&[u8]) -> Option<T> + Send + Sync>;
@@ -125,7 +133,7 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
 
     /// Path of stage `k`'s checkpoint file in `dir`.
     pub fn checkpoint_path(dir: &Path, stage: usize) -> PathBuf {
-        dir.join(format!("stage-{stage}.ckpt"))
+        dir.join(checkpoint_name(stage))
     }
 
     /// Runs the pipeline, resuming from the last durable stage boundary in
@@ -225,8 +233,7 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
     }
 
     /// Durably writes stage `stage_index`'s completed output: encode every
-    /// item into frames, write to a temporary file, fsync, atomically
-    /// rename, then best-effort fsync the directory.
+    /// item into frames and write them through [`write_durably`].
     fn write_checkpoint(
         &self,
         dir: &Path,
@@ -243,17 +250,8 @@ impl<T: Send + Sync> CheckpointedPipeline<T> {
             write_frame(&mut bytes, &(self.encode)(item));
         }
 
-        let final_path = Self::checkpoint_path(dir, stage_index);
-        let tmp_path = final_path.with_extension("ckpt.tmp");
-        let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(&bytes)?;
-        tmp.sync_all()?;
-        drop(tmp);
-        std::fs::rename(&tmp_path, &final_path)?;
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        let name = checkpoint_name(stage_index);
+        write_durably(dir, &name, &bytes, mc_chaos::failpoints::global())
     }
 }
 

@@ -27,8 +27,8 @@
 //!   restores both value and poison state after a crash.
 //! * [`metrics`] — dependency-free observability: a [`Registry`] of counters
 //!   and log-bucketed histograms with Prometheus and JSON exporters, fed by
-//!   the supervisor (which scrapes each registered counter's statistics),
-//!   the durable flusher, and the sharded counter's combiner.
+//!   the supervisor (which scrapes each registered counter's statistics)
+//!   and the durable flusher.
 //!
 //! [`Registry`]: mc_metrics::Registry
 //!
