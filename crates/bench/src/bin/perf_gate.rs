@@ -2,15 +2,13 @@
 //! `results/BENCH_<exp>.json` reports on disk.
 //!
 //! Each report is judged by [`mc_bench::gate::evaluate_report`]: the
-//! evaluator its table's `Report::finish` applied, on the metrics and
-//! `env.hw_threads` the report recorded. So this prints the same
-//! `PERF-GATE <exp>: <metric> ...` lines as the tables that wrote the
-//! reports, then a final verdict:
+//! evaluator its table's `Report::finish` applied, on the metrics the
+//! report recorded. So this prints the same `PERF-GATE <exp>: <metric> ...`
+//! lines as the tables that wrote the reports, then a final verdict:
 //!
 //! ```text
 //! PERF-GATE: PASS
 //! PERF-GATE: FAIL
-//! PERF-GATE: SKIPPED(<reason>)
 //! ```
 //!
 //! `FAIL` exits non-zero. A missing report of a bounded experiment fails:
@@ -30,7 +28,7 @@ fn main() {
         println!("PERF-GATE: FAIL (bench_baselines.json is not an object)");
         std::process::exit(1);
     };
-    let (mut passed, mut failed, mut skipped) = (false, false, None);
+    let mut failed = false;
     for (exp, _) in experiments {
         let verdict = match gate::load(&results_dir().join(format!("BENCH_{exp}.json"))) {
             Ok(report) => gate::evaluate_report(exp, &baselines, &report),
@@ -39,19 +37,11 @@ fn main() {
         for line in &verdict.lines {
             println!("{line}");
         }
-        match verdict.shape {
-            Shape::Pass => passed = true,
-            Shape::Fail => failed = true,
-            Shape::Skipped(reason) => skipped = skipped.or(Some(reason)),
-            Shape::Info => {}
-        }
+        failed |= verdict.shape == Shape::Fail;
     }
     if failed {
         println!("PERF-GATE: FAIL");
         std::process::exit(1);
     }
-    match skipped {
-        Some(reason) if !passed => println!("PERF-GATE: SKIPPED({reason})"),
-        _ => println!("PERF-GATE: PASS"),
-    }
+    println!("PERF-GATE: PASS");
 }

@@ -8,12 +8,10 @@
 //! the same lines as the tables that wrote them.
 //!
 //! An experiment's entry reads
-//! `{"requires": "multi-core", "checks": [{"metric": "m", "min": 1, "max": 1}]}`.
-//! `min` and `max` are inclusive and either may be left out; `requires` is
-//! optional, and on a host with fewer than two hardware threads it skips
-//! every check as `single-core-host`. A bounded metric that the report
-//! lacks, or records as non-finite, fails. An experiment without an entry
-//! is [`Shape::Info`].
+//! `{"checks": [{"metric": "m", "min": 1, "max": 1}]}`. `min` and `max`
+//! are inclusive and either may be left out. A bounded metric that the
+//! report lacks, or records as non-finite, fails. An experiment without an
+//! entry is [`Shape::Info`].
 
 use crate::json::{self, Json};
 use crate::Shape;
@@ -55,19 +53,11 @@ pub fn baselines() -> Result<Json, String> {
     load(Path::new(BASELINES))
 }
 
-/// Applies `baselines`' entry for `exp` to the metrics `metric` looks up,
-/// on a host with `hw_threads` hardware threads.
-pub fn evaluate(
-    exp: &str,
-    baselines: &Json,
-    metric: impl Fn(&str) -> Option<f64>,
-    hw_threads: usize,
-) -> Verdict {
+/// Applies `baselines`' entry for `exp` to the metrics `metric` looks up.
+pub fn evaluate(exp: &str, baselines: &Json, metric: impl Fn(&str) -> Option<f64>) -> Verdict {
     let Some(entry) = baselines.get(exp) else {
         return Verdict::default();
     };
-    let multi_core = entry.get("requires").and_then(Json::as_str) == Some("multi-core");
-    let skip = (multi_core && hw_threads < 2).then_some("single-core-host");
     let Some(checks) = entry.get("checks").and_then(Json::as_arr) else {
         return Verdict::fail(exp, "no `checks` array");
     };
@@ -88,37 +78,21 @@ pub fn evaluate(
         let value = metric(name).filter(|v| v.is_finite());
         let within =
             value.is_some_and(|v| min.is_none_or(|lo| v >= lo) && max.is_none_or(|hi| v <= hi));
-        let verdict = match skip {
-            Some(reason) => format!("SKIPPED({reason})"),
-            None if within => "ok".into(),
-            None => {
-                failed = true;
-                "FAIL".into()
-            }
-        };
+        failed |= !within;
+        let verdict = if within { "ok" } else { "FAIL" };
         let shown = value.map_or_else(|| "missing".into(), |v| format!("{v:.4}"));
         lines.push(format!(
             "PERF-GATE {exp}: {name} = {shown} ({bound}): {verdict}"
         ));
     }
-    let shape = match skip {
-        Some(reason) => Shape::Skipped(reason.into()),
-        None if failed => Shape::Fail,
-        None => Shape::Pass,
-    };
+    let shape = if failed { Shape::Fail } else { Shape::Pass };
     Verdict { shape, lines }
 }
 
-/// [`evaluate`] over a parsed `BENCH_<exp>.json`: its recorded metrics,
-/// on the host its `env.hw_threads` records.
+/// [`evaluate`] over a parsed `BENCH_<exp>.json`: its recorded metrics.
 pub fn evaluate_report(exp: &str, baselines: &Json, report: &Json) -> Verdict {
-    let hw_threads = report
-        .get("env")
-        .and_then(|env| env.get("hw_threads"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0) as usize;
     let metrics = report.get("metrics");
-    evaluate(exp, baselines, |m| metrics?.get(m)?.as_f64(), hw_threads)
+    evaluate(exp, baselines, |m| metrics?.get(m)?.as_f64())
 }
 
 #[cfg(test)]
@@ -131,68 +105,48 @@ mod tests {
                 "ex": {"checks": [
                     {"metric": "ratio", "min": 2.5, "max": 4},
                     {"metric": "count", "max": 0}
-                ]},
-                "mc": {"requires": "multi-core", "checks": [{"metric": "ratio", "min": 3}]}
+                ]}
             }"#,
         )
         .unwrap()
     }
 
-    fn run(exp: &str, ratio: Option<f64>, count: Option<f64>, hw_threads: usize) -> Verdict {
+    fn run(exp: &str, ratio: Option<f64>, count: Option<f64>) -> Verdict {
         let metric = |m: &str| match m {
             "ratio" => ratio,
             "count" => count,
             _ => None,
         };
-        evaluate(exp, &baselines(), metric, hw_threads)
+        evaluate(exp, &baselines(), metric)
     }
 
     #[test]
     fn bounds_are_inclusive() {
         for ratio in [2.5, 4.0] {
-            let v = run("ex", Some(ratio), Some(0.0), 2);
+            let v = run("ex", Some(ratio), Some(0.0));
             assert_eq!(v.shape, Shape::Pass, "{v:?}");
             assert!(v.lines[0].ends_with("(2.5 <= x <= 4): ok"), "{v:?}");
         }
         for ratio in [2.5 - 1e-9, 4.0 + 1e-9] {
-            let v = run("ex", Some(ratio), Some(0.0), 2);
+            let v = run("ex", Some(ratio), Some(0.0));
             assert_eq!(v.shape, Shape::Fail, "{v:?}");
             assert!(v.lines[0].ends_with(": FAIL"), "{v:?}");
         }
-        assert_eq!(run("ex", Some(3.0), Some(1.0), 2).shape, Shape::Fail);
-        assert_eq!(run("ex", Some(f64::NAN), Some(0.0), 2).shape, Shape::Fail);
-    }
-
-    #[test]
-    fn multi_core_requirement_skips_on_one_cpu() {
-        let v = run("mc", Some(0.5), None, 1);
-        assert_eq!(v.shape, Shape::Skipped("single-core-host".into()));
-        assert_eq!(
-            v.lines,
-            ["PERF-GATE mc: ratio = 0.5000 (x >= 3): SKIPPED(single-core-host)"]
-        );
-        assert_eq!(run("mc", Some(0.5), None, 2).shape, Shape::Fail);
-        assert_eq!(run("mc", Some(3.0), None, 2).shape, Shape::Pass);
+        assert_eq!(run("ex", Some(3.0), Some(1.0)).shape, Shape::Fail);
+        assert_eq!(run("ex", Some(f64::NAN), Some(0.0)).shape, Shape::Fail);
     }
 
     #[test]
     fn a_bounded_metric_missing_from_the_report_fails() {
-        let v = run("ex", Some(3.0), None, 2);
+        let v = run("ex", Some(3.0), None);
         assert_eq!(v.shape, Shape::Fail);
         assert_eq!(v.lines[1], "PERF-GATE ex: count = missing (x <= 0): FAIL");
     }
 
     #[test]
     fn an_experiment_without_an_entry_is_info() {
-        let v = run("none", Some(3.0), Some(0.0), 2);
+        let v = run("none", Some(3.0), Some(0.0));
         assert_eq!(v.shape, Shape::Info);
         assert!(v.lines.is_empty());
-    }
-
-    #[test]
-    fn a_report_is_judged_on_its_recorded_metrics_and_host() {
-        let report = json::parse(r#"{"env": {"hw_threads": 1}, "metrics": {"ratio": 0.5}}"#);
-        let v = evaluate_report("mc", &baselines(), &report.unwrap());
-        assert_eq!(v.shape, Shape::Skipped("single-core-host".into()));
     }
 }

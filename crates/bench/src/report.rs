@@ -24,7 +24,7 @@ use std::path::PathBuf;
 
 /// An experiment's verdict: whether its metrics meet the bounds
 /// `bench_baselines.json` sets on them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Shape {
     /// No entry in `bench_baselines.json`: the experiment reports numbers
     /// and prose only.
@@ -34,20 +34,15 @@ pub enum Shape {
     Pass,
     /// A bound did not hold; the binary exits non-zero.
     Fail,
-    /// The entry's `requires` clause does not hold on this host (a
-    /// single-core host cannot show contention relief); the reason is
-    /// machine-readable.
-    Skipped(String),
 }
 
 impl Shape {
     /// The `shape` field of a `BENCH_<exp>.json`.
-    pub fn label(&self) -> &'static str {
+    pub fn label(self) -> &'static str {
         match self {
             Shape::Info => "info",
             Shape::Pass => "pass",
             Shape::Fail => "fail",
-            Shape::Skipped(_) => "skipped",
         }
     }
 }
@@ -123,11 +118,10 @@ impl Report {
             out.push_str(line);
             out.push('\n');
         }
-        match &self.verdict.shape {
+        match self.verdict.shape {
             Shape::Info => {}
             Shape::Pass => out.push_str("Shape check PASSED.\n"),
             Shape::Fail => out.push_str("Shape check FAILED.\n"),
-            Shape::Skipped(reason) => out.push_str(&format!("Shape check SKIPPED({reason}).\n")),
         }
         out
     }
@@ -145,9 +139,6 @@ impl Report {
             "  \"shape\": {},\n",
             json::quote(self.verdict.shape.label())
         ));
-        if let Shape::Skipped(reason) = &self.verdict.shape {
-            out.push_str(&format!("  \"skip_reason\": {},\n", json::quote(reason)));
-        }
         out.push_str(&format!(
             "  \"env\": {{\"hw_threads\": {}, \"os\": {}, \"arch\": {}, \"profile\": {}}},\n",
             hw_threads(),
@@ -212,7 +203,7 @@ impl Report {
         let metric = |name: &str| self.metrics.iter().find(|(k, _)| k == name).map(|m| m.1);
         let exp = &self.experiment;
         self.verdict = match gate::baselines() {
-            Ok(baselines) => gate::evaluate(exp, &baselines, metric, hw_threads()),
+            Ok(baselines) => gate::evaluate(exp, &baselines, metric),
             Err(e) => Verdict::fail(exp, &e),
         };
         let text = self.render_text();
@@ -271,17 +262,14 @@ mod tests {
         assert!(s
             .trim_end()
             .ends_with("PERF-GATE e0: speedup = 3.5000 (x >= 3): ok\nShape check PASSED."));
-        let skipped = sample(Shape::Skipped("single-core-host".into())).render_text();
-        assert!(skipped.contains("Shape check SKIPPED(single-core-host)."));
     }
 
     #[test]
     fn json_round_trips_through_the_parser() {
-        let doc = sample(Shape::Skipped("why".into())).render_json();
+        let doc = sample(Shape::Fail).render_json();
         let v = json::parse(&doc).unwrap();
         assert_eq!(v.get("experiment").unwrap().as_str(), Some("e0"));
-        assert_eq!(v.get("shape").unwrap().as_str(), Some("skipped"));
-        assert_eq!(v.get("skip_reason").unwrap().as_str(), Some("why"));
+        assert_eq!(v.get("shape").unwrap().as_str(), Some("fail"));
         assert_eq!(
             v.get("metrics").unwrap().get("speedup").unwrap().as_f64(),
             Some(3.5)

@@ -1,11 +1,10 @@
 //! The committed reports agree with `bench_baselines.json`: every metric it
 //! bounds is present in its experiment's committed `results/BENCH_<exp>.json`,
 //! so a renamed gated metric fails `cargo test`, and every committed report
-//! records the verdict the gate gives on its recorded metrics and host.
+//! records the verdict the gate gives on its recorded metrics.
 
 use mc_bench::gate::{self, evaluate_report};
 use mc_bench::json::Json;
-use mc_bench::Shape;
 use std::path::Path;
 
 fn root() -> &'static Path {
@@ -51,15 +50,8 @@ fn every_committed_report_records_the_gates_verdict() {
         };
         let report = gate::load(&path).unwrap();
         let verdict = evaluate_report(exp, &baselines, &report);
-        let recorded = (
-            report.get("shape").and_then(Json::as_str),
-            report.get("skip_reason").and_then(Json::as_str),
-        );
-        let reason = match &verdict.shape {
-            Shape::Skipped(reason) => Some(reason.as_str()),
-            _ => None,
-        };
-        if recorded != (Some(verdict.shape.label()), reason) {
+        let recorded = report.get("shape").and_then(Json::as_str);
+        if recorded != Some(verdict.shape.label()) {
             wrong.push(format!(
                 "{exp}: recorded {recorded:?}, gate {:?}",
                 verdict.shape

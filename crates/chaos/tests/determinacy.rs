@@ -1,7 +1,7 @@
 //! The Section 6 determinacy claims, tested across perturbed schedules.
 
 use mc_chaos::{explore, Chaos, ChaosCounter};
-use mc_counter::{Counter, CounterExt, MonotonicCounter, ShardedCounter};
+use mc_counter::{Counter, CounterExt, MonotonicCounter};
 use std::sync::{Arc, Mutex};
 
 /// The Section 5.2 ordered accumulation, run under a chaos-wrapped counter:
@@ -165,43 +165,4 @@ fn floyd_warshall_like_chain_deterministic() {
         Arc::try_unwrap(rows).unwrap().into_inner().unwrap()
     });
     assert!(outcomes.is_deterministic(), "{outcomes}");
-}
-
-/// The sharded counter's combiner racing its waiters under perturbed
-/// schedules: the ordered accumulation stays deterministic even though
-/// increments park in striped cells before publication, and a waiter-free
-/// burst between rounds forces the lazy-combine path into the mix.
-#[test]
-fn sharded_combiner_vs_waiters_deterministic_across_seeds() {
-    let outcomes = explore(0..40, |seed| {
-        let chaos = Arc::new(Chaos::new(seed));
-        let sharded = ShardedCounter::builder().shards(4).build();
-        let counter = Arc::new(ChaosCounter::new(sharded, chaos));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|s| {
-            // A lazy burst first: deltas sit in cells until the combiner (or
-            // a later waiter registration) publishes them.
-            {
-                let counter = Arc::clone(&counter);
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        counter.increment(1);
-                    }
-                });
-            }
-            for i in (0..12u64).rev() {
-                let (counter, log) = (Arc::clone(&counter), Arc::clone(&log));
-                s.spawn(move || {
-                    // Sequence above the burst so every waiter must observe
-                    // published-burst state plus the chain.
-                    counter.check(100 + i);
-                    log.lock().unwrap().push(i);
-                    counter.increment(1);
-                });
-            }
-        });
-        Arc::try_unwrap(log).unwrap().into_inner().unwrap()
-    });
-    assert!(outcomes.is_deterministic(), "{outcomes}");
-    assert_eq!(outcomes.unique(), Some(&(0..12u64).collect::<Vec<_>>()));
 }

@@ -6,26 +6,21 @@
 //! meant touching every one of them. The builder centralizes construction:
 //!
 //! ```
-//! use mc_counter::{Counter, ShardedCounter, MonotonicCounter};
+//! use mc_counter::{Counter, MonotonicCounter};
 //!
 //! let c = Counter::builder().initial(10).build();
 //! c.check(10);
-//!
-//! let s = ShardedCounter::builder()
-//!     .shards(8) // increment stripes (sharded counters only)
-//!     .build();
-//! s.increment(1);
 //! ```
 //!
 //! Every implementation accepts every knob; knobs that do not apply to an
-//! implementation (e.g. `shards` on a mutex-only counter) are documented as
-//! ignored rather than rejected, so generic code can configure a
-//! `CounterBuilder<C>` without knowing `C`.
+//! implementation (e.g. `spin_before_suspend` on a
+//! [`NaiveCounter`](crate::NaiveCounter)) are documented as ignored rather
+//! than rejected, so generic code can configure a `CounterBuilder<C>`
+//! without knowing `C`.
 //!
 //! | knob | default | consulted by |
 //! |---|---|---|
 //! | [`initial`](CounterBuilder::initial) | 0 | every implementation |
-//! | [`shards`](CounterBuilder::shards) | implementation-chosen | [`ShardedCounter`](crate::ShardedCounter) |
 //! | [`spin_before_suspend`](CounterBuilder::spin_before_suspend) | off | [`Counter`](crate::Counter) and [`BTreeCounter`](crate::BTreeCounter); every other implementation ignores it |
 //!
 //! Statistics are always collected and `poison` always propagates.
@@ -83,7 +78,6 @@ impl MetricsSink {
 #[derive(Debug, Clone, Default)]
 pub struct BuildConfig {
     initial: Value,
-    shards: Option<usize>,
     spin_before_suspend: bool,
 }
 
@@ -91,12 +85,6 @@ impl BuildConfig {
     /// The starting value (default 0).
     pub fn initial(&self) -> Value {
         self.initial
-    }
-
-    /// Requested increment-stripe count, if set. Only sharded
-    /// implementations consult it.
-    pub fn shards(&self) -> Option<usize> {
-        self.shards
     }
 
     /// Whether a waiter should briefly poll before suspending (default
@@ -133,8 +121,8 @@ impl<C: Buildable> Default for CounterBuilder<C> {
 }
 
 impl<C: Buildable> CounterBuilder<C> {
-    /// A builder with all knobs at their defaults: initial value 0,
-    /// implementation-chosen shards, no spinning.
+    /// A builder with all knobs at their defaults: initial value 0, no
+    /// spinning.
     pub fn new() -> Self {
         CounterBuilder {
             cfg: BuildConfig::default(),
@@ -146,14 +134,6 @@ impl<C: Buildable> CounterBuilder<C> {
     /// building at 0 and calling `advance_to(value)`).
     pub fn initial(mut self, value: Value) -> Self {
         self.cfg.initial = value;
-        self
-    }
-
-    /// Number of increment stripes for sharded implementations (rounded up
-    /// to a power of two; implementation-clamped). Ignored by unsharded
-    /// implementations.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = Some(shards);
         self
     }
 
@@ -195,8 +175,8 @@ impl<C: Buildable> CounterBuilder<C> {
 mod tests {
     use super::*;
     use crate::{
-        BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter, ShardedCounter,
-        SpinCounter, TracingCounter,
+        BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter, SpinCounter,
+        TracingCounter,
     };
 
     fn exercise<C: Buildable + MonotonicCounter + CounterDiagnostics>() {
@@ -213,7 +193,6 @@ mod tests {
         exercise::<NaiveCounter>();
         exercise::<TracingCounter>();
         exercise::<SpinCounter>();
-        exercise::<ShardedCounter>();
     }
 
     #[test]

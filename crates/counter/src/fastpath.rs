@@ -186,13 +186,6 @@ impl FastWord {
         }
     }
 
-    /// Whether the waiters bit is currently set. One `Acquire` load; the
-    /// sharded counter's increment fast path reads it (after a `SeqCst`
-    /// fence) to decide between eager and lazy publication.
-    pub(crate) fn has_waiters(&self) -> bool {
-        self.packed.load(Acquire) & WAITERS_BIT != 0
-    }
-
     /// Whether the poison bit is set. One `Acquire` load; used by
     /// `poison_info` to skip the lock on the overwhelmingly common
     /// not-poisoned case.
@@ -355,10 +348,15 @@ impl FastWord {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+
+    /// Whether `w`'s waiters bit is set.
+    pub(crate) fn has_waiters(w: &FastWord) -> bool {
+        w.packed.load(Acquire) & WAITERS_BIT != 0
+    }
 
     #[test]
     fn new_word_decodes_exactly_below_cap() {
@@ -366,7 +364,7 @@ mod tests {
         assert_eq!(w.value_hint(), 41);
         assert!(w.is_satisfied(41));
         assert!(!w.is_satisfied(42));
-        assert!(!w.has_waiters());
+        assert!(!has_waiters(&w));
     }
 
     #[test]
@@ -416,7 +414,7 @@ mod tests {
     fn register_waiter_returns_pre_rmw_value() {
         let w = FastWord::new(9);
         assert_eq!(w.register_waiter(0), 9);
-        assert!(w.has_waiters());
+        assert!(has_waiters(&w));
         // Idempotent; still reports the value.
         assert_eq!(w.register_waiter(0), 9);
     }
@@ -427,7 +425,7 @@ mod tests {
         let mut wide = 0;
         w.register_waiter(wide);
         assert_eq!(w.locked_add(&mut wide, 4), Ok(4));
-        assert!(w.has_waiters());
+        assert!(has_waiters(&w));
         assert_eq!(w.value_hint(), 4);
     }
 
@@ -499,7 +497,7 @@ mod tests {
         w.set_poison();
         w.reset(2);
         assert_eq!(w.value_hint(), 2);
-        assert!(!w.has_waiters());
+        assert!(!has_waiters(&w));
         assert!(!w.is_poisoned());
     }
 
@@ -537,15 +535,15 @@ mod tests {
     fn waiters_and_poison_bits_are_independent() {
         let w = FastWord::new(1);
         w.register_waiter(0);
-        assert!(w.has_waiters());
+        assert!(has_waiters(&w));
         assert!(!w.is_poisoned());
         w.set_poison();
-        assert!(w.has_waiters());
+        assert!(has_waiters(&w));
         assert!(w.is_poisoned());
         // Waiters bit still forces increments into the slow path.
         assert!(matches!(w.try_increment(1), FastIncrement::Contended));
         w.clear_waiters();
-        assert!(!w.has_waiters());
+        assert!(!has_waiters(&w));
         assert!(w.is_poisoned());
         assert_eq!(w.value_hint(), 1, "flag churn must not disturb the hint");
     }

@@ -32,7 +32,6 @@
 //! | [`BTreeCounter`] | packed-word | `BTreeMap` of condvar nodes | same algorithm, O(log L) level lookup |
 //! | [`NaiveCounter`] | — | one condvar node, swept on every change; each waiter re-tests its level | the strawman the paper improves on: O(threads) wakeups; also a counter written as Section 8's predicate monitor |
 //! | [`SpinCounter`] | packed-word | none — waiters poll the word | the no-suspension-queue end of the design space |
-//! | [`ShardedCounter`] | packed-word + striped cells | `BTreeMap` of condvar nodes | high-contention extension: increments land in per-thread cells and a combiner publishes into the packed word |
 //!
 //! The queue-structured implementations share the key complexity property of
 //! Section 7: storage and wakeup work are proportional to the **number of
@@ -40,12 +39,11 @@
 //! [`NaiveCounter`] is the single-queue baseline that lacks it, and
 //! [`SpinCounter`] trades queues for CPU.
 //!
-//! The first four are one generic type, [`WaitlistCounter`], over four
+//! All four are one generic type, [`WaitlistCounter`], over four
 //! [`WaitQueue`] strategies ([`SortedList`], `BTreeMap`, [`OneLevel`],
 //! [`Polling`]); each strategy also fixes how its waiters wait, so the four
-//! share poisoning, timeouts, statistics and diagnostics.
-//! [`ShardedCounter`] suspends and wakes through the same slow path. All of
-//! them share one "packed-word" protocol (the private `fastpath` module): a
+//! share poisoning, timeouts, statistics and diagnostics. They also share
+//! one "packed-word" protocol (the private `fastpath` module): a
 //! single `AtomicU64` packs the counter value with a has-waiters bit, so a
 //! `check` whose level is already satisfied is one atomic load and an
 //! `increment` with no registered waiters is one CAS — the mutex and node
@@ -99,9 +97,8 @@
 //!
 //! Every implementation is built through one fluent path, [`CounterBuilder`]
 //! (reachable as `Type::builder()`), which exposes the knobs shared across
-//! implementations: initial value, shard count, and spinning before
-//! suspending. Statistics are always collected and `poison` always
-//! propagates.
+//! implementations: initial value and spinning before suspending.
+//! Statistics are always collected and `poison` always propagates.
 //!
 //! ## Quickstart
 //!
@@ -131,7 +128,6 @@ mod list;
 mod multi;
 mod node;
 mod obligation;
-mod sharded;
 mod stats;
 mod supervisor;
 pub mod testkit;
@@ -148,7 +144,6 @@ pub use error::{
 pub use list::SortedList;
 pub use multi::check_all;
 pub use obligation::{Obligation, SupervisedObligation};
-pub use sharded::ShardedCounter;
 pub use stats::StatsSnapshot;
 pub use supervisor::{
     CounterReport, StallReport, StallVerdict, SupervisedCounter, Supervisor, SupervisorConfig,

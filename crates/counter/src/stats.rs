@@ -13,7 +13,7 @@
 //! and sums the second, so it agrees with itself.
 
 use std::cell::Cell;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Fast-path tally stripes per stats block. Threads pick one by
@@ -27,7 +27,7 @@ const STRIPES: usize = 8;
 /// prefetcher pulls them in pairs).
 #[derive(Debug, Default)]
 #[repr(align(128))]
-pub(crate) struct CachePadded<T>(pub(crate) T);
+struct CachePadded<T>(T);
 
 impl<T> Deref for CachePadded<T> {
     type Target = T;
@@ -37,18 +37,11 @@ impl<T> Deref for CachePadded<T> {
     }
 }
 
-impl<T> DerefMut for CachePadded<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
 /// The calling thread's stripe slot: assigned round-robin, process-wide, on
-/// the thread's first call, and reused for every counter. Callers reduce it
-/// modulo their stripe count — the stats tier to pick a tally stripe,
-/// [`crate::ShardedCounter`] to pick an increment cell — so a thread stays
+/// the thread's first call, and reused for every counter. The stats tier
+/// reduces it modulo [`STRIPES`] to pick a tally stripe, so a thread stays
 /// on one line per counter without per-counter registration.
-pub(crate) fn thread_slot() -> usize {
+fn thread_slot() -> usize {
     static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         // `usize::MAX` until assigned. Const-initialized, so std keeps no

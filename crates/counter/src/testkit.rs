@@ -356,7 +356,6 @@ mod tests {
         exercise_erased(crate::NaiveCounter::default());
         exercise_erased(crate::SpinCounter::default());
         exercise_erased(crate::TracingCounter::default());
-        exercise_erased(crate::ShardedCounter::default());
     }
 
     #[test]

@@ -24,9 +24,7 @@
 //! Each queue fixes how its waiters wait ([`Wait`](queue::Wait)); poison,
 //! timeouts, statistics, the trace and diagnostics are this one type's, and
 //! the slow path records them under the lock that orders every change to
-//! the wait structure. The slow-path steps here (the locked value change,
-//! suspend, poison) also serve [`crate::ShardedCounter`], whose combiner
-//! publishes into a [`BTreeCounter`]'s word and waitlist.
+//! the wait structure.
 
 use crate::builder::{BuildConfig, Buildable, CounterBuilder};
 use crate::error::{
@@ -297,15 +295,12 @@ impl Queue for WaitMap {
     }
 }
 
-/// What a [locked value change](WaitlistCounter::change) does after its
-/// publish hook.
-pub(crate) enum Change {
+/// What a [locked value change](WaitlistCounter::change) does.
+enum Change {
     /// Adds the amount; the one change that can fail (overflow).
     Add(Value),
     /// Raises the value to the target, if it is below it.
     AdvanceTo(Value),
-    /// Nothing: the hook's publication is the whole change.
-    Publish,
 }
 
 pub(crate) struct Inner<Q> {
@@ -321,9 +316,9 @@ pub(crate) struct Inner<Q> {
     /// its node from here. Poisoned nodes drain through here too.
     pub(crate) draining: Vec<Arc<WaitNode>>,
     /// The first poisoning cause, if any. Set at most once.
-    pub(crate) poisoned: Option<FailureInfo>,
+    poisoned: Option<FailureInfo>,
     /// What the slow path records, bumped under this lock.
-    pub(crate) stats: Tallies,
+    stats: Tallies,
     /// The structure after every transition, oldest first, on a
     /// [`Traced`] queue; always empty on the others.
     pub(crate) trace: Vec<CounterSnapshot>,
@@ -360,7 +355,7 @@ pub struct WaitlistCounter<Q: WaitQueue> {
     fast_enabled: bool,
     inner: Mutex<Inner<Q>>,
     /// The lock-free tiers' tallies; the slow path's are in `inner`.
-    pub(crate) stats: Stats,
+    stats: Stats,
     /// Spinning was requested and the building thread saw more than one
     /// CPU ([`spin_enabled`]). Read only by the cold
     /// [`wait_until`](Self::wait_until).
@@ -464,18 +459,18 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     }
 
     /// Takes the lock for a slow-path step and counts the entry.
-    pub(crate) fn enter(&self) -> MutexGuard<'_, Inner<Q>> {
+    fn enter(&self) -> MutexGuard<'_, Inner<Q>> {
         let mut inner = self.lock();
         inner.stats.slow_path_entries += 1;
         inner
     }
 
     /// Detaches every waiting node `value` satisfies, signals it, and moves
-    /// it to the draining list. Returns the nodes for [`release`] to wake.
-    /// Leaves the waiters bit alone: the caller may be registering a waiter.
+    /// it to the draining list. Returns the nodes for [`release`] to wake;
+    /// `release` also clears the waiters bit.
     ///
     /// [`release`]: Self::release
-    pub(crate) fn sweep(&self, inner: &mut Inner<Q>, value: Value) -> Vec<Arc<WaitNode>> {
+    fn sweep(&self, inner: &mut Inner<Q>, value: Value) -> Vec<Arc<WaitNode>> {
         let satisfied = inner.waiting.remove_satisfied(value);
         for node in &satisfied {
             node.signal();
@@ -490,7 +485,7 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     /// and only then broadcasts to the swept nodes. Their flag is already
     /// set under the lock, so a waiter that re-checks before the notify
     /// arrives simply leaves its wait loop; nobody can miss the wakeup.
-    pub(crate) fn release(&self, mut inner: MutexGuard<'_, Inner<Q>>, woken: Vec<Arc<WaitNode>>) {
+    fn release(&self, mut inner: MutexGuard<'_, Inner<Q>>, woken: Vec<Arc<WaitNode>>) {
         if inner.waiting.is_empty() {
             self.fast.clear_waiters();
         }
@@ -523,34 +518,21 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     /// it is inlined.
     #[cold]
     fn raise(&self, amount: Value) -> Result<(), CounterOverflowError> {
-        self.change(Change::Add(amount), |_| Vec::new())
+        self.change(Change::Add(amount))
     }
 
-    /// The one locked value change, under [`enter`](Self::enter): `publish`
-    /// runs first, as in [`poison_with`](Self::poison_with), then `change`;
-    /// a moved value tallies one increment and is swept. Swept nodes are
-    /// woken even if the add overflows; a step that swept nothing and moved
-    /// nothing only unlocks.
-    pub(crate) fn change(
-        &self,
-        change: Change,
-        publish: impl FnOnce(&mut Inner<Q>) -> Vec<Arc<WaitNode>>,
-    ) -> Result<(), CounterOverflowError> {
+    /// The one locked value change, under [`enter`](Self::enter): a moved
+    /// value tallies one increment and is swept, and the swept nodes are
+    /// woken; a step that moved nothing only unlocks.
+    fn change(&self, change: Change) -> Result<(), CounterOverflowError> {
         let mut inner = self.enter();
-        let mut woken = publish(&mut inner);
         let moved = match change {
             Change::Add(amount) => self.fast.locked_add(&mut inner.wide, amount).map(Some),
             Change::AdvanceTo(target) => Ok(self.fast.locked_advance(&mut inner.wide, target)),
-            Change::Publish => Ok(None),
         };
         if let Ok(Some(value)) = moved {
             inner.stats.increments += 1;
-            // Keeps the sweep's vector: no allocation when the hook swept
-            // nothing.
-            let published = std::mem::replace(&mut woken, self.sweep(&mut inner, value));
-            woken.extend(published);
-        }
-        if matches!(moved, Ok(Some(_))) || !woken.is_empty() {
+            let woken = self.sweep(&mut inner, value);
             self.release(inner, woken);
         }
         moved.map(drop)
@@ -563,7 +545,7 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
     /// on its condition variable until the level is satisfied, the counter
     /// is poisoned, or `deadline` passes. A `None` deadline never reads the
     /// clock.
-    pub(crate) fn suspend(
+    fn suspend(
         &self,
         mut inner: MutexGuard<'_, Inner<Q>>,
         level: Value,
@@ -770,35 +752,6 @@ impl<Q: WaitQueue> WaitlistCounter<Q> {
         }
     }
 
-    /// Poisons the counter unless already poisoned. `publish` runs first
-    /// under the lock and returns nodes it has already swept, so a caller
-    /// holding unpublished increments can let the levels they satisfy
-    /// succeed before the rest fail.
-    pub(crate) fn poison_with(
-        &self,
-        info: FailureInfo,
-        publish: impl FnOnce(&mut Inner<Q>) -> Vec<Arc<WaitNode>>,
-    ) {
-        let mut inner = self.lock();
-        if inner.poisoned.is_some() {
-            return; // the first failure is the cause; later ones are noise
-        }
-        inner.stats.poisons += 1;
-        let mut swept = publish(&mut inner);
-        self.fast.set_poison();
-        inner.poisoned = Some(info);
-        // Sweep *every* waiting node (u64::MAX satisfies all levels): each
-        // is marked poisoned instead of set and drains through the same
-        // last-waiter-frees protocol as a satisfied node.
-        for node in inner.waiting.remove_satisfied(Value::MAX) {
-            node.poison();
-            inner.draining.push(Arc::clone(&node));
-            inner.stats.notifies += 1;
-            swept.push(node);
-        }
-        self.release(inner, swept);
-    }
-
     /// Levels currently waited on, in ascending order (diagnostics/tests).
     pub fn waiting_levels(&self) -> Vec<Value> {
         levels(&self.lock().waiting)
@@ -942,7 +895,7 @@ impl<Q: WaitQueue> MonotonicCounter for WaitlistCounter<Q> {
                 FastAdvance::Contended => {}
             }
         }
-        let _ = self.change(Change::AdvanceTo(target), |_| Vec::new());
+        let _ = self.change(Change::AdvanceTo(target));
     }
 
     fn wait(&self, level: Value) -> Result<(), CheckError> {
@@ -963,7 +916,23 @@ impl<Q: WaitQueue> MonotonicCounter for WaitlistCounter<Q> {
     }
 
     fn poison(&self, info: FailureInfo) {
-        self.poison_with(info, |_| Vec::new());
+        let mut inner = self.lock();
+        if inner.poisoned.is_some() {
+            return; // the first failure is the cause; later ones are noise
+        }
+        inner.stats.poisons += 1;
+        self.fast.set_poison();
+        inner.poisoned = Some(info);
+        // Sweep *every* waiting node (u64::MAX satisfies all levels): each
+        // is marked poisoned instead of set and drains through the same
+        // last-waiter-frees protocol as a satisfied node.
+        let swept = inner.waiting.remove_satisfied(Value::MAX);
+        for node in &swept {
+            node.poison();
+            inner.draining.push(Arc::clone(node));
+            inner.stats.notifies += 1;
+        }
+        self.release(inner, swept);
     }
 
     fn poison_info(&self) -> Option<FailureInfo> {
@@ -1029,6 +998,7 @@ impl<Q: WaitQueue> CounterDiagnostics for WaitlistCounter<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fastpath::tests::has_waiters;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread;
 
@@ -1265,11 +1235,11 @@ mod tests {
         while c.live_nodes() == 0 {
             thread::yield_now();
         }
-        assert!(c.fast.has_waiters(), "registered waiter must set the bit");
+        assert!(has_waiters(&c.fast), "registered waiter must set the bit");
         c.increment(5);
         h.join().unwrap();
         assert!(
-            !c.fast.has_waiters(),
+            !has_waiters(&c.fast),
             "bit must clear when the wait list empties"
         );
         // And increments take the fast path again.
@@ -1281,7 +1251,7 @@ mod tests {
     fn waiters_bit_clears_when_last_timed_waiter_abandons<Q: WaitQueue>() {
         let c = WaitlistCounter::<Q>::default();
         assert!(c.check_timeout(9, SHORT).is_err());
-        assert!(!c.fast.has_waiters(), "abandoned waiter left the bit set");
+        assert!(!has_waiters(&c.fast), "abandoned waiter left the bit set");
         let fast_before = c.stats().fast_increments;
         c.increment(1);
         assert_eq!(c.stats().fast_increments, fast_before + 1);
@@ -1327,7 +1297,7 @@ mod tests {
             "node must survive while a waiter remains"
         );
         assert!(
-            c.fast.has_waiters(),
+            has_waiters(&c.fast),
             "bit must survive while a waiter remains"
         );
         c.increment(4);
@@ -1555,10 +1525,10 @@ mod tests {
         while c.live_nodes() == 0 {
             thread::yield_now();
         }
-        assert!(c.fast.has_waiters());
+        assert!(has_waiters(&c.fast));
         c.poison(FailureInfo::new("x"));
         h.join().unwrap().unwrap_err();
-        assert!(!c.fast.has_waiters());
+        assert!(!has_waiters(&c.fast));
         let fast_before = c.stats().fast_increments;
         c.increment(1);
         assert_eq!(

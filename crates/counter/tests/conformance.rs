@@ -4,7 +4,7 @@
 
 use mc_counter::{
     BTreeCounter, CheckError, Counter, CounterDiagnostics, FailureInfo, MonotonicCounter,
-    NaiveCounter, Resettable, ShardedCounter, SpinCounter, Supervisor, TracingCounter,
+    NaiveCounter, Resettable, SpinCounter, Supervisor, TracingCounter,
 };
 use mc_metrics::{MetricSnapshot, Registry};
 use std::collections::BTreeMap;
@@ -607,4 +607,3 @@ conformance!(btree, BTreeCounter);
 conformance!(naive, NaiveCounter);
 conformance!(traced, TracingCounter);
 conformance!(spin, SpinCounter);
-conformance!(sharded, ShardedCounter);

@@ -23,7 +23,7 @@
 
 use mc_counter::{
     BTreeCounter, CheckError, Counter, CounterDiagnostics, FailureInfo, MonotonicCounter,
-    ShardedCounter, WaitQueue, WaitlistCounter, POISONED_PANIC_PREFIX,
+    WaitQueue, WaitlistCounter, POISONED_PANIC_PREFIX,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
@@ -394,7 +394,6 @@ macro_rules! fastpath_battery {
 
 fastpath_battery!(waitlist, Counter);
 fastpath_battery!(btree, BTreeCounter);
-fastpath_battery!(sharded, ShardedCounter);
 
 #[test]
 fn waitlist_spin_tallies_are_exact() {

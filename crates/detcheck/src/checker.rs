@@ -1,69 +1,17 @@
 //! The checker session: per-thread clocks, fork/join edges, race reports.
 
 use crate::vclock::VectorClock;
-use mc_counter::Value;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// One synchronization-relevant operation captured while
-/// [recording](Checker::enable_recording) is on — the raw material for
-/// extracting a synchronization skeleton from an instrumented run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordedOp {
-    /// A [`TrackedCounter`](crate::TrackedCounter) increment.
-    Increment {
-        /// The counter's label.
-        counter: String,
-        /// Amount added.
-        amount: Value,
-    },
-    /// A successful [`TrackedCounter`](crate::TrackedCounter) check or wait.
-    Check {
-        /// The counter's label.
-        counter: String,
-        /// Level waited for.
-        level: Value,
-    },
-    /// A [`Shared`](crate::Shared) read.
-    Read {
-        /// The variable's name.
-        var: String,
-    },
-    /// A [`Shared`](crate::Shared) write or update.
-    Write {
-        /// The variable's name.
-        var: String,
-    },
-}
-
-/// A [`RecordedOp`] attributed to the thread that performed it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordedEvent {
-    /// The session tid of the performing thread (see [`ThreadCtx::tid`]).
-    pub tid: usize,
-    /// The operation.
-    pub op: RecordedOp,
-}
 
 #[derive(Debug, Default)]
 pub(crate) struct CheckerInner {
     /// One clock per registered thread, indexed by tid.
     clocks: Mutex<Vec<VectorClock>>,
     races: Mutex<Vec<RaceReport>>,
-    recording: AtomicBool,
-    events: Mutex<Vec<RecordedEvent>>,
 }
 
 impl CheckerInner {
-    pub(crate) fn record(&self, tid: usize, op: RecordedOp) {
-        if self.recording.load(Ordering::Relaxed) {
-            self.events
-                .lock()
-                .expect("checker lock poisoned")
-                .push(RecordedEvent { tid, op });
-        }
-    }
     pub(crate) fn clock_of(&self, tid: usize) -> VectorClock {
         self.clocks.lock().expect("checker lock poisoned")[tid].clone()
     }
@@ -110,25 +58,6 @@ impl Checker {
             inner: Arc::clone(&self.inner),
             tid,
         }
-    }
-
-    /// Turn on skeleton recording: every subsequent
-    /// [`TrackedCounter`](crate::TrackedCounter) increment/check and
-    /// [`Shared`](crate::Shared) access is appended to an event log,
-    /// retrievable with [`recorded_events`](Checker::recorded_events).
-    /// Off by default (recording costs memory proportional to the run).
-    pub fn enable_recording(&self) {
-        self.inner.recording.store(true, Ordering::Relaxed);
-    }
-
-    /// The events recorded since [`enable_recording`](Checker::enable_recording).
-    /// The per-tid subsequences are each thread's program order.
-    pub fn recorded_events(&self) -> Vec<RecordedEvent> {
-        self.inner
-            .events
-            .lock()
-            .expect("checker lock poisoned")
-            .clone()
     }
 
     /// All races observed so far.
@@ -312,50 +241,6 @@ mod tests {
         assert_eq!(
             r.to_string(),
             "write/write race on `x` between thread 1 and thread 2"
-        );
-    }
-
-    #[test]
-    fn recording_is_off_by_default_and_captures_program_order() {
-        use crate::{Shared, TrackedCounter};
-        let checker = Checker::new();
-        let root = checker.register_root();
-        let x = Shared::new("x", 0);
-        let c = TrackedCounter::named("c");
-        x.write(&root, 1); // not recorded: recording still off
-        checker.enable_recording();
-        let t = root.fork();
-        x.write(&t, 2);
-        c.increment(&t, 1);
-        c.check(&root, 1);
-        let _ = x.read(&root);
-        let events = checker.recorded_events();
-        assert_eq!(
-            events,
-            vec![
-                RecordedEvent {
-                    tid: t.tid(),
-                    op: RecordedOp::Write { var: "x".into() }
-                },
-                RecordedEvent {
-                    tid: t.tid(),
-                    op: RecordedOp::Increment {
-                        counter: "c".into(),
-                        amount: 1
-                    }
-                },
-                RecordedEvent {
-                    tid: root.tid(),
-                    op: RecordedOp::Check {
-                        counter: "c".into(),
-                        level: 1
-                    }
-                },
-                RecordedEvent {
-                    tid: root.tid(),
-                    op: RecordedOp::Read { var: "x".into() }
-                },
-            ]
         );
     }
 

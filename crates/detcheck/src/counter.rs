@@ -1,13 +1,9 @@
 //! Counters instrumented with release/acquire clock propagation.
 
-use crate::checker::{RecordedOp, ThreadCtx};
+use crate::checker::ThreadCtx;
 use crate::vclock::VectorClock;
 use mc_counter::{CheckError, Counter, CounterDiagnostics, FailureInfo, MonotonicCounter, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Process-wide source of default labels for anonymous tracked counters.
-static NEXT_COUNTER_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Clock history of a counter: after each increment, the cumulative join of
 /// the clocks of all increments so far, keyed by the value reached.
@@ -33,9 +29,6 @@ struct History {
 pub struct TrackedCounter {
     counter: Counter,
     history: Mutex<History>,
-    /// Label used in recorded skeleton events (see
-    /// [`Checker::enable_recording`](crate::Checker::enable_recording)).
-    label: String,
 }
 
 impl Default for TrackedCounter {
@@ -45,15 +38,8 @@ impl Default for TrackedCounter {
 }
 
 impl TrackedCounter {
-    /// Creates a tracked counter with value zero and an auto-generated label.
+    /// Creates a tracked counter with value zero.
     pub fn new() -> Self {
-        let id = NEXT_COUNTER_ID.fetch_add(1, Ordering::Relaxed);
-        Self::named(format!("counter-{id}"))
-    }
-
-    /// Creates a tracked counter with value zero and the given label (used
-    /// when recording skeleton events).
-    pub fn named(label: impl Into<String>) -> Self {
         TrackedCounter {
             counter: Counter::default(),
             history: Mutex::new(History {
@@ -61,13 +47,7 @@ impl TrackedCounter {
                 cumulative: VectorClock::new(),
                 entries: Vec::new(),
             }),
-            label: label.into(),
         }
-    }
-
-    /// The label used in recorded skeleton events.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// [`MonotonicCounter::increment`], releasing the caller's clock.
@@ -86,13 +66,6 @@ impl TrackedCounter {
             h.entries.push(entry);
         }
         ctx.core().tick(ctx.tid());
-        ctx.core().record(
-            ctx.tid(),
-            RecordedOp::Increment {
-                counter: self.label.clone(),
-                amount,
-            },
-        );
         self.counter.increment(amount);
     }
 
@@ -101,13 +74,6 @@ impl TrackedCounter {
     pub fn check(&self, ctx: &ThreadCtx, level: Value) {
         self.counter.check(level);
         self.acquire_prefix(ctx, level);
-        ctx.core().record(
-            ctx.tid(),
-            RecordedOp::Check {
-                counter: self.label.clone(),
-                level,
-            },
-        );
     }
 
     /// [`MonotonicCounter::wait`]: like [`check`](Self::check) but returns
@@ -118,13 +84,6 @@ impl TrackedCounter {
     pub fn wait(&self, ctx: &ThreadCtx, level: Value) -> Result<(), CheckError> {
         self.counter.wait(level)?;
         self.acquire_prefix(ctx, level);
-        ctx.core().record(
-            ctx.tid(),
-            RecordedOp::Check {
-                counter: self.label.clone(),
-                level,
-            },
-        );
         Ok(())
     }
 

@@ -62,7 +62,7 @@ mod run;
 mod shared;
 mod vclock;
 
-pub use checker::{Checker, RaceKind, RaceReport, RecordedEvent, RecordedOp, Report, ThreadCtx};
+pub use checker::{Checker, RaceKind, RaceReport, Report, ThreadCtx};
 pub use counter::TrackedCounter;
 pub use run::{run_checked, CheckedTask};
 pub use shared::Shared;

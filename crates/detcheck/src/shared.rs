@@ -1,6 +1,6 @@
 //! Instrumented shared variables.
 
-use crate::checker::{RaceKind, RaceReport, RecordedOp, ThreadCtx};
+use crate::checker::{RaceKind, RaceReport, ThreadCtx};
 use crate::vclock::VectorClock;
 use std::sync::Mutex;
 
@@ -89,12 +89,6 @@ impl<T> Shared<T> {
     /// ordered before this read.
     pub fn read_with<R>(&self, ctx: &ThreadCtx, f: impl FnOnce(&T) -> R) -> R {
         let now = ctx.clock();
-        ctx.core().record(
-            ctx.tid(),
-            RecordedOp::Read {
-                var: self.name.clone(),
-            },
-        );
         let mut state = self.state.lock().expect("shared variable lock poisoned");
         self.check_read(ctx, &state, &now);
         state.reads.retain(|r| r.tid != ctx.tid());
@@ -114,12 +108,6 @@ impl<T> Shared<T> {
     /// Read-modify-write under the same race check as [`write`](Self::write).
     pub fn update(&self, ctx: &ThreadCtx, f: impl FnOnce(&mut T)) {
         let now = ctx.clock();
-        ctx.core().record(
-            ctx.tid(),
-            RecordedOp::Write {
-                var: self.name.clone(),
-            },
-        );
         let mut state = self.state.lock().expect("shared variable lock poisoned");
         self.check_write(ctx, &state, &now);
         state.reads.clear();

@@ -15,7 +15,7 @@
 
 use mc_chaos::crash_harness::{self, CrashScenario};
 use mc_chaos::seed_from_env;
-use mc_counter::{Counter, CounterDiagnostics, FailureInfo, MonotonicCounter, ShardedCounter};
+use mc_counter::{Counter, CounterDiagnostics, FailureInfo, MonotonicCounter};
 use mc_durable::{DurableCounter, CHAOS_WAL_ENV};
 use std::path::PathBuf;
 
@@ -41,25 +41,6 @@ fn child_increments() {
         return;
     };
     let (counter, recovery) = DurableCounter::<Counter>::open(&dir).expect("child open");
-    println!("START {}", recovery.value);
-    let mut value = recovery.value;
-    loop {
-        value += 1;
-        println!("TRY {value}");
-        counter.increment(1);
-        println!("ACK {value}");
-    }
-}
-
-/// The `child_increments` workload over a sharded in-memory counter: the
-/// durability layer is generic in `C`, and the striped cells must not change
-/// what an `ACK` means (the ack still covers the fsync, not the cell state).
-#[test]
-fn child_increments_sharded() {
-    let Some(dir) = crash_harness::child_role("child_increments_sharded") else {
-        return;
-    };
-    let (counter, recovery) = DurableCounter::<ShardedCounter>::open(&dir).expect("child open");
     println!("START {}", recovery.value);
     let mut value = recovery.value;
     loop {
@@ -150,42 +131,6 @@ fn crash_cycles(tag: &str, chaos_wal: bool) {
 #[test]
 fn killed_child_loses_no_acked_increment_fswal() {
     crash_cycles("fswal", false);
-}
-
-/// The crash invariants hold when the in-memory layer is the sharded
-/// counter: acked increments survive SIGKILL and recovery lands on the exact
-/// logged value even though the dying process had unpublished cell deltas.
-#[test]
-fn sharded_killed_child_loses_no_acked_increment() {
-    let dir = scratch_dir("sharded");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let seed = seed_from_env(1729);
-    let mut last_recovered = 0u64;
-    for cycle in 0..2u64 {
-        let kill_after = 2 + (mix(seed.wrapping_add(1000 + cycle)) % 20);
-        let scenario = CrashScenario::new("child_increments_sharded", &dir, "ACK ", kill_after);
-        let report = crash_harness::run(&scenario).expect("harness run");
-        assert!(report.killed, "child must die by SIGKILL, not exit");
-        let acked = parse_max(&report.lines, "ACK ");
-        assert!(acked >= kill_after);
-
-        let (counter, recovery) =
-            DurableCounter::<ShardedCounter>::open(&dir).expect("parent recover");
-        assert!(
-            recovery.value >= acked,
-            "cycle {cycle}: acked increment lost: recovered {} < acked {acked}",
-            recovery.value
-        );
-        assert!(recovery.value >= last_recovered);
-        assert_eq!(counter.debug_value(), recovery.value);
-        // The recovered value satisfies waiters immediately.
-        assert!(counter.wait(recovery.value).is_ok());
-        drop(counter);
-        last_recovered = recovery.value;
-    }
-    assert!(last_recovered > 0, "cycles made no progress");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

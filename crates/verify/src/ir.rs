@@ -84,8 +84,7 @@ pub(crate) struct ThreadSeq {
 /// A whole-program synchronization skeleton: named counters and shared
 /// variables plus one operation sequence per thread.
 ///
-/// Build one with [`SkeletonBuilder`], or extract one from an instrumented
-/// sequential run via [`crate::record::skeleton_from_events`].
+/// Build one with [`SkeletonBuilder`].
 #[derive(Clone, Debug)]
 pub struct Skeleton {
     pub(crate) counters: Vec<String>,

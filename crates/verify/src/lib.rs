@@ -26,9 +26,8 @@
 //!
 //! [`verify`] bundles the three into a [`Verdict`]: a determinacy
 //! [`Certificate`] or a [`Rejection`] carrying concrete counterexamples.
-//! Skeletons come from the [`SkeletonBuilder`] API, from the
-//! [models] of the `mc-algos`/`mc-patterns` protocols, or from a
-//! [recorded](record::skeleton_from_events) `mc-detcheck` run.
+//! Skeletons come from the [`SkeletonBuilder`] API or from the
+//! [models] of the `mc-algos`/`mc-patterns` protocols.
 //!
 //! On top of the concrete layer sits **parameterized verification**:
 //! [`Template`]s declare replicated thread roles (`N` producers, `M`
@@ -65,7 +64,6 @@ mod ir;
 pub mod models;
 mod mutate;
 mod race;
-pub mod record;
 mod seqeq;
 mod template;
 mod verdict;

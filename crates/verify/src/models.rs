@@ -140,27 +140,6 @@ pub fn ragged_barrier_template(steps: usize) -> Template {
     b.build()
 }
 
-/// The `ShardedCounter` combiner discipline of `mc-counter` with a symbolic
-/// writer count: each of `N` writers publishes `deltas` increments from its
-/// private cell; the waiter checks the symbolic total `N * deltas` — a
-/// level with a genuine parameter coefficient — before draining the cells.
-pub fn sharded_combiner_template(deltas: usize) -> Template {
-    let mut b = TemplateBuilder::new();
-    let n = b.param("N");
-    let writers = b.role("writer", n);
-    let published = b.counter("published");
-    let cell = b.var_per("cell", writers);
-    let mut tb = b.body(writers);
-    for _ in 0..deltas {
-        tb = tb.write(cell.me()).inc(published, 1);
-    }
-    let _ = tb;
-    b.thread("waiter")
-        .check(published, n * (deltas as u64))
-        .read_all(cell);
-    b.build()
-}
-
 /// Supervision restart rounds from `mc-sthreads` at symbolic scale: each
 /// round the supervisor releases all `N` workers (`inc(go, 1)`) and waits
 /// for every worker to have completed the round (`check(done >= N*(r+1))`,
@@ -218,7 +197,6 @@ pub fn template_corpus() -> Vec<(&'static str, Template)> {
         ("broadcast", broadcast_template(4)),
         ("pipeline", pipeline_template(4)),
         ("ragged_barrier", ragged_barrier_template(3)),
-        ("sharded_combiner", sharded_combiner_template(2)),
         ("supervisor_rounds", supervisor_rounds_template(3)),
         ("wavefront", wavefront_template(4)),
     ]
@@ -459,20 +437,6 @@ pub fn ragged_stencil(participants: usize, steps: usize) -> Skeleton {
         .expect("concrete size instantiates")
 }
 
-/// The `ShardedCounter` combiner discipline of `mc-counter`: each writer
-/// accumulates deltas in its own striped cell (private writes — the cell is
-/// keyed by thread), and every delta is eventually published into the
-/// counter the waiters watch. A waiter checks the full total before draining
-/// the cells, so its reads are ordered after every writer's last store by
-/// the publication chain — the skeleton form of the eager-flush/lazy-combine
-/// correctness argument. Instantiated from [`sharded_combiner_template`].
-pub fn sharded_combiner(writers: usize, deltas: usize) -> Skeleton {
-    assert!(writers >= 1);
-    sharded_combiner_template(deltas)
-        .instantiate(&[writers as u64])
-        .expect("concrete size instantiates")
-}
-
 /// All models at small exercise sizes, with names — the corpus used by the
 /// cross-validation tests and the E10 experiment.
 pub fn corpus() -> Vec<(&'static str, Skeleton)> {
@@ -485,7 +449,6 @@ pub fn corpus() -> Vec<(&'static str, Skeleton)> {
         ("broadcast", broadcast(3, 4)),
         ("pipeline", pipeline(3, 4)),
         ("ragged_stencil", ragged_stencil(3, 3)),
-        ("sharded_combiner", sharded_combiner(3, 2)),
     ]
 }
 
@@ -521,7 +484,6 @@ mod tests {
             ("broadcast", true),
             ("pipeline", true),
             ("ragged_stencil", false),
-            ("sharded_combiner", true),
         ];
         for (name, sk) in corpus() {
             let v = verify(&sk);

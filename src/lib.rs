@@ -76,8 +76,8 @@ pub mod prelude {
         check_all, BTreeCounter, BuildConfig, Buildable, CheckError, CheckTimeoutError, Counter,
         CounterBuilder, CounterDiagnostics, CounterExt, CounterOverflowError, DynCounter,
         FailureInfo, HealthStatus, MetricsSink, MonotonicCounter, NaiveCounter, Obligation,
-        Resettable, ShardedCounter, SpinCounter, StallReport, StallVerdict, StatsSnapshot,
-        Supervisor, SupervisorConfig, TracingCounter, Value,
+        Resettable, SpinCounter, StallReport, StallVerdict, StatsSnapshot, Supervisor,
+        SupervisorConfig, TracingCounter, Value,
     };
     pub use mc_durable::{
         DurabilityMode, DurableCounter, DurableOptions, PoisonPolicy, RetryPolicy, WalError,

@@ -22,7 +22,6 @@ fn sequencer_over_every_counter_impl() {
     run::<Counter>();
     run::<BTreeCounter>();
     run::<NaiveCounter>();
-    run::<ShardedCounter>();
 }
 
 /// Every counter implementation drives the ragged barrier correctly.
@@ -144,7 +143,6 @@ fn prelude_surface() {
     let _c: Counter = Counter::default();
     let _n: NaiveCounter = NaiveCounter::default();
     let _b: BTreeCounter = BTreeCounter::default();
-    let _sh: ShardedCounter = ShardedCounter::builder().shards(4).build();
     let _dyn: DynCounter = Arc::new(Counter::builder().build());
     let _bar = Barrier::new(1);
     let _ev = Event::new();

@@ -1,9 +1,7 @@
 //! Property-based tests of the counter semantics, checking every
 //! implementation against a simple reference model.
 
-use mc_counter::{
-    BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter, ShardedCounter,
-};
+use mc_counter::{BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -116,11 +114,6 @@ proptest! {
         run_script::<NaiveCounter>(&ops);
     }
 
-    #[test]
-    fn sharded_matches_model(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        run_script::<ShardedCounter>(&ops);
-    }
-
     /// Concurrent wakeup completeness over the sorted-list queue.
     #[test]
     fn concurrent_waiters_all_wake(
@@ -137,6 +130,57 @@ proptest! {
         extra in 0u64..50,
     ) {
         all_waiters_wake::<BTreeCounter>(&levels, extra);
+    }
+
+    /// Concurrent writers with mixed amounts: no increment is lost or counted
+    /// twice, whichever of the fast word and the locked slow path each one
+    /// takes.
+    #[test]
+    fn no_lost_increments_across_writer_threads(
+        per_thread in proptest::collection::vec(
+            proptest::collection::vec(1u64..50, 1..40), 2..5),
+    ) {
+        let c = Arc::new(Counter::default());
+        let total: u64 = per_thread.iter().flatten().sum();
+        std::thread::scope(|s| {
+            for amounts in per_thread {
+                let c = Arc::clone(&c);
+                s.spawn(move || {
+                    for a in amounts {
+                        c.increment(a);
+                    }
+                });
+            }
+        });
+        c.check(total);
+        prop_assert_eq!(c.debug_value(), total);
+    }
+
+    /// Two writers race a waiter parked at the exact final total: the last
+    /// increment, wherever it lands, must wake it.
+    #[test]
+    fn waiter_at_the_exact_total_always_wakes(
+        amounts in proptest::collection::vec(1u64..20, 1..60),
+    ) {
+        let c = Arc::new(Counter::default());
+        let total: u64 = amounts.iter().sum();
+        std::thread::scope(|s| {
+            let waiter = {
+                let c = Arc::clone(&c);
+                s.spawn(move || c.check_timeout(total, Duration::from_secs(5)))
+            };
+            let (front, back) = amounts.split_at(amounts.len() / 2);
+            for half in [front.to_vec(), back.to_vec()] {
+                let c = Arc::clone(&c);
+                s.spawn(move || {
+                    for a in half {
+                        c.increment(a);
+                    }
+                });
+            }
+            prop_assert_eq!(waiter.join().unwrap(), Ok(()));
+        });
+        prop_assert_eq!(c.stats().live_waiters, 0);
     }
 
     /// Monotonicity means a check satisfied once is satisfied forever: any

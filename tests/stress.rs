@@ -3,12 +3,12 @@
 //! waiter wakes, values add up, storage is reclaimed) under load.
 
 use mc_counter::{
-    BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter, ShardedCounter,
-    SpinCounter,
+    BTreeCounter, Counter, CounterDiagnostics, MonotonicCounter, NaiveCounter, SpinCounter,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Base seed for the hammer runs: CI's fault matrix pins `MC_CHAOS_SEED` so
 /// each job stresses a distinct, reproducible slice of the schedule space.
@@ -81,13 +81,6 @@ fn hammer_mutex_only() {
 }
 
 #[test]
-fn hammer_sharded() {
-    for seed in 0..3 {
-        hammer::<ShardedCounter>(seed_base() + seed);
-    }
-}
-
-#[test]
 fn hammer_naive() {
     for seed in 0..3 {
         hammer::<NaiveCounter>(seed_base() + seed);
@@ -111,6 +104,39 @@ fn hammer_spin() {
     // Fewer seeds: 24 spinning waiters on few cores is deliberately the
     // implementation's worst case.
     hammer::<SpinCounter>(seed_base());
+}
+
+/// Many writers, waiters at staggered levels up to the exact final total:
+/// every waiter resumes within its timeout and the final value is exact.
+#[test]
+fn staggered_waiters_drain_under_contended_writes() {
+    let writers = 4u64;
+    let per_writer = 500u64;
+    let total = writers * per_writer;
+    let c = Arc::new(Counter::default());
+    std::thread::scope(|s| {
+        let mut waiters = Vec::new();
+        for i in 1..=8u64 {
+            let c = Arc::clone(&c);
+            let level = total * i / 8;
+            waiters.push(s.spawn(move || c.check_timeout(level, Duration::from_secs(10))));
+        }
+        for _ in 0..writers {
+            let c = Arc::clone(&c);
+            s.spawn(move || {
+                for _ in 0..per_writer {
+                    c.increment(1);
+                }
+            });
+        }
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), Ok(()));
+        }
+    });
+    assert_eq!(c.debug_value(), total);
+    let stats = c.stats();
+    assert_eq!(stats.live_waiters, 0, "stranded waiter: {stats}");
+    assert_eq!(stats.nodes_created, stats.nodes_freed);
 }
 
 /// Two hundred threads on one counter, one level each: a worst case for the
